@@ -12,6 +12,9 @@ validate  run the correctness battery (or per-group checks on an input
 bench     time the key race against the alias and inverse-CDF baselines
           and split dynamic-update costs by case
 
+``--threads N`` cuts the rows into N shards that are reduced one after
+another and merged; the output is identical for every N.
+
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 4 warnings on the update stream.
 """
@@ -22,7 +25,6 @@ import argparse
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
     GroupWinner,
     SeedContext,
-    merge_winner_maps,
+    merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
     replicate_winners,
     sample_arrays,
 )
@@ -140,39 +142,6 @@ def emit_table(table: ParsedTable, path: str) -> None:
             writer.writerow(record)
 
 
-def _sharded_sample(table: ParsedTable, spec, ctx, threads: int) -> dict[str, GroupWinner]:
-    n = len(table.group_ids)
-    if threads <= 1 or n < 2 * threads:
-        return sample_arrays(
-            table.group_ids,
-            table.labels,
-            table.strengths,
-            spec,
-            ctx,
-            n_shards=1,
-            injected_keys=table.keys,
-        )
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
-    jobs = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                jobs.append(
-                    pool.submit(
-                        sample_arrays,
-                        table.group_ids[lo:hi],
-                        table.labels[lo:hi],
-                        table.strengths[lo:hi],
-                        spec,
-                        ctx,
-                        1,
-                        table.keys[lo:hi] if table.keys is not None else None,
-                    )
-                )
-        partials = [job.result() for job in jobs]
-    return merge_winner_maps(partials, spec.orientation)
-
-
 def cmd_sample(args) -> int:
     try:
         spec = _model_from_args(args)
@@ -191,7 +160,8 @@ def cmd_sample(args) -> int:
         for replicate in range(args.replicates):
             ctx = SeedContext(seed=args.seed, replicate=replicate)
             try:
-                winners = _sharded_sample(table, spec, ctx, args.threads)
+                winners = sample_arrays(table.group_ids, table.labels, table.strengths, spec,
+                                        ctx, n_shards=args.threads, injected_keys=table.keys)
             except FamilyDomainError as err:
                 print(f"error: {err}", file=sys.stderr)
                 return EXIT_DOMAIN
@@ -324,9 +294,7 @@ def cmd_bench(args) -> int:
     ctx = SeedContext(seed=args.seed)
 
     t0 = time.perf_counter()
-    winners = _sharded_sample(
-        ParsedTable(groups, labels, np.asarray(strengths), None), spec, ctx, args.threads
-    )
+    winners = sample_arrays(groups, labels, strengths, spec, ctx, n_shards=args.threads)
     race_elapsed = time.perf_counter() - t0
     print(f"key-race      {n_rows} rows -> {len(winners)} groups   "
           f"{race_elapsed:8.4f} s   {n_rows / race_elapsed:12.0f} rows/s")
@@ -411,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--replicates", type=int, default=1)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="shards of a sequential reduction; output is identical for any value")
         p.add_argument("--quick", action="store_true", help="reduced-power fast mode")
 
     p_sample = sub.add_parser("sample", help="winner per group of a CSV table")

@@ -4,7 +4,7 @@ Every row ``(group_id, label, strength)`` gets its own uniform draw and
 competition key; the winner of each group is the row with the extremal
 key.  Because the per-row work touches nothing but the row itself and the
 per-group step is an associative, commutative merge, the whole procedure
-is schedule-independent: any sharding, threading, or fold order produces
+is schedule-independent: any sharding or fold order produces
 byte-identical winners.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
@@ -61,7 +61,6 @@ _U64_MULT_2 = np.uint64(_MIX_MULT_2)
 _U64_30 = np.uint64(30)
 _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
-_U64_11 = np.uint64(11)
 _UNIT = 2.0**-53
 
 
@@ -89,6 +88,8 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1 << 20)
 def _string_digest(s: str) -> int:
     """64-bit digest of a string: length then 8-byte chunks, mixed stepwise."""
+    if not isinstance(s, str):
+        raise TypeError(f"group ids and labels must be str, got {type(s).__name__} {s!r}")
     data = s.encode("utf-8")
     h = _mix64(_GOLDEN ^ len(data))
     for i in range(0, len(data), 8):
@@ -96,10 +97,45 @@ def _string_digest(s: str) -> int:
     return h
 
 
-def _to_unit(h: np.ndarray) -> np.ndarray:
+def _to_unit(h):
     # (h >> 11) keeps 53 bits; +0.5 centers inside the half-open cells, so
     # the result lies in [2^-54, 1 - 2^-54] and log(u), log(-log(u)) stay finite.
-    return ((h >> _U64_11).astype(np.float64) + 0.5) * _UNIT
+    return ((h >> 11) + 0.5) * _UNIT
+
+
+def _absorb(seed, replicate, version, group_digest, label_digests):
+    """Final hash states of one absorption chain, one per label digest.
+
+    The chain absorbs seed, replicate, version, group digest and label
+    digest, in that order.  Each part is a Python int or a uint64 array,
+    and arrays broadcast.  The label-independent prefix is absorbed once
+    and shared by every entry of ``label_digests``.
+    """
+
+    def absorb(h, part):
+        x = h ^ (part if isinstance(part, np.ndarray) else int(part) & _MASK)
+        return _mix64_array(x) if isinstance(x, np.ndarray) else _mix64(x)
+
+    h = 0  # absorbing the seed into 0 gives _mix64(seed), the chain's first state
+    for part in (seed, replicate, version, group_digest):
+        h = absorb(h, part)
+    for label_digest in label_digests:
+        yield absorb(h, label_digest)
+
+
+def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+    """Exact integer codes in first-seen order, and the distinct strings."""
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(s, len(index)) for s in strings), dtype=np.intp, count=len(strings)
+    )
+    return codes, list(index)
+
+
+def _digests(column: tuple[np.ndarray, list[str]]) -> np.ndarray:
+    """Per-row digests of a factorized column; each distinct string is digested once."""
+    codes, distinct = column
+    return np.fromiter(map(_string_digest, distinct), dtype=np.uint64, count=len(distinct))[codes]
 
 
 @dataclass(frozen=True)
@@ -161,22 +197,9 @@ def derive_uniform(ctx: SeedContext, group_id: str, label: str, version: int = 0
     enter through their own digests so distinct identifiers decorrelate
     fully; the final state maps to ((h >> 11) + 0.5) * 2^-53.
     """
-    h = _mix64(ctx.seed & _MASK)
-    h = _mix64(h ^ (ctx.replicate & _MASK))
-    h = _mix64(h ^ (version & _MASK))
-    h = _mix64(h ^ _string_digest(group_id))
-    h = _mix64(h ^ _string_digest(label))
-    return ((h >> 11) + 0.5) * _UNIT
-
-
-def _row_uniforms(
-    ctx: SeedContext, group_digests: np.ndarray, label_digests: np.ndarray
-) -> np.ndarray:
-    """Vectorized ``derive_uniform`` (version 0) over parallel digest arrays."""
-    base = _mix64(_mix64(ctx.seed & _MASK) ^ (ctx.replicate & _MASK))
-    h0 = np.uint64(_mix64(base))  # version-0 absorption, hoisted out of the array ops
-    h = _mix64_array(h0 ^ group_digests)
-    h = _mix64_array(h ^ label_digests)
+    (h,) = _absorb(
+        ctx.seed, ctx.replicate, version, _string_digest(group_id), [_string_digest(label)]
+    )
     return _to_unit(h)
 
 
@@ -184,19 +207,9 @@ def replicate_uniforms(
     seed: int, group_id: str, label: str, n_replicates: int, version: int = 0
 ) -> np.ndarray:
     """Uniforms of one row across replicates 0..n-1 (vectorized)."""
-    h0 = np.uint64(_mix64(seed & _MASK))
     reps = np.arange(n_replicates, dtype=np.uint64)
-    h = _mix64_array(h0 ^ reps)
-    h = _mix64_array(h ^ np.uint64(version & _MASK))
-    h = _mix64_array(h ^ np.uint64(_string_digest(group_id)))
-    h = _mix64_array(h ^ np.uint64(_string_digest(label)))
+    (h,) = _absorb(seed, reps, version, _string_digest(group_id), [_string_digest(label)])
     return _to_unit(h)
-
-
-def _digests(strings: Sequence[str]) -> np.ndarray:
-    return np.fromiter(
-        (_string_digest(s) for s in strings), dtype=np.uint64, count=len(strings)
-    )
 
 
 def _beats(
@@ -220,6 +233,67 @@ def _annotated_domain_error(spec: ModelSpec, group_id: str, label: str, value: f
     return cls(f"{message} (group_id={group_id!r}, label={label!r})")
 
 
+def _key_rows(group_ids, labels, strengths: np.ndarray, spec: ModelSpec, ctx: SeedContext):
+    """Domain check, digests, uniforms, then key and order key of every row.
+
+    Returns both factorized id columns with the per-row uniforms, keys and
+    order keys, all in input order.
+    """
+    bad = first_invalid_strength(spec, strengths)
+    if bad is not None:
+        raise _annotated_domain_error(spec, group_ids[bad], labels[bad], float(strengths[bad]))
+    groups, names = _factorize(group_ids), _factorize(labels)
+    (h,) = _absorb(ctx.seed, ctx.replicate, 0, _digests(groups), [_digests(names)])
+    uniforms = _to_unit(h)
+    keys = generate_key(spec, strengths, uniforms)
+    order_keys = (
+        generate_order_key(spec, strengths, uniforms)
+        if spec.family is Family.CANONICAL
+        else keys
+    )
+    return groups, names, uniforms, keys, order_keys
+
+
+def _reduce(groups, names, keys: np.ndarray, order_keys: np.ndarray, orientation: Orientation):
+    """Winner of every group: the extremal order key, the smallest label on exact ties."""
+    g_codes, group_names = groups
+    l_codes, label_names = names
+    # rank of each distinct label in Python str order, the order _beats uses
+    label_rank = np.argsort(sorted(range(len(label_names)), key=label_names.__getitem__))
+    adj = order_keys if orientation is Orientation.MAX else -order_keys
+    # Sort by (group, adj asc, label rank desc); the last row of each group
+    # block is then the extremal key, with the smallest label among exact ties.
+    order = np.lexsort((-label_rank[l_codes], adj, g_codes))
+    win = order[np.searchsorted(g_codes[order], np.arange(len(group_names)), side="right") - 1]
+    counts = np.bincount(g_codes, minlength=len(group_names))
+    return {
+        gid: GroupWinner(gid, label_names[code], key, count, order_key)
+        for gid, code, key, count, order_key in zip(
+            group_names,
+            l_codes[win].tolist(),
+            keys[win].tolist(),
+            counts.tolist(),
+            order_keys[win].tolist(),
+        )
+    }
+
+
+def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[str, GroupWinner]:
+    """Pairwise merge per group: better order_key, label tie-break, counts added."""
+    merged: dict[str, GroupWinner] = {}
+    for cand in candidates:
+        gid = cand.group_id
+        inc = merged.get(gid)
+        if inc is None:
+            merged[gid] = cand
+            continue
+        won = _beats(cand.order_key, cand.label, inc.order_key, inc.label, orientation)
+        best = cand if won else inc
+        count = inc.row_count + cand.row_count
+        merged[gid] = GroupWinner(gid, best.label, best.key, count, best.order_key)
+    return merged
+
+
 def assign_keys(
     rows: Sequence[Row], spec: ModelSpec, ctx: SeedContext
 ) -> list[KeyedRow]:
@@ -232,23 +306,14 @@ def assign_keys(
     if not rows:
         return []
     strengths = np.fromiter((r.strength for r in rows), dtype=np.float64, count=len(rows))
-    bad = first_invalid_strength(spec, strengths)
-    if bad is not None:
-        raise _annotated_domain_error(
-            spec, rows[bad].group_id, rows[bad].label, float(strengths[bad])
-        )
-    gdig = _digests([r.group_id for r in rows])
-    ldig = _digests([r.label for r in rows])
-    uniforms = _row_uniforms(ctx, gdig, ldig)
-    keys = generate_key(spec, strengths, uniforms)
-    order_keys = (
-        generate_order_key(spec, strengths, uniforms)
-        if spec.family is Family.CANONICAL
-        else keys
+    *_, uniforms, keys, order_keys = _key_rows(
+        [r.group_id for r in rows], [r.label for r in rows], strengths, spec, ctx
     )
     return [
-        KeyedRow(row, float(uniforms[i]), float(keys[i]), float(order_keys[i]))
-        for i, row in enumerate(rows)
+        KeyedRow(row, u, key, order_key)
+        for row, u, key, order_key in zip(
+            rows, uniforms.tolist(), keys.tolist(), order_keys.tolist()
+        )
     ]
 
 
@@ -261,46 +326,17 @@ def reduce_winners(
     is associative and commutative, so the result is independent of input
     order and of any partitioning into sub-reductions.
     """
-    winners: dict[str, GroupWinner] = {}
-    for kr in keyed:
-        gid = kr.row.group_id
-        incumbent = winners.get(gid)
-        if incumbent is None:
-            winners[gid] = GroupWinner(gid, kr.row.label, kr.key, 1, kr.order_key)
-        elif _beats(kr.order_key, kr.row.label, incumbent.order_key, incumbent.label, orientation):
-            winners[gid] = GroupWinner(
-                gid, kr.row.label, kr.key, incumbent.row_count + 1, kr.order_key
-            )
-        else:
-            winners[gid] = GroupWinner(
-                gid,
-                incumbent.label,
-                incumbent.key,
-                incumbent.row_count + 1,
-                incumbent.order_key,
-            )
-    return winners
+    return _fold(
+        (GroupWinner(kr.row.group_id, kr.row.label, kr.key, 1, kr.order_key) for kr in keyed),
+        orientation,
+    )
 
 
 def merge_winner_maps(
     maps: Iterable[Mapping[str, GroupWinner]], orientation: Orientation
 ) -> dict[str, GroupWinner]:
     """Merge partial winner maps from disjoint row partitions."""
-    merged: dict[str, GroupWinner] = {}
-    for partial in maps:
-        for gid, cand in partial.items():
-            incumbent = merged.get(gid)
-            if incumbent is None:
-                merged[gid] = cand
-                continue
-            count = incumbent.row_count + cand.row_count
-            if _beats(cand.order_key, cand.label, incumbent.order_key, incumbent.label, orientation):
-                merged[gid] = GroupWinner(gid, cand.label, cand.key, count, cand.order_key)
-            else:
-                merged[gid] = GroupWinner(
-                    gid, incumbent.label, incumbent.key, count, incumbent.order_key
-                )
-    return merged
+    return _fold((w for partial in maps for w in partial.values()), orientation)
 
 
 def sample(
@@ -311,38 +347,8 @@ def sample(
     Within a group, label ``l`` wins with probability ``a_l / sum(a)``
     where ``a`` are the weights recovered from the strengths.
     """
-    return reduce_winners(assign_keys(rows, spec, ctx), spec.orientation)
-
-
-def _shard_winners(
-    group_ids: np.ndarray,
-    labels: np.ndarray,
-    strengths: np.ndarray,
-    keys: np.ndarray,
-    order_keys: np.ndarray,
-    orientation: Orientation,
-) -> dict[str, GroupWinner]:
-    """Vectorized per-group argmax/argmin over one shard of parallel arrays."""
-    groups, g_inv = np.unique(group_ids, return_inverse=True)
-    _, l_inv = np.unique(labels, return_inverse=True)
-    adj = order_keys if orientation is Orientation.MAX else -order_keys
-    # Sort by (group, adj asc, label desc); the last row of each group block
-    # is then the extremal key, with the smallest label among exact ties.
-    order = np.lexsort((-l_inv.astype(np.int64), adj, g_inv))
-    sorted_groups = g_inv[order]
-    last = np.searchsorted(sorted_groups, np.arange(len(groups)), side="right") - 1
-    winner_idx = order[last]
-    counts = np.bincount(g_inv, minlength=len(groups))
-    return {
-        str(groups[gi]): GroupWinner(
-            str(groups[gi]),
-            str(labels[wi]),
-            float(keys[wi]),
-            int(counts[gi]),
-            float(order_keys[wi]),
-        )
-        for gi, wi in enumerate(winner_idx)
-    }
+    columns = ([r.group_id for r in rows], [r.label for r in rows], [r.strength for r in rows])
+    return sample_arrays(*columns, spec, ctx)
 
 
 def sample_arrays(
@@ -354,56 +360,46 @@ def sample_arrays(
     n_shards: int = 1,
     injected_keys: np.ndarray | None = None,
 ) -> dict[str, GroupWinner]:
-    """Array-based fast path behind :func:`sample`.
+    """Columnar sampling: one winner per group of parallel row arrays.
 
-    Shards the rows, reduces each shard (optionally on a thread pool via
-    the caller splitting), and merges the partial maps; the total-order
-    comparator makes the outcome identical for every shard count.  When
-    ``injected_keys`` is given the keys are taken verbatim instead of
-    generated (used to replay externally keyed tables).
+    With ``n_shards > 1`` the rows are cut into that many contiguous
+    slices, each is sampled on its own and the partial maps are folded in
+    turn with :func:`merge_winner_maps`; the total-order comparator makes
+    the outcome identical for every shard count.  When ``injected_keys``
+    is given the keys are taken verbatim instead of generated (used to
+    replay externally keyed tables); every one must be finite.
     """
-    n = len(strengths)
     strengths = np.asarray(strengths, dtype=np.float64)
+    n = len(strengths)
+    if injected_keys is not None:
+        injected_keys = np.asarray(injected_keys, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(injected_keys))
+        if bad.size:
+            i = bad[0]
+            raise FamilyDomainError(
+                f"injected key must be finite, got {injected_keys[i]} "
+                f"(group_id={group_ids[i]!r}, label={labels[i]!r})"
+            )
+    n_shards = max(1, min(n_shards, n))
+    if n_shards > 1:
+        cuts = np.linspace(0, n, n_shards + 1, dtype=np.intp)
+        shards = (slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
+        return merge_winner_maps(
+            (
+                sample_arrays(group_ids[s], labels[s], strengths[s], spec, ctx, 1,
+                              None if injected_keys is None else injected_keys[s])
+                for s in shards
+            ),
+            spec.orientation,
+        )
     if n == 0:
         return {}
-    group_arr = np.asarray(group_ids, dtype=object)
-    label_arr = np.asarray(labels, dtype=object)
-    if injected_keys is not None:
-        keys = np.asarray(injected_keys, dtype=np.float64)
-        order_keys = keys
+    if injected_keys is None:
+        groups, names, _, keys, order_keys = _key_rows(group_ids, labels, strengths, spec, ctx)
     else:
-        bad = first_invalid_strength(spec, strengths)
-        if bad is not None:
-            raise _annotated_domain_error(
-                spec, str(group_arr[bad]), str(label_arr[bad]), float(strengths[bad])
-            )
-        gdig = _digests(list(group_arr))
-        ldig = _digests(list(label_arr))
-        uniforms = _row_uniforms(ctx, gdig, ldig)
-        keys = generate_key(spec, strengths, uniforms)
-        order_keys = (
-            generate_order_key(spec, strengths, uniforms)
-            if spec.family is Family.CANONICAL
-            else keys
-        )
-    n_shards = max(1, min(n_shards, n))
-    if n_shards == 1:
-        return _shard_winners(group_arr, label_arr, strengths, keys, order_keys, spec.orientation)
-    bounds = np.linspace(0, n, n_shards + 1, dtype=np.intp)
-    partials = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            partials.append(
-                _shard_winners(
-                    group_arr[lo:hi],
-                    label_arr[lo:hi],
-                    strengths[lo:hi],
-                    keys[lo:hi],
-                    order_keys[lo:hi],
-                    spec.orientation,
-                )
-            )
-    return merge_winner_maps(partials, spec.orientation)
+        groups, names = _factorize(group_ids), _factorize(labels)
+        keys = order_keys = injected_keys
+    return _reduce(groups, names, keys, order_keys, spec.orientation)
 
 
 def replicate_winners(
@@ -431,32 +427,20 @@ def replicate_winners(
     # ties break toward the lexicographically smallest label: evaluate rows
     # in label-sorted order so the first extremal index is the winner
     label_order = sorted(range(n), key=lambda i: labels[i])
+    group_digest = _string_digest(group_id)
+    label_digests = [_string_digest(labels[i]) for i in label_order]
     winners = np.empty(n_replicates, dtype=np.intp)
-    take = max(1, chunk_elems // max(n, 1))
-    start = 0
-    h_seed = np.uint64(_mix64(seed & _MASK))
-    digests = [
-        (np.uint64(_string_digest(group_id)), np.uint64(_string_digest(labels[i])))
-        for i in label_order
-    ]
-    version0 = np.uint64(0)
-    while start < n_replicates:
+    take = max(1, chunk_elems // n)
+    for start in range(0, n_replicates, take):
         stop = min(start + take, n_replicates)
         reps = np.arange(start, stop, dtype=np.uint64)
         order_keys = np.empty((n, stop - start), dtype=np.float64)
-        for pos, i in enumerate(label_order):
-            gd, ld = digests[pos]
-            h = _mix64_array(h_seed ^ reps)
-            h = _mix64_array(h ^ version0)  # version-0 absorption step
-            h = _mix64_array(h ^ gd)
-            h = _mix64_array(h ^ ld)
-            u = _to_unit(h)
-            order_keys[pos] = generate_order_key(spec, s[i], u)
+        for pos, h in enumerate(_absorb(seed, reps, 0, group_digest, label_digests)):
+            order_keys[pos] = generate_order_key(spec, s[label_order[pos]], _to_unit(h))
         extremal = (
             np.argmax(order_keys, axis=0)
             if spec.orientation is Orientation.MAX
             else np.argmin(order_keys, axis=0)
         )
         winners[start:stop] = np.asarray(label_order, dtype=np.intp)[extremal]
-        start = stop
     return winners

@@ -6,12 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyrace import stats
-from keyrace.families import DegenerateWeightError, Family, ModelSpec, Orientation
+from keyrace.dynamic import DynamicTable
+from keyrace.families import (
+    DegenerateWeightError,
+    Family,
+    FamilyDomainError,
+    ModelSpec,
+    Orientation,
+    generate_key,
+    generate_order_key,
+)
 from keyrace.sampler import (
     GroupWinner,
     KeyedRow,
     Row,
     SeedContext,
+    _beats,
     _mix64,
     _mix64_array,
     assign_keys,
@@ -278,3 +288,96 @@ def test_partition_invariance_property(boundaries_raw, seed):
     partials = [reduce_winners(piece, Orientation.MAX) for piece in pieces]
     merged = merge_winner_maps(partials, Orientation.MAX)
     assert merged == reduce_winners(keyed, Orientation.MAX)
+
+
+class TestInputContracts:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_injected_key_rejected(self, bad, shards):
+        # a NaN key used to win or lose depending on the shard count
+        with pytest.raises(FamilyDomainError, match=r"group_id='a', label='x'"):
+            sample_arrays(
+                ["a"] * 4, ["w", "x", "y", "z"], np.ones(4), ModelSpec(Family.GUMBEL1),
+                SeedContext(0), n_shards=shards, injected_keys=[1.0, bad, 0.5, 2.0],
+            )
+
+    @pytest.mark.parametrize("bad_id", [7, b"g"])
+    @pytest.mark.parametrize("entry", ["sample", "sample_arrays", "derive_uniform", "upsert"])
+    def test_non_str_ids_rejected(self, entry, bad_id):
+        spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
+        calls = {
+            "sample": lambda: sample([Row(bad_id, "a", 1.0)], spec, ctx),
+            "sample_arrays": lambda: sample_arrays(["g"], [bad_id], [1.0], spec, ctx),
+            "derive_uniform": lambda: derive_uniform(ctx, "g", bad_id),
+            "upsert": lambda: DynamicTable(spec, ctx).upsert(bad_id, "a", 1.0),
+        }
+        with pytest.raises(TypeError, match=f"must be str, got {type(bad_id).__name__}"):
+            calls[entry]()
+
+
+# ids that stress the digest: empty, multi-byte, longer than one 8-byte
+# word, and trailing NULs that a fixed-width byte view would strip
+_EDGE_IDS = ["", "a", "b", "é", "日本語", "exactly8", "longer than eight bytes", "x\0", "\0"]
+_IDS = st.one_of(st.sampled_from(_EDGE_IDS), st.text(max_size=12))
+
+
+@st.composite
+def _tables(draw):
+    pairs = draw(st.lists(st.tuples(_IDS, _IDS), min_size=1, max_size=40, unique=True))
+    n = len(pairs)
+    strengths = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+    spec = ModelSpec(draw(st.sampled_from(list(Family))))
+    return [g for g, _ in pairs], [l for _, l in pairs], np.asarray(strengths), spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tables(), st.integers(0, 2**64 - 1), st.integers(1, 6))
+def test_columnar_core_matches_scalar_reference(table, seed, shards):
+    """sample_arrays equals a row-by-row fold of derive_uniform and _beats."""
+    groups, labels, strengths, spec = table
+    ctx = SeedContext(seed, seed % 5)
+    expected: dict[str, GroupWinner] = {}
+    for g, l, s in zip(groups, labels, strengths):
+        u = derive_uniform(ctx, g, l)
+        key, order_key = float(generate_key(spec, s, u)), float(generate_order_key(spec, s, u))
+        inc = expected.get(g)
+        if inc is None:
+            expected[g] = GroupWinner(g, l, key, 1, order_key)
+        elif _beats(order_key, l, inc.order_key, inc.label, spec.orientation):
+            expected[g] = GroupWinner(g, l, key, inc.row_count + 1, order_key)
+        else:
+            expected[g] = GroupWinner(g, inc.label, inc.key, inc.row_count + 1, inc.order_key)
+    got = sample_arrays(groups, labels, strengths, spec, ctx, n_shards=shards)
+    assert got == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tables(), st.data(), st.integers(1, 6))
+def test_columnar_label_tie_breaks_match_fold(table, data, shards):
+    """Keys from {0, 1, 2} force exact ties, settled by the label rank."""
+    groups, labels, strengths, spec = table
+    n = len(groups)
+    keys = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    keyed = [KeyedRow(Row(g, l, s), 0.5, k) for g, l, s, k in zip(groups, labels, strengths, keys)]
+    got = sample_arrays(
+        groups, labels, strengths, spec, SeedContext(0), n_shards=shards, injected_keys=keys
+    )
+    assert got == reduce_winners(keyed, spec.orientation)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(_IDS, min_size=1, max_size=8, unique=True),
+    _IDS,
+    st.sampled_from(list(Family)),
+    st.integers(0, 2**32),
+)
+def test_replicate_winners_matches_columnar_core(labels, group_id, family, seed):
+    spec = ModelSpec(family)
+    strengths = np.linspace(0.5, 3.0, len(labels))
+    fast = replicate_winners(spec, labels, strengths, seed, 6, group_id=group_id)
+    for r in range(6):
+        winner = sample_arrays(
+            [group_id] * len(labels), labels, strengths, spec, SeedContext(seed, r)
+        )[group_id]
+        assert labels[fast[r]] == winner.label
