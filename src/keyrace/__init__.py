@@ -44,6 +44,7 @@ from .sampler import (
     replicate_winners,
     sample,
     sample_arrays,
+    sample_replicates,
 )
 from .stats import (
     GofReport,
@@ -82,6 +83,7 @@ __all__ = [
     "merge_winner_maps",
     "sample",
     "sample_arrays",
+    "sample_replicates",
     "replicate_winners",
     "DynamicTable",
     "ChangeReport",

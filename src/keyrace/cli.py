@@ -12,8 +12,10 @@ validate  run the correctness battery (or per-group checks on an input
 bench     time the key race against the alias and inverse-CDF baselines
           and split dynamic-update costs by case
 
-``--threads N`` cuts the rows into N shards that are reduced one after
-another and merged; the output is identical for every N.
+``--threads N`` (``sample``, ``bench``) cuts the rows into N shards that
+are reduced one after another and merged; the output is identical for
+every N.  ``--replicates n`` (``sample``) prepares the table once and
+races it n times.  ``--quick`` belongs to ``validate``.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 4 warnings on the update stream.
@@ -38,6 +40,7 @@ from .sampler import (
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
     replicate_winners,
     sample_arrays,
+    sample_replicates,
 )
 
 EXIT_OK = 0
@@ -154,17 +157,18 @@ def cmd_sample(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
+    try:
+        races = sample_replicates(table.group_ids, table.labels, table.strengths, spec,
+                                  SeedContext(seed=args.seed), args.replicates,
+                                  n_shards=args.threads, injected_keys=table.keys)
+    except FamilyDomainError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         multi = args.replicates > 1
-        for replicate in range(args.replicates):
-            ctx = SeedContext(seed=args.seed, replicate=replicate)
-            try:
-                winners = sample_arrays(table.group_ids, table.labels, table.strengths, spec,
-                                        ctx, n_shards=args.threads, injected_keys=table.keys)
-            except FamilyDomainError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return EXIT_DOMAIN
+        for replicate, winners in enumerate(races):
             for gid in sorted(winners):
                 line = _format_winner(winners[gid], args.with_key)
                 print((f"{replicate}," if multi else "") + line, file=out)
@@ -378,13 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="offset constant d (default: family-specific, 0 or +/-1)",
         )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--replicates", type=int, default=1)
+
+    def add_threads(p: argparse.ArgumentParser) -> None:
         p.add_argument("--threads", type=int, default=1,
                        help="shards of a sequential reduction; output is identical for any value")
-        p.add_argument("--quick", action="store_true", help="reduced-power fast mode")
 
     p_sample = sub.add_parser("sample", help="winner per group of a CSV table")
     add_common(p_sample)
+    add_threads(p_sample)
+    p_sample.add_argument("--replicates", type=int, default=1,
+                          help="race the table n times; ids are digested once for all of them")
     p_sample.add_argument("input", help="CSV with header ID,QUAL,Strength")
     p_sample.add_argument("-o", "--output", default=None)
     p_sample.add_argument(
@@ -404,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="run the correctness battery")
     add_common(p_validate)
+    p_validate.add_argument("--quick", action="store_true", help="reduced-power fast mode")
     p_validate.add_argument(
         "--input", default=None, help="optional CSV; chi-square each group's winners"
     )
@@ -411,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="throughput of race vs baselines")
     add_common(p_bench)
+    add_threads(p_bench)
     p_bench.add_argument("--rows", type=int, default=100_000)
     p_bench.add_argument("--draws", type=int, default=100_000)
     p_bench.add_argument("--updates", type=int, default=10_000)

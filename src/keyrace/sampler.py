@@ -7,6 +7,13 @@ per-group step is an associative, commutative merge, the whole procedure
 is schedule-independent: any sharding or fold order produces
 byte-identical winners.
 
+A call is prepared once and raced once per replicate.  Preparing checks
+the strengths, gives every row exact integer group and label codes,
+rejects duplicate ``(group_id, label)`` rows and digests each distinct id
+once, in numpy.  Only the uniforms, keys and the reduction depend on the
+replicate, so :func:`sample_replicates` reuses the codes and digests for
+every replicate it draws.
+
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
 absorbing those values into a 64-bit state with the SplitMix64 finalizer
@@ -19,8 +26,7 @@ the partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +54,7 @@ __all__ = [
     "merge_winner_maps",
     "sample",
     "sample_arrays",
+    "sample_replicates",
     "replicate_winners",
 ]
 
@@ -85,16 +92,57 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=1 << 20)
+def _str_type_error(s) -> TypeError:
+    return TypeError(f"group ids and labels must be str, got {type(s).__name__} {s!r}")
+
+
 def _string_digest(s: str) -> int:
-    """64-bit digest of a string: length then 8-byte chunks, mixed stepwise."""
+    """64-bit digest of a string: length then 8-byte chunks, mixed stepwise.
+
+    The scalar reference; :func:`_string_digests` is its vectorized twin.
+    """
     if not isinstance(s, str):
-        raise TypeError(f"group ids and labels must be str, got {type(s).__name__} {s!r}")
+        raise _str_type_error(s)
     data = s.encode("utf-8")
     h = _mix64(_GOLDEN ^ len(data))
     for i in range(0, len(data), 8):
         h = _mix64(h ^ int.from_bytes(data[i : i + 8], "little"))
     return h
+
+
+def _string_digests(strings: Sequence[str]) -> np.ndarray:
+    """``[_string_digest(s) for s in strings]`` as a uint64 array, in numpy.
+
+    Strings are grouped by their 8-byte word count rounded up to a power
+    of two, so a buffer row is at most twice its string (plus one word)
+    and one long id does not widen every row.  Each class is a NUL-padded
+    ``S{8w}`` buffer viewed as little-endian words; word j is absorbed
+    only into rows whose true byte length reaches it.  Lengths come from
+    the encoded bytes, never from numpy, which strips trailing NULs.
+    """
+    try:
+        data = list(map(str.encode, strings))
+    except TypeError:
+        raise _str_type_error(next(s for s in strings if not isinstance(s, str))) from None
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    out = _mix64_array(np.uint64(_GOLDEN) ^ lengths.astype(np.uint64))
+    n_words = (lengths + 7) >> 3
+    # class e holds the ids of 2**(e-1) < n <= 2**e words, e = bit_length(n - 1);
+    # empty ids have no words and no class
+    cls = np.where(n_words > 0, np.frexp(n_words - 1)[1], -1)
+    for e in np.flatnonzero(np.bincount(cls[cls >= 0])).tolist():
+        w = 1 << e
+        rows = np.flatnonzero(cls == e)
+        rows = rows[np.argsort(-n_words[rows], kind="stable")]  # longest first
+        words = np.array([data[i] for i in rows.tolist()], dtype=f"S{8 * w}")
+        words = words.view("<u8").reshape(len(rows), w)
+        live = n_words[rows]
+        h = out[rows]
+        for j in range(w):
+            k = np.count_nonzero(live > j)  # rows are longest first: a prefix
+            h[:k] = _mix64_array(h[:k] ^ words[:k, j])
+        out[rows] = h
+    return out
 
 
 def _to_unit(h):
@@ -130,12 +178,6 @@ def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
         (index.setdefault(s, len(index)) for s in strings), dtype=np.intp, count=len(strings)
     )
     return codes, list(index)
-
-
-def _digests(column: tuple[np.ndarray, list[str]]) -> np.ndarray:
-    """Per-row digests of a factorized column; each distinct string is digested once."""
-    codes, distinct = column
-    return np.fromiter(map(_string_digest, distinct), dtype=np.uint64, count=len(distinct))[codes]
 
 
 @dataclass(frozen=True)
@@ -233,46 +275,101 @@ def _annotated_domain_error(spec: ModelSpec, group_id: str, label: str, value: f
     return cls(f"{message} (group_id={group_id!r}, label={label!r})")
 
 
-def _key_rows(group_ids, labels, strengths: np.ndarray, spec: ModelSpec, ctx: SeedContext):
-    """Domain check, digests, uniforms, then key and order key of every row.
+@dataclass(frozen=True)
+class _Table:
+    """The replicate-independent part of a call.
 
-    Returns both factorized id columns with the per-row uniforms, keys and
-    order keys, all in input order.
+    Rows are held as exact group and label codes; digests and label ranks
+    are held once per distinct id and expanded one shard at a time.
     """
-    bad = first_invalid_strength(spec, strengths)
-    if bad is not None:
-        raise _annotated_domain_error(spec, group_ids[bad], labels[bad], float(strengths[bad]))
-    groups, names = _factorize(group_ids), _factorize(labels)
-    (h,) = _absorb(ctx.seed, ctx.replicate, 0, _digests(groups), [_digests(names)])
+
+    group_codes: np.ndarray
+    group_names: list[str]
+    label_codes: np.ndarray
+    label_names: list[str]
+    strengths: np.ndarray
+    injected_keys: np.ndarray | None
+    group_digests: np.ndarray | None  # None when the keys are injected
+    label_digests: np.ndarray | None
+    label_rank: np.ndarray  # rank of each distinct label in Python str order
+
+
+def _prepare(group_ids, labels, strengths: np.ndarray, spec: ModelSpec,
+             injected_keys: np.ndarray | None = None) -> _Table:
+    """Domain check, exact codes, digests, duplicate check and label order of a table.
+
+    Injected keys stand in for the strengths, so they are checked for
+    being finite instead and no digests are taken.
+    """
+    if injected_keys is None:
+        bad = first_invalid_strength(spec, strengths)
+        if bad is not None:
+            raise _annotated_domain_error(spec, group_ids[bad], labels[bad], float(strengths[bad]))
+    else:
+        bad = np.flatnonzero(~np.isfinite(injected_keys))
+        if bad.size:
+            i = bad[0]
+            raise FamilyDomainError(
+                f"injected key must be finite, got {injected_keys[i]} "
+                f"(group_id={group_ids[i]!r}, label={labels[i]!r})"
+            )
+    (g_codes, g_names), (l_codes, l_names) = _factorize(group_ids), _factorize(labels)
+    digests = (
+        (_string_digests(g_names), _string_digests(l_names))
+        if injected_keys is None
+        else (None, None)
+    )
+    pairs = np.sort(g_codes * len(l_names) + l_codes)
+    dup = np.flatnonzero(pairs[1:] == pairs[:-1])
+    if dup.size:
+        g, l = divmod(int(pairs[dup[0]]), len(l_names))
+        raise ValueError(f"duplicate row (group_id={g_names[g]!r}, label={l_names[l]!r})")
+    # the order _beats breaks ties in
+    label_rank = np.argsort(sorted(range(len(l_names)), key=l_names.__getitem__))
+    return _Table(g_codes, g_names, l_codes, l_names, strengths, injected_keys, *digests,
+                  label_rank)
+
+
+def _key_rows(table: _Table, spec: ModelSpec, ctx: SeedContext, rows: slice = slice(None)):
+    """Uniforms, keys and order keys of the ``rows`` of a prepared table under ``ctx``."""
+    (h,) = _absorb(
+        ctx.seed, ctx.replicate, 0,
+        table.group_digests[table.group_codes[rows]],
+        [table.label_digests[table.label_codes[rows]]],
+    )
     uniforms = _to_unit(h)
+    strengths = table.strengths[rows]
     keys = generate_key(spec, strengths, uniforms)
     order_keys = (
         generate_order_key(spec, strengths, uniforms)
         if spec.family is Family.CANONICAL
         else keys
     )
-    return groups, names, uniforms, keys, order_keys
+    return uniforms, keys, order_keys
 
 
-def _reduce(groups, names, keys: np.ndarray, order_keys: np.ndarray, orientation: Orientation):
-    """Winner of every group: the extremal order key, the smallest label on exact ties."""
-    g_codes, group_names = groups
-    l_codes, label_names = names
-    # rank of each distinct label in Python str order, the order _beats uses
-    label_rank = np.argsort(sorted(range(len(label_names)), key=label_names.__getitem__))
-    adj = order_keys if orientation is Orientation.MAX else -order_keys
+def _shard_winners(table: _Table, spec: ModelSpec, ctx: SeedContext,
+                   rows: slice) -> dict[str, GroupWinner]:
+    """Winner of every group present in ``rows``: the extremal order key,
+    the smallest label on exact ties."""
+    if table.injected_keys is None:
+        _, keys, order_keys = _key_rows(table, spec, ctx, rows)
+    else:
+        keys = order_keys = table.injected_keys[rows]
+    g_codes, l_codes = table.group_codes[rows], table.label_codes[rows]
+    adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
     # Sort by (group, adj asc, label rank desc); the last row of each group
     # block is then the extremal key, with the smallest label among exact ties.
-    order = np.lexsort((-label_rank[l_codes], adj, g_codes))
-    win = order[np.searchsorted(g_codes[order], np.arange(len(group_names)), side="right") - 1]
-    counts = np.bincount(g_codes, minlength=len(group_names))
+    order = np.lexsort((-table.label_rank[l_codes], adj, g_codes))
+    last = np.flatnonzero(np.diff(g_codes[order], append=-1))
+    win = order[last]
     return {
-        gid: GroupWinner(gid, label_names[code], key, count, order_key)
-        for gid, code, key, count, order_key in zip(
-            group_names,
-            l_codes[win].tolist(),
+        gid: GroupWinner(gid, label, key, count, order_key)
+        for gid, label, key, count, order_key in zip(
+            map(table.group_names.__getitem__, g_codes[win].tolist()),
+            map(table.label_names.__getitem__, l_codes[win].tolist()),
             keys[win].tolist(),
-            counts.tolist(),
+            np.diff(last, prepend=-1).tolist(),
             order_keys[win].tolist(),
         )
     }
@@ -301,14 +398,14 @@ def assign_keys(
 
     Order-preserving; each output depends only on its own row and ``ctx``,
     so any partition of the input can be keyed independently.  Family
-    domain errors are re-raised with the offending (group_id, label).
+    domain errors are re-raised with the offending (group_id, label), and
+    a repeated (group_id, label) raises ``ValueError``.
     """
     if not rows:
         return []
     strengths = np.fromiter((r.strength for r in rows), dtype=np.float64, count=len(rows))
-    *_, uniforms, keys, order_keys = _key_rows(
-        [r.group_id for r in rows], [r.label for r in rows], strengths, spec, ctx
-    )
+    table = _prepare([r.group_id for r in rows], [r.label for r in rows], strengths, spec)
+    uniforms, keys, order_keys = _key_rows(table, spec, ctx)
     return [
         KeyedRow(row, u, key, order_key)
         for row, u, key, order_key in zip(
@@ -362,44 +459,55 @@ def sample_arrays(
 ) -> dict[str, GroupWinner]:
     """Columnar sampling: one winner per group of parallel row arrays.
 
+    The one-replicate case of :func:`sample_replicates`, which documents
+    the arguments.
+    """
+    return next(
+        sample_replicates(group_ids, labels, strengths, spec, ctx, 1, n_shards, injected_keys)
+    )
+
+
+def sample_replicates(
+    group_ids: Sequence[str],
+    labels: Sequence[str],
+    strengths: np.ndarray,
+    spec: ModelSpec,
+    ctx: SeedContext,
+    n_replicates: int,
+    n_shards: int = 1,
+    injected_keys: np.ndarray | None = None,
+) -> Iterator[dict[str, GroupWinner]]:
+    """Winner maps of replicates ``ctx.replicate .. ctx.replicate + n_replicates - 1``.
+
+    The table is checked and prepared when this is called: a bad strength
+    raises :class:`FamilyDomainError` naming its ``(group_id, label)``, a
+    repeated ``(group_id, label)`` raises ``ValueError``, and every
+    distinct id is digested once for all replicates.  The returned
+    iterator then keys and reduces one replicate per step.
+
     With ``n_shards > 1`` the rows are cut into that many contiguous
-    slices, each is sampled on its own and the partial maps are folded in
-    turn with :func:`merge_winner_maps`; the total-order comparator makes
-    the outcome identical for every shard count.  When ``injected_keys``
-    is given the keys are taken verbatim instead of generated (used to
-    replay externally keyed tables); every one must be finite.
+    slices, each is keyed and reduced on its own and the partial maps are
+    folded in turn with :func:`merge_winner_maps`; the total-order
+    comparator makes the outcome identical for every shard count.  When
+    ``injected_keys`` is given the keys are taken verbatim instead of
+    generated (used to replay externally keyed tables); every one must be
+    finite.
     """
     strengths = np.asarray(strengths, dtype=np.float64)
-    n = len(strengths)
     if injected_keys is not None:
         injected_keys = np.asarray(injected_keys, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(injected_keys))
-        if bad.size:
-            i = bad[0]
-            raise FamilyDomainError(
-                f"injected key must be finite, got {injected_keys[i]} "
-                f"(group_id={group_ids[i]!r}, label={labels[i]!r})"
-            )
-    n_shards = max(1, min(n_shards, n))
-    if n_shards > 1:
-        cuts = np.linspace(0, n, n_shards + 1, dtype=np.intp)
-        shards = (slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]))
-        return merge_winner_maps(
-            (
-                sample_arrays(group_ids[s], labels[s], strengths[s], spec, ctx, 1,
-                              None if injected_keys is None else injected_keys[s])
-                for s in shards
-            ),
-            spec.orientation,
-        )
-    if n == 0:
-        return {}
-    if injected_keys is None:
-        groups, names, _, keys, order_keys = _key_rows(group_ids, labels, strengths, spec, ctx)
-    else:
-        groups, names = _factorize(group_ids), _factorize(labels)
-        keys = order_keys = injected_keys
-    return _reduce(groups, names, keys, order_keys, spec.orientation)
+    table = _prepare(group_ids, labels, strengths, spec, injected_keys)
+    n = len(strengths)
+    cuts = np.linspace(0, n, max(1, min(n_shards, n)) + 1, dtype=np.intp).tolist()
+    shards = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    def races() -> Iterator[dict[str, GroupWinner]]:
+        for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
+            rctx = SeedContext(ctx.seed, replicate)
+            maps = (_shard_winners(table, spec, rctx, rows) for rows in shards)
+            yield next(maps) if len(shards) == 1 else merge_winner_maps(maps, spec.orientation)
+
+    return races()
 
 
 def replicate_winners(

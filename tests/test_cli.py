@@ -71,6 +71,30 @@ class TestSample:
         assert len(lines) == 12
         assert lines[0].startswith("0,") and lines[-1].startswith("2,")
 
+    def test_replicates_match_library(self, tmp_path):
+        from keyrace import Family, ModelSpec, SeedContext, sample_arrays
+        from keyrace.cli import _format_winner, read_table
+
+        path = write_random_table(tmp_path / "r.csv", 600, 30, seed=2)
+        result = run_cli("sample", str(path), "--model", "gumbel1", "--seed", "4",
+                         "--replicates", "3", "--threads", "3", "--with-key")
+        assert result.returncode == 0, result.stderr
+        table = read_table(str(path))
+        expected = []
+        for r in range(3):
+            winners = sample_arrays(table.group_ids, table.labels, table.strengths,
+                                    ModelSpec(Family.GUMBEL1), SeedContext(4, r))
+            expected += [f"{r}," + _format_winner(winners[g], True) for g in sorted(winners)]
+        assert result.stdout.splitlines() == expected
+
+    @pytest.mark.parametrize("argv", [["update", "--threads", "2"], ["sample", "--quick"],
+                                      ["validate", "--replicates", "2"]])
+    def test_flags_of_other_subcommands_rejected(self, argv, worked_example_csv):
+        result = run_cli(*argv, *([str(worked_example_csv)] if argv[0] == "sample" else []),
+                         stdin="")
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("ID,QUAL,Strength\ng1,a,1.0\ng1,b,not-a-number\n")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrace import stats
@@ -24,6 +24,8 @@ from keyrace.sampler import (
     _beats,
     _mix64,
     _mix64_array,
+    _string_digest,
+    _string_digests,
     assign_keys,
     derive_uniform,
     merge_winner_maps,
@@ -32,6 +34,7 @@ from keyrace.sampler import (
     replicate_winners,
     sample,
     sample_arrays,
+    sample_replicates,
 )
 from keyrace.validation import WORKED_EXAMPLE_ROWS, WORKED_EXAMPLE_WINNERS
 
@@ -290,6 +293,10 @@ def test_partition_invariance_property(boundaries_raw, seed):
     assert merged == reduce_winners(keyed, Orientation.MAX)
 
 
+_DUP_GROUPS, _DUP_LABELS = ["g", "h", "g", "h", "g"], ["a", "b", "c", "a", "a"]
+_DUP_MESSAGE = r"duplicate row \(group_id='g', label='a'\)"
+
+
 class TestInputContracts:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -313,6 +320,22 @@ class TestInputContracts:
         }
         with pytest.raises(TypeError, match=f"must be str, got {type(bad_id).__name__}"):
             calls[entry]()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("keys", [None, np.arange(5.0)])
+    def test_duplicate_row_rejected(self, keys, shards):
+        # rows 0 and 4 repeat ('g', 'a'); at two shards they fall in different shards
+        args = (_DUP_GROUPS, _DUP_LABELS, np.ones(5), ModelSpec(Family.CANONICAL), SeedContext(0))
+        with pytest.raises(ValueError, match=_DUP_MESSAGE):
+            sample_arrays(*args, n_shards=shards, injected_keys=keys)
+        with pytest.raises(ValueError, match=_DUP_MESSAGE):  # raised by the call itself
+            sample_replicates(*args, 3, n_shards=shards, injected_keys=keys)
+
+    @pytest.mark.parametrize("entry", [sample, assign_keys])
+    def test_duplicate_row_rejected_by_row_entry_points(self, entry):
+        rows = [Row(g, l, 1.0) for g, l in zip(_DUP_GROUPS, _DUP_LABELS)]
+        with pytest.raises(ValueError, match=_DUP_MESSAGE):
+            entry(rows, ModelSpec(Family.GUMBEL1), SeedContext(0))
 
 
 # ids that stress the digest: empty, multi-byte, longer than one 8-byte
@@ -381,3 +404,36 @@ def test_replicate_winners_matches_columnar_core(labels, group_id, family, seed)
             [group_id] * len(labels), labels, strengths, spec, SeedContext(seed, r)
         )[group_id]
         assert labels[fast[r]] == winner.label
+
+
+# strings of 0-200 UTF-8 bytes span several power-of-two word classes in one call
+_LONG_IDS = st.one_of(
+    st.text(max_size=200).map(lambda t: t.encode("utf-8")[:200].decode("utf-8", "ignore")),
+    st.integers(0, 25).map(lambda n: "\0" * n),
+    st.tuples(st.text(max_size=30), st.integers(1, 9)).map(lambda p: p[0] + "\0" * p[1]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(_IDS, _LONG_IDS), max_size=40))
+@example(["", "\0", "\0" * 8, "\0" * 9, "x" * 9, "é" * 100, "a\0\0", "日本語" * 22])
+def test_vectorized_digest_matches_scalar(strings):
+    assert _string_digests(strings).tolist() == [_string_digest(s) for s in strings]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables(), st.integers(0, 2**64 - 1), st.integers(0, 5), st.integers(1, 4),
+       st.integers(1, 6), st.booleans())
+def test_sample_replicates_matches_sample_arrays(table, seed, first, n, shards, inject):
+    groups, labels, strengths, spec = table
+    keys = np.linspace(-1.0, 1.0, len(groups)) if inject else None
+    got = list(sample_replicates(
+        groups, labels, strengths, spec, SeedContext(seed, first), n, n_shards=shards,
+        injected_keys=keys,
+    ))
+    expected = [
+        sample_arrays(groups, labels, strengths, spec, SeedContext(seed, first + r),
+                      n_shards=shards, injected_keys=keys)
+        for r in range(n)
+    ]
+    assert got == expected
