@@ -12,9 +12,12 @@ validate  run the correctness battery (or per-group checks on an input
 bench     time the key race against the alias and inverse-CDF baselines
           and split dynamic-update costs by case
 
-``--threads N`` (``sample``, ``bench``) cuts the rows into N shards that
-are reduced one after another and merged; the output is identical for
-every N.  ``--replicates n`` (``sample``) prepares the table once and
+``sample`` reads its CSV in blocks of whole lines, each turned straight
+into integer group and label codes (:func:`read_table`), and hands the
+codes to the sampler, which sorts the rows into groups once per call.
+``--threads N`` (``sample``, ``bench``) cuts the rows into N shards whose
+winners are found one after another and merged; the output is identical
+for every N.  ``--replicates n`` (``sample``) prepares the table once and
 races it n times.  ``--quick`` belongs to ``validate``.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
@@ -24,10 +27,15 @@ Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
+import io
+import itertools
 import sys
 import time
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -37,10 +45,13 @@ from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
     GroupWinner,
     SeedContext,
+    _encode,
+    _first_duplicate,
+    _prepare_codes,
+    _races,
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
     replicate_winners,
     sample_arrays,
-    sample_replicates,
 )
 
 EXIT_OK = 0
@@ -53,17 +64,44 @@ _HEADER = ("ID", "QUAL", "Strength")
 _KEY_COLUMN = "KEY"
 
 
+_BLOCK_BYTES = 1 << 20  # read size; a block then runs on to the end of its last line
+_CSV_BATCH = 1 << 14  # records per batch once csv.reader has taken over
+
+
 class CliParseError(Exception):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
+class _InvalidUtf8(Exception):
+    def __init__(self, byte: int):
+        super().__init__(f"invalid UTF-8 byte 0x{byte:02x}")
+
+
 @dataclass
 class ParsedTable:
-    group_ids: list[str]
-    labels: list[str]
+    """An input table held as exact codes.
+
+    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
+    strengths[i])``; names are in first-seen order.
+    """
+
+    group_codes: np.ndarray
+    group_names: list[str]
+    label_codes: np.ndarray
+    label_names: list[str]
     strengths: np.ndarray
     keys: np.ndarray | None  # injected keys, when the file carries them
+
+    @property
+    def group_ids(self) -> list[str]:
+        """Every row's group id."""
+        return list(map(self.group_names.__getitem__, self.group_codes.tolist()))
+
+    @property
+    def labels(self) -> list[str]:
+        """Every row's label."""
+        return list(map(self.label_names.__getitem__, self.label_codes.tolist()))
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -71,60 +109,238 @@ def _model_from_args(args) -> ModelSpec:
     return ModelSpec(Family(args.model), scale_c=args.scale, offset_d=offset)
 
 
-def read_table(path: str, inject_keys: bool = False) -> ParsedTable:
-    """Parse an input CSV, enforcing the header and row uniqueness."""
-    group_ids: list[str] = []
-    labels: list[str] = []
-    strengths: list[float] = []
-    keys: list[float] = []
-    seen: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+def _blocks(fh) -> Iterator[bytes]:
+    """A binary file in blocks of whole lines."""
+    while block := fh.read(_BLOCK_BYTES):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        yield block
+
+
+def _decode(block: bytes) -> tuple[str, _InvalidUtf8 | None]:
+    """A block's text, cut before the line of its first invalid UTF-8 byte if it has one."""
+    try:
+        return block.decode("utf-8"), None
+    except UnicodeDecodeError as err:
+        cut = max(block.rfind(b"\n", 0, err.start), block.rfind(b"\r", 0, err.start)) + 1
+        return block[:cut].decode("utf-8"), _InvalidUtf8(block[err.start])
+
+
+def _csv_lines(blocks: Iterable[bytes]) -> Iterator[str]:
+    """The lines of the blocks, each with its ``\\n``, ``\\r`` or ``\\r\\n``."""
+    for block in blocks:
+        text, invalid = _decode(block)
+        yield from io.StringIO(text, newline="")
+        if invalid is not None:
+            raise invalid
+
+
+def _floats(fields: list[str]) -> tuple[list[float], int | None]:
+    """``float`` of the fields up to the first that is not a number, and its index."""
+    values: list[float] = []
+    try:
+        values.extend(map(float, fields))
+    except ValueError:
+        return values, len(values)
+    return values, None
+
+
+class _TableReader:
+    """Checks and codes the records of an input table as they are read.
+
+    Each error is raised at its record, after every error of an earlier
+    record.  A record is checked for its field count, then for repeating
+    an earlier (ID, QUAL), then its Strength, then its KEY.  Repeats are
+    looked for only when the file ends or another error stops it, from
+    the (group code, label code) pairs read by then.
+    """
+
+    def __init__(self, inject_keys: bool) -> None:
+        self.inject_keys = inject_keys
+        self.expected = len(_HEADER) + (1 if inject_keys else 0)
+        self.header_seen = False
+        self.line = 1  # line number of the next record
+        self.groups: dict[str, int] = {}
+        self.labels: dict[str, int] = {}
+        self.group_codes: list[np.ndarray] = []
+        self.label_codes: list[np.ndarray] = []
+        self.strengths: list[np.ndarray] = []
+        self.keys: list[np.ndarray] = []
+        self.batch_rows = [0]  # first row of each batch, then the row count
+        self.batch_lines: list[int | list[int]] = []  # its first row's line, or every row's
+
+    def read(self, fh) -> ParsedTable:
+        blocks = _blocks(fh)
+        for block in blocks:
+            if b'"' in block or b"\r" in block:
+                self.read_csv(itertools.chain([block], blocks))
+                break
+            text, invalid = _decode(block)
+            self.read_text(text)
+            if invalid is not None:
+                self.fail(CliParseError(str(invalid), self.line))
+        if not self.header_seen:
             raise CliParseError("empty file: expected header ID,QUAL,Strength", 1)
-        expected = len(_HEADER) + (1 if inject_keys else 0)
-        if tuple(header[: len(_HEADER)]) != _HEADER:
-            raise CliParseError(
-                f"header must start with {','.join(_HEADER)}, got {','.join(header)}", 1
+        group_codes, label_codes = self.check_duplicates()
+        return ParsedTable(group_codes, list(self.groups), label_codes, list(self.labels),
+                           np.concatenate(self.strengths),
+                           np.concatenate(self.keys) if self.inject_keys else None)
+
+    def read_csv(self, blocks: Iterable[bytes]) -> None:
+        """Read the rest of the file with :mod:`csv`."""
+        records = csv.reader(_csv_lines(blocks))
+        while True:
+            batch: list[list[str]] = []
+            error = None
+            try:
+                batch.extend(itertools.islice(records, _CSV_BATCH))
+            except (csv.Error, _InvalidUtf8) as err:  # raised at the record after the batch
+                error = CliParseError(str(err), self.line + len(batch))
+            self.take_records(batch, error)
+            if len(batch) < _CSV_BATCH:
+                return
+
+    def read_text(self, text: str) -> None:
+        """Read whole lines that hold no ``"`` and no ``\\r``."""
+        if not self.header_seen and text:
+            first, _, text = text.partition("\n")
+            self.split_lines([first])
+        n_lines = text.count("\n") + (not text.endswith("\n") and text != "")
+        buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        ends = np.flatnonzero(buf == 10)
+        if ends.size < n_lines:
+            ends = np.append(ends, buf.size)  # the last line has no newline
+        commas = np.diff(np.searchsorted(np.flatnonzero(buf == 44), ends), prepend=0)
+        width = int(commas[0]) + 1 if n_lines else 0
+        if (
+            width >= self.expected
+            and (commas == width - 1).all()
+            # a line's length in bytes bounds its fields' lengths in characters
+            and np.diff(ends, prepend=-1).max() <= csv.field_size_limit()
+        ):
+            # every line has the same fields: split on both separators at once
+            fields = text.replace("\n", ",").split(",")
+            first = self.line
+            self.line += n_lines
+            self.take_columns(
+                [fields[j : n_lines * width : width] for j in range(self.expected)], first
             )
-        if inject_keys and (len(header) < 4 or header[3] != _KEY_COLUMN):
-            raise CliParseError(
-                f"--inject-keys needs a 4th column named {_KEY_COLUMN}", 1
-            )
-        for line_no, record in enumerate(reader, start=2):
+        else:
+            lines = text.split("\n")
+            if lines[-1] == "":  # text ends a line, or is empty
+                lines.pop()
+            self.split_lines(lines)
+
+    def split_lines(self, lines: list[str]) -> None:
+        """Split lines on commas, as csv.reader does when there are no quotes."""
+        limit = csv.field_size_limit()
+        records = []
+        error = None
+        for line in lines:
+            record = line.split(",")
+            if len(line) > limit and max(map(len, record)) > limit:
+                error = CliParseError(f"field larger than field limit ({limit})",
+                                      self.line + len(records))
+                break
+            records.append(record)
+        self.take_records(records, error)
+
+    def take_records(self, records: list[list[str]], error: CliParseError | None) -> None:
+        """Take consecutive records; ``error`` stops the file right after them."""
+        if not self.header_seen and records:
+            self.take_header(records[0])
+            records = records[1:]
+        kept: list[list[str]] = []
+        lines: list[int] = []
+        for line, record in enumerate(records, self.line):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
-            if len(record) < expected:
-                raise CliParseError(
-                    f"expected {expected} fields, got {len(record)}", line_no
-                )
-            gid, label = record[0], record[1]
-            if (gid, label) in seen:
-                raise CliParseError(f"duplicate row ({gid},{label})", line_no)
-            seen.add((gid, label))
-            try:
-                strength = float(record[2])
-            except ValueError:
-                raise CliParseError(f"bad Strength value {record[2]!r}", line_no)
-            if inject_keys:
-                try:
-                    key = float(record[3])
-                except ValueError:
-                    raise CliParseError(f"bad {_KEY_COLUMN} value {record[3]!r}", line_no)
-                if not np.isfinite(key):
-                    raise CliParseError(f"non-finite {_KEY_COLUMN} value", line_no)
-                keys.append(key)
-            group_ids.append(gid)
-            labels.append(label)
-            strengths.append(strength)
-    return ParsedTable(
-        group_ids,
-        labels,
-        np.asarray(strengths, dtype=np.float64),
-        np.asarray(keys, dtype=np.float64) if inject_keys else None,
-    )
+            if len(record) < self.expected:
+                error = CliParseError(f"expected {self.expected} fields, got {len(record)}", line)
+                break
+            kept.append(record)
+            lines.append(line)
+        self.line += len(records)
+        self.take_columns([list(map(itemgetter(j), kept)) for j in range(self.expected)],
+                          lines, error)
+
+    def take_header(self, record: list[str]) -> None:
+        if tuple(record[: len(_HEADER)]) != _HEADER:
+            raise CliParseError(
+                f"header must start with {','.join(_HEADER)}, got {','.join(record)}", 1
+            )
+        if self.inject_keys and (len(record) < 4 or record[3] != _KEY_COLUMN):
+            raise CliParseError(f"--inject-keys needs a 4th column named {_KEY_COLUMN}", 1)
+        self.header_seen = True
+        self.line = 2
+
+    def take_columns(self, columns: list[list[str]], lines: int | list[int],
+                     error: CliParseError | None = None) -> None:
+        """Take the columns of rows with enough fields.
+
+        ``lines`` is the first row's line when the rows are on consecutive
+        lines, else every row's line.
+        """
+        def line(i: int) -> int:
+            return lines + i if isinstance(lines, int) else lines[i]
+
+        n = len(columns[0])
+        strengths, bad_strength = _floats(columns[2])
+        if bad_strength is not None:
+            n = bad_strength + 1  # a bad row can still be a repeat, which comes first
+            error = CliParseError(f"bad Strength value {columns[2][bad_strength]!r}",
+                                  line(bad_strength))
+        if self.inject_keys:
+            keys, bad = _floats(columns[3][:n])
+            message = f"bad {_KEY_COLUMN} value {columns[3][bad]!r}" if bad is not None else ""
+            nonfinite = np.flatnonzero(~np.isfinite(keys))
+            if nonfinite.size:  # all before the first unparsed key
+                bad, message = int(nonfinite[0]), f"non-finite {_KEY_COLUMN} value"
+            if bad is not None and (bad_strength is None or bad < bad_strength):
+                n, error = bad + 1, CliParseError(message, line(bad))
+            self.keys.append(np.asarray(keys[:n], dtype=np.float64))
+        self.group_codes.append(_encode(columns[0][:n], self.groups))
+        self.label_codes.append(_encode(columns[1][:n], self.labels))
+        self.strengths.append(np.asarray(strengths[:n], dtype=np.float64))
+        self.batch_lines.append(lines)
+        self.batch_rows.append(self.batch_rows[-1] + n)
+        if error is not None:
+            self.fail(error)
+
+    def fail(self, error: CliParseError) -> NoReturn:
+        """Raise the first repeated row read so far, else ``error``."""
+        self.check_duplicates()
+        raise error
+
+    def check_duplicates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Raise at the first row that repeats an (ID, QUAL); else all rows' codes."""
+        group_codes = np.concatenate(self.group_codes)  # every record batch adds one
+        label_codes = np.concatenate(self.label_codes)
+        dup = _first_duplicate(group_codes, label_codes, len(self.labels))
+        if dup is not None:
+            batch = bisect.bisect_right(self.batch_rows, dup) - 1
+            lines, i = self.batch_lines[batch], dup - self.batch_rows[batch]
+            gid = list(self.groups)[group_codes[dup]]
+            label = list(self.labels)[label_codes[dup]]
+            raise CliParseError(f"duplicate row ({gid},{label})",
+                                lines + i if isinstance(lines, int) else lines[i])
+        return group_codes, label_codes
+
+
+def read_table(path: str, inject_keys: bool = False) -> ParsedTable:
+    """Parse an input CSV, enforcing the header and row uniqueness.
+
+    The file is read in blocks of whole lines and each block is coded as
+    it is read, so no row's strings are kept.  A block with no ``"`` and
+    no ``\\r`` is split on commas and newlines; from the first block with
+    either, :mod:`csv` reads the rest of the file, so quoted fields may
+    hold commas, quotes and newlines.  Either way the same files are
+    accepted, and a rejected file gets the same message: exit 2 names the
+    line of the first error in file order, invalid UTF-8 and fields over
+    ``csv.field_size_limit()`` included.
+    """
+    with open(path, "rb") as fh:
+        return _TableReader(inject_keys).read(fh)
 
 
 def _format_winner(w: GroupWinner, with_key: bool) -> str:
@@ -138,8 +354,8 @@ def emit_table(table: ParsedTable, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(_HEADER) + ([_KEY_COLUMN] if table.keys is not None else []))
-        for i in range(len(table.group_ids)):
-            record = [table.group_ids[i], table.labels[i], repr(float(table.strengths[i]))]
+        for i, (gid, label) in enumerate(zip(table.group_ids, table.labels)):
+            record = [gid, label, repr(float(table.strengths[i]))]
             if table.keys is not None:
                 record.append(repr(float(table.keys[i])))
             writer.writerow(record)
@@ -158,13 +374,13 @@ def cmd_sample(args) -> int:
         return EXIT_PARSE
 
     try:
-        races = sample_replicates(table.group_ids, table.labels, table.strengths, spec,
-                                  SeedContext(seed=args.seed), args.replicates,
-                                  n_shards=args.threads, injected_keys=table.keys)
+        prepared = _prepare_codes(table.group_codes, table.group_names, table.label_codes,
+                                  table.label_names, table.strengths, spec, table.keys)
     except FamilyDomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 
+    races = _races(prepared, spec, SeedContext(seed=args.seed), args.replicates, args.threads)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         multi = args.replicates > 1
@@ -230,11 +446,12 @@ def _validate_input_file(args, spec: ModelSpec) -> int:
     groups: dict[str, list[int]] = {}
     for i, gid in enumerate(table.group_ids):
         groups.setdefault(gid, []).append(i)
+    all_labels = table.labels
     replicates = 10_000 if args.quick else 60_000
     failures = 0
     for gid in sorted(groups):
         idx = groups[gid]
-        labels = [table.labels[i] for i in idx]
+        labels = [all_labels[i] for i in idx]
         strengths = table.strengths[idx]
         try:
             report = stats.run_choice_experiment(

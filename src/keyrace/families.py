@@ -108,8 +108,9 @@ class ModelSpec:
     ``scale_c`` and ``offset_d`` are the constants of the recorded-strength
     convention (``s = c*log(a) + d``, ``s = d*a**c`` or ``s = d*a**(-c)``).
     They are ignored by ``canonical`` and ``expmin``, where the strength is
-    the weight itself.  ``offset_d=None`` selects the family default
-    (0 for the additive convention, +1 / -1 for frechet2 / negexp).
+    the weight itself, but must be finite for every family.
+    ``offset_d=None`` selects the family default (0 for the additive
+    convention, +1 / -1 for frechet2 / negexp).
     """
 
     family: Family
@@ -121,6 +122,9 @@ class ModelSpec:
         object.__setattr__(self, "family", family)
         if self.offset_d is None:
             object.__setattr__(self, "offset_d", _DEFAULT_OFFSET[family])
+        for name in ("scale_c", "offset_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise FamilyDomainError(f"{name} must be finite, got {getattr(self, name)}")
         if family is not Family.EXPMIN and not self.scale_c > 0:
             raise FamilyDomainError(
                 f"scale_c must be positive for {family.value}, got {self.scale_c}"

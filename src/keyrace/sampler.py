@@ -8,11 +8,14 @@ is schedule-independent: any sharding or fold order produces
 byte-identical winners.
 
 A call is prepared once and raced once per replicate.  Preparing checks
-the strengths, gives every row exact integer group and label codes,
-rejects duplicate ``(group_id, label)`` rows and digests each distinct id
-once, in numpy.  Only the uniforms, keys and the reduction depend on the
-replicate, so :func:`sample_replicates` reuses the codes and digests for
-every replicate it draws.
+the strengths, gives every row exact integer group and label codes (the
+CLI passes codes it made while reading), rejects duplicate
+``(group_id, label)`` rows and digests each distinct id once, in numpy.
+The rows are then sorted once, stably, into (shard, group) segments.
+Only the uniforms, keys and the reduction depend on the replicate: each
+replicate takes every segment's maximum with one segmented reduction,
+compares labels only in segments whose best keys tie exactly, and merges
+a group's segments by the same step.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
@@ -25,7 +28,7 @@ the partitioning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -171,13 +174,34 @@ def _absorb(seed, replicate, version, group_digest, label_digests):
         yield absorb(h, label_digest)
 
 
+def _encode(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Exact integer codes of ``strings`` under a first-seen ``index``.
+
+    Strings not yet in ``index`` are appended to it in first-seen order,
+    so one index can code a column that arrives in pieces.
+    """
+    fresh = [s for s in dict.fromkeys(strings) if s not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, strings), dtype=np.intp, count=len(strings))
+
+
 def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """Exact integer codes in first-seen order, and the distinct strings."""
     index: dict[str, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(s, len(index)) for s in strings), dtype=np.intp, count=len(strings)
-    )
+    codes = _encode(strings, index)
     return codes, list(index)
+
+
+def _first_duplicate(group_codes: np.ndarray, label_codes: np.ndarray,
+                     n_labels: int) -> int | None:
+    """Index of the first row whose (group, label) codes an earlier row has, else None."""
+    pairs = group_codes * n_labels + label_codes
+    ordered = np.sort(pairs)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return None
+    order = np.argsort(pairs, kind="stable")  # equal pairs keep row order
+    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
+    return int(repeats.min())
 
 
 @dataclass(frozen=True)
@@ -279,8 +303,8 @@ def _annotated_domain_error(spec: ModelSpec, group_id: str, label: str, value: f
 class _Table:
     """The replicate-independent part of a call.
 
-    Rows are held as exact group and label codes; digests and label ranks
-    are held once per distinct id and expanded one shard at a time.
+    Rows are held as exact group and label codes; digests are held once
+    per distinct id and expanded when rows are keyed.
     """
 
     group_codes: np.ndarray
@@ -291,88 +315,151 @@ class _Table:
     injected_keys: np.ndarray | None
     group_digests: np.ndarray | None  # None when the keys are injected
     label_digests: np.ndarray | None
-    label_rank: np.ndarray  # rank of each distinct label in Python str order
 
 
 def _prepare(group_ids, labels, strengths: np.ndarray, spec: ModelSpec,
              injected_keys: np.ndarray | None = None) -> _Table:
-    """Domain check, exact codes, digests, duplicate check and label order of a table.
+    """:func:`_prepare_codes` of a table given as id strings, factorized once."""
+    return _prepare_codes(*_factorize(group_ids), *_factorize(labels), strengths, spec,
+                          injected_keys)
 
-    Injected keys stand in for the strengths, so they are checked for
-    being finite instead and no digests are taken.
+
+def _prepare_codes(group_codes: np.ndarray, group_names: Sequence[str],
+                   label_codes: np.ndarray, label_names: Sequence[str],
+                   strengths: np.ndarray, spec: ModelSpec,
+                   injected_keys: np.ndarray | None = None) -> _Table:
+    """Domain check, digests and duplicate check of a table given as exact codes.
+
+    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
+    strengths[i])``.  Injected keys stand in for the strengths, so they are
+    checked for being finite instead and no digests are taken.
     """
+    def where(i: int) -> tuple[str, str]:
+        return group_names[group_codes[i]], label_names[label_codes[i]]
+
     if injected_keys is None:
         bad = first_invalid_strength(spec, strengths)
         if bad is not None:
-            raise _annotated_domain_error(spec, group_ids[bad], labels[bad], float(strengths[bad]))
+            raise _annotated_domain_error(spec, *where(bad), float(strengths[bad]))
     else:
         bad = np.flatnonzero(~np.isfinite(injected_keys))
         if bad.size:
-            i = bad[0]
+            gid, label = where(bad[0])
             raise FamilyDomainError(
-                f"injected key must be finite, got {injected_keys[i]} "
-                f"(group_id={group_ids[i]!r}, label={labels[i]!r})"
+                f"injected key must be finite, got {injected_keys[bad[0]]} "
+                f"(group_id={gid!r}, label={label!r})"
             )
-    (g_codes, g_names), (l_codes, l_names) = _factorize(group_ids), _factorize(labels)
     digests = (
-        (_string_digests(g_names), _string_digests(l_names))
+        (_string_digests(group_names), _string_digests(label_names))
         if injected_keys is None
         else (None, None)
     )
-    pairs = np.sort(g_codes * len(l_names) + l_codes)
-    dup = np.flatnonzero(pairs[1:] == pairs[:-1])
-    if dup.size:
-        g, l = divmod(int(pairs[dup[0]]), len(l_names))
-        raise ValueError(f"duplicate row (group_id={g_names[g]!r}, label={l_names[l]!r})")
-    # the order _beats breaks ties in
-    label_rank = np.argsort(sorted(range(len(l_names)), key=l_names.__getitem__))
-    return _Table(g_codes, g_names, l_codes, l_names, strengths, injected_keys, *digests,
-                  label_rank)
+    dup = _first_duplicate(group_codes, label_codes, len(label_names))
+    if dup is not None:
+        gid, label = where(dup)
+        raise ValueError(f"duplicate row (group_id={gid!r}, label={label!r})")
+    return _Table(group_codes, list(group_names), label_codes, list(label_names), strengths,
+                  injected_keys, *digests)
 
 
-def _key_rows(table: _Table, spec: ModelSpec, ctx: SeedContext, rows: slice = slice(None)):
-    """Uniforms, keys and order keys of the ``rows`` of a prepared table under ``ctx``."""
+def _uniforms(table: _Table, ctx: SeedContext) -> np.ndarray:
+    """Uniform of every row of a prepared table under ``ctx``."""
     (h,) = _absorb(
         ctx.seed, ctx.replicate, 0,
-        table.group_digests[table.group_codes[rows]],
-        [table.label_digests[table.label_codes[rows]]],
+        table.group_digests[table.group_codes],
+        [table.label_digests[table.label_codes]],
     )
-    uniforms = _to_unit(h)
-    strengths = table.strengths[rows]
-    keys = generate_key(spec, strengths, uniforms)
-    order_keys = (
-        generate_order_key(spec, strengths, uniforms)
-        if spec.family is Family.CANONICAL
-        else keys
-    )
-    return uniforms, keys, order_keys
+    return _to_unit(h)
 
 
-def _shard_winners(table: _Table, spec: ModelSpec, ctx: SeedContext,
-                   rows: slice) -> dict[str, GroupWinner]:
-    """Winner of every group present in ``rows``: the extremal order key,
-    the smallest label on exact ties."""
-    if table.injected_keys is None:
-        _, keys, order_keys = _key_rows(table, spec, ctx, rows)
-    else:
-        keys = order_keys = table.injected_keys[rows]
-    g_codes, l_codes = table.group_codes[rows], table.label_codes[rows]
-    adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
-    # Sort by (group, adj asc, label rank desc); the last row of each group
-    # block is then the extremal key, with the smallest label among exact ties.
-    order = np.lexsort((-table.label_rank[l_codes], adj, g_codes))
-    last = np.flatnonzero(np.diff(g_codes[order], append=-1))
-    win = order[last]
-    return {
-        gid: GroupWinner(gid, label, key, count, order_key)
-        for gid, label, key, count, order_key in zip(
-            map(table.group_names.__getitem__, g_codes[win].tolist()),
-            map(table.label_names.__getitem__, l_codes[win].tolist()),
-            keys[win].tolist(),
-            np.diff(last, prepend=-1).tolist(),
-            order_keys[win].tolist(),
+def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
+             label_names: Sequence[str]) -> np.ndarray:
+    """Position of the winner of each segment ``adj[starts[i]:starts[i + 1]]``.
+
+    The winner holds the segment's largest ``adj``; among exact ties
+    (-0.0 equals 0.0) it has the smallest label in Python str order, as
+    in :func:`_beats`.  Labels are compared only in segments that tie.
+    """
+    lengths = np.diff(starts, append=len(adj))
+    top = np.flatnonzero(adj == np.repeat(np.maximum.reduceat(adj, starts), lengths))
+    if top.size == starts.size:  # no ties: one top position per segment
+        return top
+    seg = np.repeat(np.arange(starts.size), lengths)[top]
+    first = np.flatnonzero(np.diff(seg, prepend=-1))  # each segment's first top position
+    counts = np.diff(first, append=top.size)
+    winners = top[first]
+    tied = counts > 1
+    cand = top[np.repeat(tied, counts)]
+    names = list(map(label_names.__getitem__, label_codes[cand].tolist()))
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    sizes = counts[tied]
+    best = np.minimum.reduceat(rank, np.cumsum(sizes) - sizes)
+    winners[tied] = cand[rank == np.repeat(best, sizes)]
+    return winners
+
+
+def _races(table: _Table, spec: ModelSpec, ctx: SeedContext, n_replicates: int,
+           n_shards: int) -> Iterator[dict[str, GroupWinner]]:
+    """Winner maps of replicates ``ctx.replicate ..`` of a prepared table.
+
+    The rows are cut into ``n_shards`` contiguous slices and sorted once,
+    stably, into (shard, group) segments.  Each replicate keys the rows in
+    that order, takes each segment's winner with :func:`_winners` and
+    merges the winners of a group's segments by the same step.
+    """
+    n, n_groups = len(table.strengths), len(table.group_names)
+    cuts = np.linspace(0, n, max(1, min(n_shards, n)) + 1, dtype=np.intp)
+    segment = np.repeat(np.arange(cuts.size - 1), np.diff(cuts)) * n_groups + table.group_codes
+    order = np.argsort(segment, kind="stable")
+    segment = segment[order]
+    starts = np.flatnonzero(np.diff(segment, prepend=-1))
+    merge = None
+    if cuts.size > 2:  # a group may have a segment in several shards
+        seg_groups = segment[starts] % n_groups
+        merge = np.argsort(seg_groups, kind="stable")
+        merge_starts = np.flatnonzero(np.diff(seg_groups[merge], prepend=-1))
+    table = replace(
+        table,
+        group_codes=table.group_codes[order],
+        label_codes=table.label_codes[order],
+        strengths=table.strengths[order],
+        injected_keys=None if table.injected_keys is None else table.injected_keys[order],
+    )
+    rows_per_group = np.bincount(table.group_codes, minlength=n_groups).tolist()
+    canonical = spec.family is Family.CANONICAL
+    for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
+        if n == 0:
+            yield {}
+            continue
+        if table.injected_keys is None:
+            uniforms = _uniforms(table, SeedContext(ctx.seed, replicate))
+            order_keys = generate_order_key(spec, table.strengths, uniforms)
+        else:
+            order_keys = table.injected_keys
+        adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
+        win = _winners(adj, table.label_codes, starts, table.label_names)
+        if merge is not None:
+            win = win[merge]
+            win = win[_winners(adj[win], table.label_codes[win], merge_starts,
+                               table.label_names)]
+        win_order_keys = order_keys[win]
+        keys = (
+            generate_key(spec, table.strengths[win], uniforms[win])
+            if canonical and table.injected_keys is None
+            else win_order_keys
         )
-    }
+        g_codes = table.group_codes[win].tolist()
+        yield {
+            gid: GroupWinner(gid, label, key, rows_per_group[g], order_key)
+            for gid, label, key, g, order_key in zip(
+                map(table.group_names.__getitem__, g_codes),
+                map(table.label_names.__getitem__, table.label_codes[win].tolist()),
+                keys.tolist(),
+                g_codes,
+                win_order_keys.tolist(),
+            )
+        }
 
 
 def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[str, GroupWinner]:
@@ -405,7 +492,13 @@ def assign_keys(
         return []
     strengths = np.fromiter((r.strength for r in rows), dtype=np.float64, count=len(rows))
     table = _prepare([r.group_id for r in rows], [r.label for r in rows], strengths, spec)
-    uniforms, keys, order_keys = _key_rows(table, spec, ctx)
+    uniforms = _uniforms(table, ctx)
+    keys = generate_key(spec, strengths, uniforms)
+    order_keys = (
+        generate_order_key(spec, strengths, uniforms)
+        if spec.family is Family.CANONICAL
+        else keys
+    )
     return [
         KeyedRow(row, u, key, order_key)
         for row, u, key, order_key in zip(
@@ -486,9 +579,9 @@ def sample_replicates(
     iterator then keys and reduces one replicate per step.
 
     With ``n_shards > 1`` the rows are cut into that many contiguous
-    slices, each is keyed and reduced on its own and the partial maps are
-    folded in turn with :func:`merge_winner_maps`; the total-order
-    comparator makes the outcome identical for every shard count.  When
+    slices; each slice's winner of a group is found on its own and the
+    winners of a group's slices are merged by the same total-order
+    comparator, so the outcome is identical for every shard count.  When
     ``injected_keys`` is given the keys are taken verbatim instead of
     generated (used to replay externally keyed tables); every one must be
     finite.
@@ -497,17 +590,7 @@ def sample_replicates(
     if injected_keys is not None:
         injected_keys = np.asarray(injected_keys, dtype=np.float64)
     table = _prepare(group_ids, labels, strengths, spec, injected_keys)
-    n = len(strengths)
-    cuts = np.linspace(0, n, max(1, min(n_shards, n)) + 1, dtype=np.intp).tolist()
-    shards = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-    def races() -> Iterator[dict[str, GroupWinner]]:
-        for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
-            rctx = SeedContext(ctx.seed, replicate)
-            maps = (_shard_winners(table, spec, rctx, rows) for rows in shards)
-            yield next(maps) if len(shards) == 1 else merge_winner_maps(maps, spec.orientation)
-
-    return races()
+    return _races(table, spec, ctx, n_replicates, n_shards)
 
 
 def replicate_winners(

@@ -131,6 +131,36 @@ class TestSample:
         assert out.read_text() == EXPECTED_WORKED_OUTPUT
 
 
+_UNREADABLE = {
+    # bytes after the header, and the message they must give at line 3
+    "invalid-utf8": (b"g1,a,1.0\n\xff\xfe,b,2.0\n", "line 3: invalid UTF-8 byte 0xff"),
+    "field-too-long": (b"g1,a,1.0\ng1," + b"x" * 200_000 + b",2.0\n",
+                       "line 3: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+@pytest.mark.parametrize("subcommand", ["sample", "validate"])
+def test_unreadable_input_is_a_parse_error(tmp_path, case, subcommand):
+    body, message = _UNREADABLE[case]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"ID,QUAL,Strength\n" + body)
+    argv = ["sample", str(path)] if subcommand == "sample" else [
+        "validate", "--quick", "--input", str(path)]
+    result = run_cli(*argv)
+    assert result.returncode == 2, result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("flag", ["--scale", "--offset"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_model_constant_is_a_domain_error(worked_example_csv, flag, value):
+    result = run_cli("sample", str(worked_example_csv), "--model", "gumbel1", f"{flag}={value}")
+    assert result.returncode == 3
+    assert "must be finite" in result.stderr
+
+
 class TestUpdate:
     def test_upsert_then_delete(self):
         result = run_cli("update", "--model", "gumbel1",

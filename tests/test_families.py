@@ -192,6 +192,13 @@ class TestModelSpec:
     def test_from_string(self):
         assert ModelSpec("gumbel1").family is Family.GUMBEL1
 
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("constant", ["scale_c", "offset_d"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, family, constant, value):
+        with pytest.raises(FamilyDomainError, match=f"{constant} must be finite"):
+            ModelSpec(family, **{constant: value})
+
 
 @settings(max_examples=200, deadline=None)
 @given(

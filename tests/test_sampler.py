@@ -437,3 +437,26 @@ def test_sample_replicates_matches_sample_arrays(table, seed, first, n, shards, 
         for r in range(n)
     ]
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables(), st.data(), st.integers(1, 6), st.integers(1, 3))
+def test_segmented_reduce_matches_fold_on_signed_zero_ties(table, data, shards, n):
+    """Keys from {-1, -0.0, 0.0, 1} force ties in which -0.0 equals 0.0.
+
+    Every replicate's winners equal the _beats fold of reduce_winners,
+    down to the sign of a zero key and the row counts.
+    """
+    groups, labels, strengths, spec = table
+    keys = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                              min_size=len(groups), max_size=len(groups)))
+    keyed = [KeyedRow(Row(g, l, s), 0.5, k) for g, l, s, k in zip(groups, labels, strengths, keys)]
+
+    def exact(winners):
+        return {g: (w.label, repr(w.key), repr(w.order_key), w.row_count)
+                for g, w in winners.items()}
+
+    expected = exact(reduce_winners(keyed, spec.orientation))
+    got = list(sample_replicates(groups, labels, strengths, spec, SeedContext(0), n,
+                                 n_shards=shards, injected_keys=keys))
+    assert [exact(winners) for winners in got] == [expected] * n
