@@ -44,6 +44,7 @@ from .sampler import (
     replicate_winners,
     sample,
     sample_arrays,
+    sample_codes,
     sample_replicates,
 )
 from .stats import (
@@ -84,6 +85,7 @@ __all__ = [
     "sample",
     "sample_arrays",
     "sample_replicates",
+    "sample_codes",
     "replicate_winners",
     "DynamicTable",
     "ChangeReport",

@@ -45,13 +45,12 @@ from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
     GroupWinner,
     SeedContext,
-    _encode,
-    _first_duplicate,
-    _prepare_codes,
-    _races,
+    code_ids,
+    first_duplicate,
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
     replicate_winners,
     sample_arrays,
+    sample_codes,
 )
 
 EXIT_OK = 0
@@ -135,6 +134,16 @@ def _csv_lines(blocks: Iterable[bytes]) -> Iterator[str]:
             raise invalid
 
 
+def _plain(block: bytes) -> bool:
+    """Whether csv.reader reads each line of the block as its comma-split fields.
+
+    That needs no ``"`` and no ``\\r``.  NUL is left to csv.reader too,
+    which rejects it before Python 3.11, so a file with NUL is accepted or
+    rejected as csv.reader does on the running interpreter.
+    """
+    return not (b'"' in block or b"\r" in block or b"\0" in block)
+
+
 def _floats(fields: list[str]) -> tuple[list[float], int | None]:
     """``float`` of the fields up to the first that is not a number, and its index."""
     values: list[float] = []
@@ -171,14 +180,16 @@ class _TableReader:
 
     def read(self, fh) -> ParsedTable:
         blocks = _blocks(fh)
-        for block in blocks:
-            if b'"' in block or b"\r" in block:
+        first = next(blocks, b"")
+        end = first.find(b"\n") + 1 or len(first)
+        if _plain(first[:end]):
+            self.read_csv([first[:end]])  # the header: one line, so one record
+            first = first[end:]
+        blocks = itertools.chain([first] if first else [], blocks)
+        for block in blocks:  # the header is read unless it is in this block, which is not plain
+            if not (_plain(block) and self.read_split(block)):
                 self.read_csv(itertools.chain([block], blocks))
                 break
-            text, invalid = _decode(block)
-            self.read_text(text)
-            if invalid is not None:
-                self.fail(CliParseError(str(invalid), self.line))
         if not self.header_seen:
             raise CliParseError("empty file: expected header ID,QUAL,Strength", 1)
         group_codes, label_codes = self.check_duplicates()
@@ -200,50 +211,35 @@ class _TableReader:
             if len(batch) < _CSV_BATCH:
                 return
 
-    def read_text(self, text: str) -> None:
-        """Read whole lines that hold no ``"`` and no ``\\r``."""
-        if not self.header_seen and text:
-            first, _, text = text.partition("\n")
-            self.split_lines([first])
-        n_lines = text.count("\n") + (not text.endswith("\n") and text != "")
-        buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    def read_split(self, block: bytes) -> bool:
+        """Take a plain block whose lines all have the same fields, by splitting it.
+
+        Any other block is left untaken, and False returned, for csv to read.
+        """
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+        buf = np.frombuffer(block, dtype=np.uint8)
         ends = np.flatnonzero(buf == 10)
-        if ends.size < n_lines:
-            ends = np.append(ends, buf.size)  # the last line has no newline
+        if not block.endswith(b"\n"):
+            ends = np.append(ends, buf.size)  # the last line of the file has no newline
         commas = np.diff(np.searchsorted(np.flatnonzero(buf == 44), ends), prepend=0)
-        width = int(commas[0]) + 1 if n_lines else 0
-        if (
+        width = int(commas[0]) + 1
+        if not (
             width >= self.expected
             and (commas == width - 1).all()
             # a line's length in bytes bounds its fields' lengths in characters
             and np.diff(ends, prepend=-1).max() <= csv.field_size_limit()
         ):
-            # every line has the same fields: split on both separators at once
-            fields = text.replace("\n", ",").split(",")
-            first = self.line
-            self.line += n_lines
-            self.take_columns(
-                [fields[j : n_lines * width : width] for j in range(self.expected)], first
-            )
-        else:
-            lines = text.split("\n")
-            if lines[-1] == "":  # text ends a line, or is empty
-                lines.pop()
-            self.split_lines(lines)
-
-    def split_lines(self, lines: list[str]) -> None:
-        """Split lines on commas, as csv.reader does when there are no quotes."""
-        limit = csv.field_size_limit()
-        records = []
-        error = None
-        for line in lines:
-            record = line.split(",")
-            if len(line) > limit and max(map(len, record)) > limit:
-                error = CliParseError(f"field larger than field limit ({limit})",
-                                      self.line + len(records))
-                break
-            records.append(record)
-        self.take_records(records, error)
+            return False
+        # split on both separators at once and take the columns by stride
+        fields = text.replace("\n", ",").split(",")
+        first, n_lines = self.line, ends.size
+        self.line += n_lines
+        self.take_columns([fields[j : n_lines * width : width] for j in range(self.expected)],
+                          first)
+        return True
 
     def take_records(self, records: list[list[str]], error: CliParseError | None) -> None:
         """Take consecutive records; ``error`` stops the file right after them."""
@@ -299,8 +295,8 @@ class _TableReader:
             if bad is not None and (bad_strength is None or bad < bad_strength):
                 n, error = bad + 1, CliParseError(message, line(bad))
             self.keys.append(np.asarray(keys[:n], dtype=np.float64))
-        self.group_codes.append(_encode(columns[0][:n], self.groups))
-        self.label_codes.append(_encode(columns[1][:n], self.labels))
+        self.group_codes.append(code_ids(columns[0][:n], self.groups))
+        self.label_codes.append(code_ids(columns[1][:n], self.labels))
         self.strengths.append(np.asarray(strengths[:n], dtype=np.float64))
         self.batch_lines.append(lines)
         self.batch_rows.append(self.batch_rows[-1] + n)
@@ -316,7 +312,7 @@ class _TableReader:
         """Raise at the first row that repeats an (ID, QUAL); else all rows' codes."""
         group_codes = np.concatenate(self.group_codes)  # every record batch adds one
         label_codes = np.concatenate(self.label_codes)
-        dup = _first_duplicate(group_codes, label_codes, len(self.labels))
+        dup = first_duplicate(group_codes, label_codes, len(self.labels))
         if dup is not None:
             batch = bisect.bisect_right(self.batch_rows, dup) - 1
             lines, i = self.batch_lines[batch], dup - self.batch_rows[batch]
@@ -331,13 +327,15 @@ def read_table(path: str, inject_keys: bool = False) -> ParsedTable:
     """Parse an input CSV, enforcing the header and row uniqueness.
 
     The file is read in blocks of whole lines and each block is coded as
-    it is read, so no row's strings are kept.  A block with no ``"`` and
-    no ``\\r`` is split on commas and newlines; from the first block with
-    either, :mod:`csv` reads the rest of the file, so quoted fields may
-    hold commas, quotes and newlines.  Either way the same files are
-    accepted, and a rejected file gets the same message: exit 2 names the
-    line of the first error in file order, invalid UTF-8 and fields over
-    ``csv.field_size_limit()`` included.
+    it is read, so no row's strings are kept.  The header line is read by
+    :mod:`csv`.  A block with no ``"``, ``\\r`` or NUL whose lines all
+    have the same number of fields, enough of them and none too long, is
+    split on commas and newlines; from
+    the first other block, :mod:`csv` reads the rest of the file, so quoted
+    fields may hold commas, quotes and newlines.  Either way the records
+    are those csv.reader reads, and a rejected file gets the same message:
+    exit 2 names the line of the first error in file order, invalid UTF-8
+    and fields over ``csv.field_size_limit()`` included.
     """
     with open(path, "rb") as fh:
         return _TableReader(inject_keys).read(fh)
@@ -373,14 +371,14 @@ def cmd_sample(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
-    try:
-        prepared = _prepare_codes(table.group_codes, table.group_names, table.label_codes,
-                                  table.label_names, table.strengths, spec, table.keys)
+    try:  # read_table has rejected repeated rows, naming their lines
+        races = sample_codes(table.group_codes, table.group_names, table.label_codes,
+                             table.label_names, table.strengths, spec, SeedContext(seed=args.seed),
+                             args.replicates, args.threads, table.keys, check_duplicates=False)
     except FamilyDomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    races = _races(prepared, spec, SeedContext(seed=args.seed), args.replicates, args.threads)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         multi = args.replicates > 1

@@ -9,8 +9,9 @@ byte-identical winners.
 
 A call is prepared once and raced once per replicate.  Preparing checks
 the strengths, gives every row exact integer group and label codes (the
-CLI passes codes it made while reading), rejects duplicate
-``(group_id, label)`` rows and digests each distinct id once, in numpy.
+CLI codes the rows while reading and calls :func:`sample_codes`),
+rejects duplicate ``(group_id, label)`` rows and digests each distinct id
+once, in numpy.
 The rows are then sorted once, stably, into (shard, group) segments.
 Only the uniforms, keys and the reduction depend on the replicate: each
 replicate takes every segment's maximum with one segmented reduction,
@@ -58,6 +59,9 @@ __all__ = [
     "sample",
     "sample_arrays",
     "sample_replicates",
+    "sample_codes",
+    "code_ids",
+    "first_duplicate",
     "replicate_winners",
 ]
 
@@ -174,7 +178,7 @@ def _absorb(seed, replicate, version, group_digest, label_digests):
         yield absorb(h, label_digest)
 
 
-def _encode(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
+def code_ids(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """Exact integer codes of ``strings`` under a first-seen ``index``.
 
     Strings not yet in ``index`` are appended to it in first-seen order,
@@ -188,12 +192,12 @@ def _encode(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
 def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """Exact integer codes in first-seen order, and the distinct strings."""
     index: dict[str, int] = {}
-    codes = _encode(strings, index)
+    codes = code_ids(strings, index)
     return codes, list(index)
 
 
-def _first_duplicate(group_codes: np.ndarray, label_codes: np.ndarray,
-                     n_labels: int) -> int | None:
+def first_duplicate(group_codes: np.ndarray, label_codes: np.ndarray,
+                    n_labels: int) -> int | None:
     """Index of the first row whose (group, label) codes an earlier row has, else None."""
     pairs = group_codes * n_labels + label_codes
     ordered = np.sort(pairs)
@@ -317,22 +321,15 @@ class _Table:
     label_digests: np.ndarray | None
 
 
-def _prepare(group_ids, labels, strengths: np.ndarray, spec: ModelSpec,
-             injected_keys: np.ndarray | None = None) -> _Table:
-    """:func:`_prepare_codes` of a table given as id strings, factorized once."""
-    return _prepare_codes(*_factorize(group_ids), *_factorize(labels), strengths, spec,
-                          injected_keys)
-
-
-def _prepare_codes(group_codes: np.ndarray, group_names: Sequence[str],
-                   label_codes: np.ndarray, label_names: Sequence[str],
-                   strengths: np.ndarray, spec: ModelSpec,
-                   injected_keys: np.ndarray | None = None) -> _Table:
+def _prepare(group_codes: np.ndarray, group_names: Sequence[str],
+             label_codes: np.ndarray, label_names: Sequence[str],
+             strengths: np.ndarray, spec: ModelSpec,
+             injected_keys: np.ndarray | None = None,
+             check_duplicates: bool = True) -> _Table:
     """Domain check, digests and duplicate check of a table given as exact codes.
 
-    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
-    strengths[i])``.  Injected keys stand in for the strengths, so they are
-    checked for being finite instead and no digests are taken.
+    Injected keys stand in for the strengths, so they are checked for
+    being finite instead and no digests are taken.
     """
     def where(i: int) -> tuple[str, str]:
         return group_names[group_codes[i]], label_names[label_codes[i]]
@@ -354,7 +351,8 @@ def _prepare_codes(group_codes: np.ndarray, group_names: Sequence[str],
         if injected_keys is None
         else (None, None)
     )
-    dup = _first_duplicate(group_codes, label_codes, len(label_names))
+    dup = (first_duplicate(group_codes, label_codes, len(label_names))
+           if check_duplicates else None)
     if dup is not None:
         gid, label = where(dup)
         raise ValueError(f"duplicate row (group_id={gid!r}, label={label!r})")
@@ -491,7 +489,8 @@ def assign_keys(
     if not rows:
         return []
     strengths = np.fromiter((r.strength for r in rows), dtype=np.float64, count=len(rows))
-    table = _prepare([r.group_id for r in rows], [r.label for r in rows], strengths, spec)
+    table = _prepare(*_factorize([r.group_id for r in rows]),
+                     *_factorize([r.label for r in rows]), strengths, spec)
     uniforms = _uniforms(table, ctx)
     keys = generate_key(spec, strengths, uniforms)
     order_keys = (
@@ -586,10 +585,36 @@ def sample_replicates(
     generated (used to replay externally keyed tables); every one must be
     finite.
     """
+    return sample_codes(*_factorize(group_ids), *_factorize(labels), strengths, spec, ctx,
+                        n_replicates, n_shards, injected_keys)
+
+
+def sample_codes(
+    group_codes: np.ndarray,
+    group_names: Sequence[str],
+    label_codes: np.ndarray,
+    label_names: Sequence[str],
+    strengths: np.ndarray,
+    spec: ModelSpec,
+    ctx: SeedContext,
+    n_replicates: int = 1,
+    n_shards: int = 1,
+    injected_keys: np.ndarray | None = None,
+    check_duplicates: bool = True,
+) -> Iterator[dict[str, GroupWinner]]:
+    """:func:`sample_replicates` of a table given as exact integer codes.
+
+    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
+    strengths[i])``, with distinct names, as :func:`code_ids` makes them.
+    A caller that has already rejected repeated (group, label) code pairs,
+    for instance with :func:`first_duplicate`, may pass
+    ``check_duplicates=False`` to skip the check's sort.
+    """
     strengths = np.asarray(strengths, dtype=np.float64)
     if injected_keys is not None:
         injected_keys = np.asarray(injected_keys, dtype=np.float64)
-    table = _prepare(group_ids, labels, strengths, spec, injected_keys)
+    table = _prepare(group_codes, group_names, label_codes, label_names, strengths, spec,
+                     injected_keys, check_duplicates)
     return _races(table, spec, ctx, n_replicates, n_shards)
 
 

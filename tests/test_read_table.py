@@ -6,6 +6,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -146,7 +147,12 @@ def _files(draw):
                   st.sampled_from(_NOT_NUMBERS + _NUMBERS)).map(",".join),
         st.sampled_from(["", " ", "\t", "g1", "g1,l1", "x" * 20]),
     )
-    lines = [header] + draw(st.lists(record, max_size=40))
+    if draw(st.booleans()):
+        lines = [header] + draw(st.lists(record, max_size=40))
+    else:  # good rows, some with extra columns, each (ID, QUAL) once: mostly accepted
+        rows = draw(st.lists(st.tuples(good, st.booleans()), max_size=40,
+                             unique_by=lambda r: r[0][:2]))
+        lines = [header] + [",".join(r[: 3 + inject]) + ",extra" * extra for r, extra in rows]
     ends = ["\n", "\r\n", "\r"] if quoting else ["\n"]
     text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
     if not draw(st.booleans()):
@@ -164,6 +170,7 @@ def _files(draw):
 @example((b"ID,QUAL,Strength\ng1,a,1\ng1,b,x\ng1,a,2\n", False), None)  # bad float, then repeat
 @example((b"ID,QUAL,Strength\ng1,a,1\ng1,a,x\n", False), None)  # both on one row
 @example((b"ID,QUAL,Strength\rg1,a,1\r\xff,b,2\n", False), None)  # bad byte after a lone CR
+@example((b"ID,QUAL,Strength\ng1,a,1\ng1,b,2,extra\ng2,c,3\n", False), None)  # uneven block
 def test_read_table_matches_csv_reader_loop(tmp_path_factory, file, data):
     raw, inject = file
     path = tmp_path_factory.mktemp("t") / "t.csv"
@@ -183,3 +190,32 @@ def test_read_table_matches_csv_reader_loop(tmp_path_factory, file, data):
             mock.patch.object(cli, "_CSV_BATCH", batch):
         assert _outcome(read_table, str(path), inject) == _outcome(oracle_read_table, str(path),
                                                                     inject)
+
+
+_CSV_READER = csv.reader
+
+
+def _reader_rejecting_nul(lines, *args, **kwargs):
+    """csv.reader as it is before Python 3.11, which rejects a line with NUL."""
+    def checked():
+        for line in lines:
+            if "\x00" in line:
+                raise csv.Error("line contains NUL")
+            yield line
+    return _CSV_READER(checked(), *args, **kwargs)
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"ID,QUAL,Strength\ng1,a,1\ng1,a\x00,2\ng2,b,3\n", 3),  # a plain, even block
+    (b"ID,QUAL,Strength,\x00\ng1,a,1\n", 1),  # the header
+    (b"ID,QUAL,Strength\n\ng1,a,1\n\x00g,b,2", 4),  # an uneven block
+    (b'ID,QUAL,Strength\n"g1",a,1\ng1,\x00,2\n', 3),  # after a quote
+])
+def test_nul_is_read_as_csv_reader_reads_it(tmp_path, raw, line):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    assert _outcome(read_table, str(path), False)[0] == "accepted"  # as on Python >= 3.11
+    with mock.patch.object(csv, "reader", _reader_rejecting_nul):
+        outcome = _outcome(read_table, str(path), False)
+        assert outcome == ("rejected", f"line {line}: line contains NUL")
+        assert outcome == _outcome(oracle_read_table, str(path), False)

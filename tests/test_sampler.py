@@ -27,6 +27,7 @@ from keyrace.sampler import (
     _string_digest,
     _string_digests,
     assign_keys,
+    code_ids,
     derive_uniform,
     merge_winner_maps,
     reduce_winners,
@@ -34,6 +35,7 @@ from keyrace.sampler import (
     replicate_winners,
     sample,
     sample_arrays,
+    sample_codes,
     sample_replicates,
 )
 from keyrace.validation import WORKED_EXAMPLE_ROWS, WORKED_EXAMPLE_WINNERS
@@ -330,6 +332,18 @@ class TestInputContracts:
             sample_arrays(*args, n_shards=shards, injected_keys=keys)
         with pytest.raises(ValueError, match=_DUP_MESSAGE):  # raised by the call itself
             sample_replicates(*args, 3, n_shards=shards, injected_keys=keys)
+
+    def test_sample_codes_checks_duplicates_unless_told_not_to(self):
+        groups, labels = {}, {}
+        codes = (code_ids(_DUP_GROUPS, groups), list(groups),
+                 code_ids(_DUP_LABELS, labels), list(labels))
+        spec = ModelSpec(Family.GUMBEL1)
+        with pytest.raises(ValueError, match=_DUP_MESSAGE):
+            sample_codes(*codes, np.ones(5), spec, SeedContext(0))
+        # a caller that checked the pairs itself skips the sort; the race still runs
+        (winners,) = sample_codes(*codes, np.ones(5), spec, SeedContext(0),
+                                  check_duplicates=False)
+        assert sorted(winners) == sorted(set(_DUP_GROUPS))
 
     @pytest.mark.parametrize("entry", [sample, assign_keys])
     def test_duplicate_row_rejected_by_row_entry_points(self, entry):
