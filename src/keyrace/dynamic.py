@@ -43,7 +43,8 @@ from .sampler import (
     SeedContext,
     _annotated_domain_error,
     _beats,
-    derive_uniform,
+    _string_digest,
+    _uniform,
 )
 
 __all__ = ["DynamicTable", "ChangeReport", "UpdateCase", "RowNotFoundError"]
@@ -104,6 +105,8 @@ class DynamicTable:
         self._winners: dict[str, GroupWinner] = {}
         # survives deletion so a re-inserted row never replays an old draw
         self._versions: dict[tuple[str, str], int] = {}
+        # the digest of every group id and label seen, so no upsert digests a string again
+        self._digests: dict[str, int] = {}
 
     def __len__(self) -> int:
         return sum(len(g) for g in self._rows.values())
@@ -141,6 +144,12 @@ class DynamicTable:
         self._winners[group_id] = winner
         return winner, comparisons
 
+    def _digest(self, s: str) -> int:
+        digest = self._digests.get(s)
+        if digest is None:
+            digest = self._digests[s] = _string_digest(s)
+        return digest
+
     def _check_strength(self, group_id: str, label: str, strength: float) -> float:
         s = float(strength)
         ok = math.isfinite(s)
@@ -155,9 +164,10 @@ class DynamicTable:
     def upsert(self, group_id: str, label: str, strength: float) -> ChangeReport:
         """Insert or update one row, redrawing its key, and settle the winner."""
         strength = self._check_strength(group_id, label, strength)
+        digests = self._digest(group_id), self._digest(label)
         version = self._versions.get((group_id, label), -1) + 1
         self._versions[(group_id, label)] = version
-        u = derive_uniform(self.ctx, group_id, label, version)
+        u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
         key = float(generate_key(self.spec, strength, u))
         order_key = (
             float(generate_order_key(self.spec, strength, u))

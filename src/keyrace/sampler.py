@@ -76,6 +76,7 @@ _U64_30 = np.uint64(30)
 _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
 _UNIT = 2.0**-53
+_RACE_BLOCK = 1 << 15  # replicates per block of replicate_winners; its arrays stay in L2
 
 
 def _mix64(x: int) -> int:
@@ -90,12 +91,12 @@ def _mix64(x: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over a uint64 array (wraps mod 2^64)."""
-    x = x ^ (x >> _U64_30)
-    x = x * _U64_MULT_1
-    x = x ^ (x >> _U64_27)
-    x = x * _U64_MULT_2
-    x = x ^ (x >> _U64_31)
+    """SplitMix64 finalizer, in place on a caller's own uint64 array (wraps mod 2^64)."""
+    x ^= x >> _U64_30
+    x *= _U64_MULT_1
+    x ^= x >> _U64_27
+    x *= _U64_MULT_2
+    x ^= x >> _U64_31
     return x
 
 
@@ -167,7 +168,7 @@ def _absorb(seed, replicate, version, group_digest, label_digests):
     and shared by every entry of ``label_digests``.
     """
 
-    def absorb(h, part):
+    def absorb(h, part):  # h ^ part is a new array, so the in-place mix never writes to part
         x = h ^ (part if isinstance(part, np.ndarray) else int(part) & _MASK)
         return _mix64_array(x) if isinstance(x, np.ndarray) else _mix64(x)
 
@@ -176,6 +177,12 @@ def _absorb(seed, replicate, version, group_digest, label_digests):
         h = absorb(h, part)
     for label_digest in label_digests:
         yield absorb(h, label_digest)
+
+
+def _uniform(seed, replicate, version, group_digest, label_digest):
+    """Uniform in (0, 1) at the end of one chain; the parts are as in :func:`_absorb`."""
+    (h,) = _absorb(seed, replicate, version, group_digest, [label_digest])
+    return _to_unit(h)
 
 
 def code_ids(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
@@ -267,10 +274,8 @@ def derive_uniform(ctx: SeedContext, group_id: str, label: str, version: int = 0
     enter through their own digests so distinct identifiers decorrelate
     fully; the final state maps to ((h >> 11) + 0.5) * 2^-53.
     """
-    (h,) = _absorb(
-        ctx.seed, ctx.replicate, version, _string_digest(group_id), [_string_digest(label)]
-    )
-    return _to_unit(h)
+    return _uniform(ctx.seed, ctx.replicate, version, _string_digest(group_id),
+                    _string_digest(label))
 
 
 def replicate_uniforms(
@@ -278,8 +283,7 @@ def replicate_uniforms(
 ) -> np.ndarray:
     """Uniforms of one row across replicates 0..n-1 (vectorized)."""
     reps = np.arange(n_replicates, dtype=np.uint64)
-    (h,) = _absorb(seed, reps, version, _string_digest(group_id), [_string_digest(label)])
-    return _to_unit(h)
+    return _uniform(seed, reps, version, _string_digest(group_id), _string_digest(label))
 
 
 def _beats(
@@ -362,12 +366,8 @@ def _prepare(group_codes: np.ndarray, group_names: Sequence[str],
 
 def _uniforms(table: _Table, ctx: SeedContext) -> np.ndarray:
     """Uniform of every row of a prepared table under ``ctx``."""
-    (h,) = _absorb(
-        ctx.seed, ctx.replicate, 0,
-        table.group_digests[table.group_codes],
-        [table.label_digests[table.label_codes]],
-    )
-    return _to_unit(h)
+    return _uniform(ctx.seed, ctx.replicate, 0, table.group_digests[table.group_codes],
+                    table.label_digests[table.label_codes])
 
 
 def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
@@ -625,13 +625,15 @@ def replicate_winners(
     seed: int,
     n_replicates: int,
     group_id: str = "g",
-    chunk_elems: int = 1 << 24,
 ) -> np.ndarray:
     """Winning label index per replicate for a single group (vectorized).
 
     Equivalent to running :func:`sample` once per ``SeedContext(seed, r)``
     and recording the winner; replicates are independent because every
-    uniform is derived per (replicate, group, label).
+    uniform is derived per (replicate, group, label).  Replicates are raced
+    in blocks of a fixed size (there is no ``chunk_elems`` knob), each
+    label's keys folded into the block's running best, so working memory
+    beside the result is O(block) whatever labels times replicates is.
     """
     n = len(labels)
     if n == 0:
@@ -640,23 +642,20 @@ def replicate_winners(
     bad = first_invalid_strength(spec, s)
     if bad is not None:
         raise _annotated_domain_error(spec, group_id, str(labels[bad]), float(s[bad]))
-    # ties break toward the lexicographically smallest label: evaluate rows
-    # in label-sorted order so the first extremal index is the winner
+    # ties break toward the smallest label: labels race in sorted order and
+    # only a strictly better key takes the lead
     label_order = sorted(range(n), key=lambda i: labels[i])
     group_digest = _string_digest(group_id)
     label_digests = [_string_digest(labels[i]) for i in label_order]
-    winners = np.empty(n_replicates, dtype=np.intp)
-    take = max(1, chunk_elems // n)
-    for start in range(0, n_replicates, take):
-        stop = min(start + take, n_replicates)
-        reps = np.arange(start, stop, dtype=np.uint64)
-        order_keys = np.empty((n, stop - start), dtype=np.float64)
-        for pos, h in enumerate(_absorb(seed, reps, 0, group_digest, label_digests)):
-            order_keys[pos] = generate_order_key(spec, s[label_order[pos]], _to_unit(h))
-        extremal = (
-            np.argmax(order_keys, axis=0)
-            if spec.orientation is Orientation.MAX
-            else np.argmin(order_keys, axis=0)
-        )
-        winners[start:stop] = np.asarray(label_order, dtype=np.intp)[extremal]
+    better, extreme, worst = ((np.greater, np.maximum, -np.inf)
+                              if spec.orientation is Orientation.MAX
+                              else (np.less, np.minimum, np.inf))
+    winners = np.full(n_replicates, label_order[0], dtype=np.intp)
+    for start in range(0, n_replicates, _RACE_BLOCK):
+        reps = np.arange(start, min(start + _RACE_BLOCK, n_replicates), dtype=np.uint64)
+        win, best = winners[start : start + reps.size], np.full(reps.size, worst)
+        for i, h in zip(label_order, _absorb(seed, reps, 0, group_digest, label_digests)):
+            order_keys = generate_order_key(spec, s[i], _to_unit(h))
+            np.putmask(win, better(order_keys, best), i)
+            extreme(best, order_keys, out=best)
     return winners

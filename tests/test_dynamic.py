@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from keyrace import stats
+from keyrace import dynamic, stats
 from keyrace.dynamic import DynamicTable, RowNotFoundError, UpdateCase
 from keyrace.families import DegenerateWeightError, Family, ModelSpec
-from keyrace.sampler import SeedContext, reduce_winners
+from keyrace.sampler import SeedContext, _string_digest, derive_uniform, reduce_winners
 from keyrace.validation import (
     WORKED_EXAMPLE_WINNERS,
     check_dynamic_vs_scratch,
@@ -185,6 +185,20 @@ class TestScratchOracle:
         table.delete("g", "a")
         table.upsert("g", "a", 1.0)
         assert table.winner("g").key != key_v0  # version kept climbing
+
+    def test_each_id_digested_once(self, monkeypatch):
+        digested = []
+        monkeypatch.setattr(dynamic, "_string_digest",
+                            lambda s: digested.append(s) or _string_digest(s))
+        table = _table(seed=5)
+        for label in ("a", "b", "a", "a"):
+            table.upsert("g", label, 1.0)
+        table.delete("g", "b")
+        table.upsert("g", "b", 1.0)
+        assert sorted(digested) == ["a", "b", "g"]
+        uniforms = {kr.row.label: kr.uniform for kr in table.snapshot_keyed_rows()}
+        assert uniforms == {"a": derive_uniform(table.ctx, "g", "a", version=2),
+                            "b": derive_uniform(table.ctx, "g", "b", version=1)}
 
 
 class TestDistributionalFreshness:

@@ -1,11 +1,14 @@
 """Derived randomness, key assignment, and the associative winner reduction."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyrace import stats
+from keyrace import sampler, stats
 from keyrace.dynamic import DynamicTable
 from keyrace.families import (
     DegenerateWeightError,
@@ -13,6 +16,7 @@ from keyrace.families import (
     FamilyDomainError,
     ModelSpec,
     Orientation,
+    alpha_to_strength,
     generate_key,
     generate_order_key,
 )
@@ -21,6 +25,7 @@ from keyrace.sampler import (
     KeyedRow,
     Row,
     SeedContext,
+    _absorb,
     _beats,
     _mix64,
     _mix64_array,
@@ -418,6 +423,93 @@ def test_replicate_winners_matches_columnar_core(labels, group_id, family, seed)
             [group_id] * len(labels), labels, strengths, spec, SeedContext(seed, r)
         )[group_id]
         assert labels[fast[r]] == winner.label
+
+
+def _key_matrix_winners(spec, labels, strengths, seed, n_replicates, group_id):
+    """The race as one (labels x replicates) order-key matrix and its argmax/argmin."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = np.array([
+        generate_order_key(spec, strengths[i],
+                           replicate_uniforms(seed, group_id, labels[i], n_replicates))
+        for i in order
+    ]).reshape(len(order), n_replicates)
+    pick = np.argmax if spec.orientation is Orientation.MAX else np.argmin
+    return np.asarray(order, dtype=np.intp)[pick(keys, axis=0)]
+
+
+@st.composite
+def _one_group_races(draw):
+    """Unsorted labels with strengths in each family's recorded sign convention.
+
+    frechet2 and negexp at scale 1000 saturate most keys to +inf or -0.0,
+    and weight 5e-324 gives canonical -inf and expmin +inf order keys, so
+    many replicates end in exact ties that only the label order settles.
+    """
+    spec = ModelSpec(draw(st.sampled_from(list(Family))),
+                     scale_c=draw(st.sampled_from([1.0, 1000.0])))
+    labels = draw(st.lists(_IDS, min_size=1, max_size=40, unique=True))
+    weight = st.floats(0.5, 2.0)
+    if spec.family in (Family.CANONICAL, Family.EXPMIN):
+        weight = weight | st.just(5e-324)
+    alphas = draw(st.lists(weight, min_size=len(labels), max_size=len(labels)))
+    return spec, labels, alpha_to_strength(spec, np.asarray(alphas))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(_one_group_races(), _IDS, st.integers(0, 2**64 - 1), st.integers(1, 7),
+       st.integers(0, 3), st.integers(0, 6))
+@example((ModelSpec(Family.CANONICAL), ["b", "", "a"], np.full(3, 5e-324)), "g", 1, 4, 2, 0)
+@example((ModelSpec(Family.EXPMIN), ["z", "y"], np.full(2, 5e-324)), "g", 2, 3, 0, 2)
+@example((ModelSpec(Family.FRECHET2, scale_c=1000.0), ["q", "p", "r"], np.ones(3)), "", 3, 7, 3, 5)
+@example((ModelSpec(Family.NEGEXP, scale_c=1000.0), ["q", "p"], -np.ones(2)), "g", 4, 5, 2, 1)
+def test_blocked_race_matches_key_matrix(race, group_id, seed, block, n_blocks, extra):
+    """replicate_winners equals the matrix race for R below, at and across block edges."""
+    spec, labels, strengths = race
+    n_replicates = n_blocks * block + extra % block
+    with mock.patch.object(sampler, "_RACE_BLOCK", block):
+        got = replicate_winners(spec, labels, strengths, seed, n_replicates, group_id=group_id)
+    expected = _key_matrix_winners(spec, labels, strengths, seed, n_replicates, group_id)
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_replicate_winners_memory_is_bounded_by_the_block():
+    spec = ModelSpec(Family.CANONICAL)
+    labels, strengths = [f"l{i:02d}" for i in range(16)], np.linspace(0.5, 2.0, 16)
+
+    def peak(n_replicates):
+        tracemalloc.start()
+        try:
+            replicate_winners(spec, labels, strengths, 1, n_replicates)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = sampler._RACE_BLOCK
+    assert peak(4 * block) <= 2 * peak(block)
+
+
+def test_in_place_mix_leaves_callers_arrays_alone():
+    reps = np.arange(40, dtype=np.uint64)
+    digests = _string_digests(["g", "h", "é", ""])
+    groups, labels = digests[[0, 1, 1, 3]], digests[[2, 2, 0, 1]]  # expanded digest columns
+    inputs = [reps, digests, groups, labels]
+    kept = [a.copy() for a in inputs]
+
+    def outputs():
+        return [
+            *_absorb(reps, 1, 2, 3, [4]),  # an array as the first part
+            *_absorb(5, reps, 0, int(digests[0]), [int(digests[1]), int(digests[2])]),
+            *_absorb(6, 0, 0, groups, [labels]),
+            _string_digests(["g", "h", "é", ""]),
+            replicate_uniforms(7, "g", "é", 40),
+        ]
+
+    first, second = outputs(), outputs()
+    for before, after in zip(kept, inputs):
+        np.testing.assert_array_equal(before, after)
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
 
 
 # strings of 0-200 UTF-8 bytes span several power-of-two word classes in one call
