@@ -360,24 +360,18 @@ def emit_table(table: ParsedTable, path: str) -> None:
 
 
 def cmd_sample(args) -> int:
-    try:
-        spec = _model_from_args(args)
-    except FamilyDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec = _model_from_args(args)
     try:
         table = read_table(args.input, inject_keys=args.inject_keys)
     except (OSError, CliParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
-    try:  # read_table has rejected repeated rows, naming their lines
-        races = sample_codes(table.group_codes, table.group_names, table.label_codes,
-                             table.label_names, table.strengths, spec, SeedContext(seed=args.seed),
-                             args.replicates, args.threads, table.keys, check_duplicates=False)
-    except FamilyDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # read_table has rejected repeated rows, naming their lines; a bad
+    # strength raises here, before any output
+    races = sample_codes(table.group_codes, table.group_names, table.label_codes,
+                         table.label_names, table.strengths, spec, SeedContext(seed=args.seed),
+                         args.replicates, args.threads, table.keys, check_duplicates=False)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -393,11 +387,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_update(args) -> int:
-    try:
-        spec = _model_from_args(args)
-    except FamilyDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec = _model_from_args(args)
     table = DynamicTable(spec, SeedContext(seed=args.seed))
     warned = False
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
@@ -451,13 +441,9 @@ def _validate_input_file(args, spec: ModelSpec) -> int:
         idx = groups[gid]
         labels = [all_labels[i] for i in idx]
         strengths = table.strengths[idx]
-        try:
-            report = stats.run_choice_experiment(
-                spec, strengths, replicates, seed=args.seed, labels=labels
-            )
-        except FamilyDomainError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_DOMAIN
+        report = stats.run_choice_experiment(
+            spec, strengths, replicates, seed=args.seed, labels=labels
+        )
         ok = not report.reject_at(validation.SIGNIFICANCE)
         failures += 0 if ok else 1
         print(
@@ -467,11 +453,7 @@ def _validate_input_file(args, spec: ModelSpec) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = _model_from_args(args)
-    except FamilyDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+    spec = _model_from_args(args)
     if args.quick:
         print("WARNING: reduced-power run (--quick); sample sizes are cut down")
     if args.input:
@@ -491,10 +473,9 @@ def cmd_validate(args) -> int:
 
 
 def _bench_strengths(rng: np.random.Generator, spec: ModelSpec, size: int) -> np.ndarray:
-    if spec.family is Family.GUMBEL1:
+    if not spec.strength_sign:
         return rng.normal(0.0, 1.0, size=size)
-    magnitudes = np.exp(rng.normal(0.0, 1.0, size=size))
-    return -magnitudes if spec.family is Family.NEGEXP else magnitudes
+    return spec.strength_sign * np.exp(rng.normal(0.0, 1.0, size=size))
 
 
 def _bench_table(rng: np.random.Generator, spec: ModelSpec, n_rows: int, n_groups: int):
@@ -644,7 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FamilyDomainError as err:  # a bad --scale, --offset or strength
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -30,18 +30,18 @@ updated concurrently; interleaved reads require external synchronization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .families import Family, ModelSpec, generate_key, generate_order_key
+import numpy as np
+
+from .families import ModelSpec, _check_strengths, _keys
 from .sampler import (
     GroupWinner,
     KeyedRow,
     Row,
     SeedContext,
-    _annotated_domain_error,
     _beats,
     _string_digest,
     _uniform,
@@ -150,30 +150,16 @@ class DynamicTable:
             digest = self._digests[s] = _string_digest(s)
         return digest
 
-    def _check_strength(self, group_id: str, label: str, strength: float) -> float:
-        s = float(strength)
-        ok = math.isfinite(s)
-        if ok and self.spec.family in (Family.CANONICAL, Family.EXPMIN):
-            ok = s > 0.0
-        elif ok and self.spec.family in (Family.FRECHET2, Family.NEGEXP):
-            ok = s != 0.0
-        if not ok:
-            raise _annotated_domain_error(self.spec, group_id, label, s)
-        return s
-
     def upsert(self, group_id: str, label: str, strength: float) -> ChangeReport:
         """Insert or update one row, redrawing its key, and settle the winner."""
-        strength = self._check_strength(group_id, label, strength)
+        strength = float(strength)
+        s = _check_strengths(self.spec, strength, lambda _: (group_id, label))
         digests = self._digest(group_id), self._digest(label)
         version = self._versions.get((group_id, label), -1) + 1
         self._versions[(group_id, label)] = version
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
-        key = float(generate_key(self.spec, strength, u))
-        order_key = (
-            float(generate_order_key(self.spec, strength, u))
-            if self.spec.family is Family.CANONICAL
-            else key
-        )
+        # keyed on 0-d arrays, as generate_key keys a Python float
+        key, order_key = map(float, _keys(self.spec, s, np.asarray(u, dtype=np.float64)))
         group = self._rows.setdefault(group_id, {})
         is_new_row = label not in group
         group[label] = _RowState(strength, u, key, order_key, version)

@@ -12,6 +12,7 @@ reduces to two steps that parallelize trivially:
 
 This module implements the key generators for the supported families and
 the conversions between recorded strengths and the underlying weights.
+Everything that depends on the family is one row of the table ``_LAWS``.
 
 Supported families
 ------------------
@@ -24,15 +25,21 @@ Supported families
     enters additively; with ``c = 1`` the winner law is the softmax of
     the strengths.
 ``frechet2``
-    Multiplicative Frechet noise, ``key = |s| * (-log(u))**(-c)`` with
+    Multiplicative Frechet noise, ``key = s * (-log(u))**(-c)`` with
     ``s = d*a**c``, ``d > 0``.  Keys are positive.
 ``negexp``
     Multiplicative exponential noise on the negative half-line,
-    ``key = -|s| * (-log(u))**c`` with ``s = d*a**(-c)``, ``d < 0``.
+    ``key = s * (-log(u))**c`` with ``s = d*a**(-c)``, ``d < 0``.
     Keys are negative; still a max race.
 ``expmin``
     The exponential race: ``key = -log(u)/a`` is Exp(a) distributed and
     the *smallest* key wins (the mirrored, min-compatible convention).
+
+Every entry point that takes a ``ModelSpec`` accepts the same strengths
+(:func:`first_invalid_strength`): finite, > 0 for ``canonical`` and
+``expmin``, and of the sign of ``d`` for the multiplicative families, so
+``frechet2`` strengths must be > 0 and ``negexp`` strengths < 0 (0 is a
+zero-mass weight).  Only the raw ``key_*`` functions race ``abs(s)``.
 
 All key functions accept scalars or numpy arrays and evaluate in float64.
 """
@@ -42,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -90,17 +98,6 @@ class Orientation(str, Enum):
     MIN = "min"
 
 
-# Default sign of the offset for the multiplicative conventions: frechet2
-# records positive strengths (d > 0), negexp negative ones (d < 0).
-_DEFAULT_OFFSET = {
-    Family.CANONICAL: 0.0,
-    Family.GUMBEL1: 0.0,
-    Family.FRECHET2: 1.0,
-    Family.NEGEXP: -1.0,
-    Family.EXPMIN: 0.0,
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A key family plus its scale/offset parameters.
@@ -119,30 +116,28 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         family = Family(self.family)
+        law = _LAWS[family]
         object.__setattr__(self, "family", family)
         if self.offset_d is None:
-            object.__setattr__(self, "offset_d", _DEFAULT_OFFSET[family])
+            object.__setattr__(self, "offset_d", law.offset_d)
         for name in ("scale_c", "offset_d"):
             if not math.isfinite(getattr(self, name)):
                 raise FamilyDomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if family is not Family.EXPMIN and not self.scale_c > 0:
+        if law.scale_positive and not self.scale_c > 0:
             raise FamilyDomainError(
                 f"scale_c must be positive for {family.value}, got {self.scale_c}"
             )
-        if family is Family.FRECHET2 and not self.offset_d > 0:
-            raise FamilyDomainError(
-                f"frechet2 records positive strengths: offset_d must be > 0, "
-                f"got {self.offset_d}"
-            )
-        if family is Family.NEGEXP and not self.offset_d < 0:
-            raise FamilyDomainError(
-                f"negexp records negative strengths: offset_d must be < 0, "
-                f"got {self.offset_d}"
-            )
+        if law.offset_rule is not None and not law.offset_rule[0](self.offset_d):
+            raise FamilyDomainError(f"{law.offset_rule[1]}, got {self.offset_d}")
 
     @property
     def orientation(self) -> Orientation:
-        return Orientation.MIN if self.family is Family.EXPMIN else Orientation.MAX
+        return _LAWS[self.family].orientation
+
+    @property
+    def strength_sign(self) -> float:
+        """+1.0 or -1.0 if every strength must have that sign, 0.0 if any finite one will do."""
+        return _LAWS[self.family].strength_sign
 
 
 def _as_float_array(x) -> np.ndarray:
@@ -163,19 +158,34 @@ def _check_positive(value, name: str) -> np.ndarray:
     return arr
 
 
+def _check_finite_strength(strength) -> np.ndarray:
+    arr = _as_float_array(strength)
+    if not np.all(np.isfinite(arr)):
+        raise FamilyDomainError("strength must be finite")
+    return arr
+
+
 def _check_nonzero_strength(strength) -> np.ndarray:
     arr = _as_float_array(strength)
     if np.any(arr == 0.0):
         raise DegenerateWeightError(
             "strength 0 would give the outcome zero mass; omit the row instead"
         )
-    if not np.all(np.isfinite(arr)):
-        raise FamilyDomainError("strength must be finite")
-    return arr
+    return _check_finite_strength(arr)
 
 
 def _maybe_scalar(arr: np.ndarray, scalar_in: bool):
     return float(arr) if scalar_in else arr
+
+
+def _raw_key(family: Family, strength, c, u, order: bool = False):
+    """The family's key (or order key) kernel behind its ``key_*`` function's checks."""
+    law = _LAWS[family]
+    scalar = np.isscalar(strength) and np.isscalar(u)
+    cc = _check_positive(c, "c") if law.scaled else None
+    s = law.raw_strength(strength)
+    kernel = law.order_key if order else law.key
+    return _maybe_scalar(kernel(s, cc, _check_uniform(u)), scalar)
 
 
 def key_canonical(alpha, u):
@@ -183,10 +193,7 @@ def key_canonical(alpha, u):
 
     Strictly increasing in ``u``; lies in (0, 1).
     """
-    scalar = np.isscalar(alpha) and np.isscalar(u)
-    a = _check_positive(alpha, "alpha")
-    uu = _check_uniform(u)
-    return _maybe_scalar(uu ** (1.0 / a), scalar)
+    return _raw_key(Family.CANONICAL, alpha, None, u)
 
 
 def log_key_canonical(alpha, u):
@@ -196,47 +203,158 @@ def log_key_canonical(alpha, u):
     the same winner while staying far from the underflow range that
     ``u**(1/alpha)`` hits for small ``alpha``.
     """
-    scalar = np.isscalar(alpha) and np.isscalar(u)
-    a = _check_positive(alpha, "alpha")
-    uu = _check_uniform(u)
-    return _maybe_scalar(np.log(uu) / a, scalar)
+    return _raw_key(Family.CANONICAL, alpha, None, u, order=True)
 
 
 def key_gumbel1(strength, c, u):
     """Additive key ``strength - c*log(-log(u))`` (shifted Gumbel noise)."""
-    scalar = np.isscalar(strength) and np.isscalar(u)
-    cc = _check_positive(c, "c")
-    s = _as_float_array(strength)
-    if not np.all(np.isfinite(s)):
-        raise FamilyDomainError("strength must be finite")
-    uu = _check_uniform(u)
-    return _maybe_scalar(s - cc * np.log(-np.log(uu)), scalar)
+    return _raw_key(Family.GUMBEL1, strength, c, u)
 
 
 def key_frechet2(strength, c, u):
     """Multiplicative key ``|strength| * (-log(u))**(-c)``; always positive."""
-    scalar = np.isscalar(strength) and np.isscalar(u)
-    cc = _check_positive(c, "c")
-    s = _check_nonzero_strength(strength)
-    uu = _check_uniform(u)
-    return _maybe_scalar(np.abs(s) * (-np.log(uu)) ** (-cc), scalar)
+    return _raw_key(Family.FRECHET2, strength, c, u)
 
 
 def key_negexp(strength, c, u):
     """Multiplicative key ``-|strength| * (-log(u))**c``; always negative."""
-    scalar = np.isscalar(strength) and np.isscalar(u)
-    cc = _check_positive(c, "c")
-    s = _check_nonzero_strength(strength)
-    uu = _check_uniform(u)
-    return _maybe_scalar(-np.abs(s) * (-np.log(uu)) ** cc, scalar)
+    return _raw_key(Family.NEGEXP, strength, c, u)
 
 
 def key_expmin(alpha, u):
     """Exponential-race key ``-log(u)/alpha``; the group argmin wins."""
-    scalar = np.isscalar(alpha) and np.isscalar(u)
-    a = _check_positive(alpha, "alpha")
-    uu = _check_uniform(u)
-    return _maybe_scalar(-np.log(uu) / a, scalar)
+    return _raw_key(Family.EXPMIN, alpha, None, u)
+
+
+# The ways a strength can leave a family's domain: (vectorised test it
+# passes, error class, message formatted with the strength as ``value`` and
+# the offset as ``d``).
+_FINITE = (np.isfinite, FamilyDomainError, "strength must be finite, got {value}")
+_WEIGHT = (lambda s: s > 0.0, FamilyDomainError,
+           "strength is the weight itself and must be positive, got {value}")
+_MASS = (lambda s: s != 0.0, DegenerateWeightError,
+         "strength 0 would give the outcome zero mass; omit the row instead")
+_SIGN_OF_D = "strength must have the sign of offset_d={d}, got {value}"
+
+
+@dataclass(frozen=True)
+class _Law:
+    """Everything that depends on one key family.
+
+    ``key`` and ``order_key`` are kernels ``(strength, c, u) -> key`` with
+    no argument checks, for strengths in the domain and uniforms in (0, 1).
+    They use their operands as given: numpy's power on 0-d and 1-d operands
+    can differ in the last bit, so each caller keeps its path's shapes.
+    """
+
+    strength_sign: float  # the sign every strength must have; 0.0: any finite strength
+    rules: tuple  # the strength domain: the rules above, checked in this order
+    to_alpha: Callable  # (spec, strength) -> weight
+    from_alpha: Callable  # (spec, weight) -> strength
+    raw_strength: Callable  # the key_* function's strength check (frechet2/negexp: abs)
+    key: Callable
+    order_key: Callable | None = None  # the ranking kernel; None: ``key`` itself
+    orientation: Orientation = Orientation.MAX
+    offset_d: float = 0.0  # the default offset
+    scaled: bool = True  # the kernels use c, so the key_* function takes and checks it
+    scale_positive: bool = True  # ModelSpec: scale_c must be > 0
+    offset_rule: tuple[Callable, str] | None = None  # ModelSpec: offset_d test and message
+
+    def __post_init__(self) -> None:
+        if self.order_key is None:
+            object.__setattr__(self, "order_key", self.key)
+
+
+def _weight(spec, x):
+    return x.astype(np.float64)
+
+
+def _check_alpha(alpha) -> np.ndarray:
+    return _check_positive(alpha, "alpha")
+
+
+_LAWS = {
+    Family.CANONICAL: _Law(
+        strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
+        raw_strength=_check_alpha, key=lambda s, c, u: u ** (1.0 / s),
+        order_key=lambda s, c, u: np.log(u) / s, scaled=False,
+    ),
+    Family.GUMBEL1: _Law(
+        strength_sign=0.0, rules=(_FINITE,),
+        to_alpha=lambda spec, s: np.exp((s - spec.offset_d) / spec.scale_c),
+        from_alpha=lambda spec, a: spec.scale_c * np.log(a) + spec.offset_d,
+        raw_strength=_check_finite_strength, key=lambda s, c, u: s - c * np.log(-np.log(u)),
+    ),
+    Family.FRECHET2: _Law(
+        strength_sign=1.0,
+        rules=(_FINITE, _MASS, (lambda s: s > 0.0, FamilyDomainError, _SIGN_OF_D)),
+        to_alpha=lambda spec, s: (s / spec.offset_d) ** (1.0 / spec.scale_c),
+        from_alpha=lambda spec, a: spec.offset_d * a ** spec.scale_c,
+        raw_strength=lambda s: np.abs(_check_nonzero_strength(s)),
+        key=lambda s, c, u: s * (-np.log(u)) ** (-c),
+        offset_d=1.0,
+        offset_rule=(lambda d: d > 0, "frechet2 records positive strengths: offset_d must be > 0"),
+    ),
+    Family.NEGEXP: _Law(
+        strength_sign=-1.0,
+        rules=(_FINITE, _MASS, (lambda s: s < 0.0, FamilyDomainError, _SIGN_OF_D)),
+        to_alpha=lambda spec, s: (s / spec.offset_d) ** (-1.0 / spec.scale_c),
+        from_alpha=lambda spec, a: spec.offset_d * a ** (-spec.scale_c),
+        raw_strength=lambda s: -np.abs(_check_nonzero_strength(s)),
+        key=lambda s, c, u: s * (-np.log(u)) ** c,
+        offset_d=-1.0,
+        offset_rule=(lambda d: d < 0, "negexp records negative strengths: offset_d must be < 0"),
+    ),
+    Family.EXPMIN: _Law(
+        strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
+        raw_strength=_check_alpha, key=lambda s, c, u: -np.log(u) / s,
+        orientation=Orientation.MIN, scaled=False, scale_positive=False,
+    ),
+}
+
+
+def first_invalid_strength(spec: ModelSpec, strengths: np.ndarray) -> int | None:
+    """Index of the first strength outside the family's domain, else None."""
+    s = _as_float_array(strengths)
+    ok = np.logical_and.reduce([passes(s) for passes, _, _ in _LAWS[spec.family].rules])
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
+
+
+def _check_strengths(spec: ModelSpec, strengths,
+                     where: Callable[[int], tuple[str, str]] | None = None) -> np.ndarray:
+    """``strengths`` as float64, once every one lies in the family's domain.
+
+    Otherwise raises the error of the first rule that the first bad
+    strength breaks.  ``where(i)``, if given, names the
+    ``(group_id, label)`` of index ``i`` in the message.
+    """
+    s = _as_float_array(strengths)
+    bad = first_invalid_strength(spec, s)
+    if bad is None:
+        return s
+    value = float(s.flat[bad])
+    error, message = next((e, m) for passes, e, m in _LAWS[spec.family].rules
+                          if not passes(value))
+    message = f"{spec.family.value}: {message.format(value=value, d=spec.offset_d)}"
+    if where is not None:
+        message += " (group_id={!r}, label={!r})".format(*where(bad))
+    raise error(message)
+
+
+def _order_keys(spec: ModelSpec, strengths, u):
+    """Order keys of checked strengths and uniforms in (0, 1), with no checks."""
+    return _LAWS[spec.family].order_key(strengths, np.asarray(spec.scale_c, np.float64), u)
+
+
+def _keys(spec: ModelSpec, strengths, u, order_keys=None):
+    """``(keys, order_keys)`` as :func:`_order_keys`; ``order_keys`` already known are reused."""
+    law = _LAWS[spec.family]
+    if order_keys is None:
+        order_keys = _order_keys(spec, strengths, u)
+    if law.key is law.order_key:
+        return order_keys, order_keys
+    return law.key(strengths, np.asarray(spec.scale_c, np.float64), u), order_keys
 
 
 def strength_to_alpha(spec: ModelSpec, strength):
@@ -244,62 +362,27 @@ def strength_to_alpha(spec: ModelSpec, strength):
 
     canonical/expmin: identity (the strength is the weight, must be > 0);
     gumbel1: ``exp((s - d)/c)``; frechet2: ``(s/d)**(1/c)``;
-    negexp: ``(s/d)**(-1/c)``.
+    negexp: ``(s/d)**(-1/c)``.  A strength outside the family's domain
+    raises :class:`FamilyDomainError`.
     """
     scalar = np.isscalar(strength)
-    s = _as_float_array(strength)
-    if not np.all(np.isfinite(s)):
-        raise FamilyDomainError(f"{spec.family.value}: strength must be finite")
-    if spec.family in (Family.CANONICAL, Family.EXPMIN):
-        if np.any(s <= 0.0):
-            bad = s[np.asarray(s <= 0.0).nonzero()].flat[0] if s.ndim else float(s)
-            raise FamilyDomainError(
-                f"{spec.family.value}: strength is the weight itself and must "
-                f"be positive, got {bad}"
-            )
-        return _maybe_scalar(s.astype(np.float64), scalar)
-    if spec.family is Family.GUMBEL1:
-        return _maybe_scalar(np.exp((s - spec.offset_d) / spec.scale_c), scalar)
-    # multiplicative conventions: the strength must carry the sign of d
-    if np.any(s == 0.0):
-        raise DegenerateWeightError(
-            f"{spec.family.value}: strength 0 would give the outcome zero "
-            f"mass; omit the row instead"
-        )
-    ratio = s / spec.offset_d
-    if np.any(ratio <= 0.0):
-        bad = s[np.asarray(ratio <= 0.0).nonzero()].flat[0] if s.ndim else float(s)
-        raise FamilyDomainError(
-            f"{spec.family.value}: strength must have the sign of "
-            f"offset_d={spec.offset_d}, got {bad}"
-        )
-    exponent = 1.0 / spec.scale_c if spec.family is Family.FRECHET2 else -1.0 / spec.scale_c
-    return _maybe_scalar(ratio**exponent, scalar)
+    s = _check_strengths(spec, strength)
+    return _maybe_scalar(_LAWS[spec.family].to_alpha(spec, s), scalar)
 
 
 def alpha_to_strength(spec: ModelSpec, alpha):
     """Forward direction of the recorded-strength convention."""
     scalar = np.isscalar(alpha)
     a = _check_positive(alpha, "alpha")
-    if spec.family in (Family.CANONICAL, Family.EXPMIN):
-        return _maybe_scalar(a.astype(np.float64), scalar)
-    if spec.family is Family.GUMBEL1:
-        return _maybe_scalar(spec.scale_c * np.log(a) + spec.offset_d, scalar)
-    exponent = spec.scale_c if spec.family is Family.FRECHET2 else -spec.scale_c
-    return _maybe_scalar(spec.offset_d * a**exponent, scalar)
+    return _maybe_scalar(_LAWS[spec.family].from_alpha(spec, a), scalar)
 
 
 def generate_key(spec: ModelSpec, strength, u):
-    """Competition key of ``spec.family`` for ``(strength, u)``."""
-    if spec.family is Family.CANONICAL:
-        return key_canonical(strength, u)
-    if spec.family is Family.GUMBEL1:
-        return key_gumbel1(strength, spec.scale_c, u)
-    if spec.family is Family.FRECHET2:
-        return key_frechet2(strength, spec.scale_c, u)
-    if spec.family is Family.NEGEXP:
-        return key_negexp(strength, spec.scale_c, u)
-    return key_expmin(strength, u)
+    """Competition key of ``spec.family`` for ``(strength, u)``.
+
+    Checks its arguments as the family's ``key_*`` function does.
+    """
+    return _raw_key(spec.family, strength, spec.scale_c, u)
 
 
 def generate_order_key(spec: ModelSpec, strength, u):
@@ -309,34 +392,4 @@ def generate_order_key(spec: ModelSpec, strength, u):
     which is ranked in log domain to dodge ``u**(1/a)`` underflow.  A
     strictly increasing transform never changes a group's winner.
     """
-    if spec.family is Family.CANONICAL:
-        return log_key_canonical(strength, u)
-    return generate_key(spec, strength, u)
-
-
-def first_invalid_strength(spec: ModelSpec, strengths: np.ndarray) -> int | None:
-    """Index of the first strength outside the family's domain, else None."""
-    s = _as_float_array(strengths)
-    bad = ~np.isfinite(s)
-    if spec.family in (Family.CANONICAL, Family.EXPMIN):
-        bad |= s <= 0.0
-    elif spec.family in (Family.FRECHET2, Family.NEGEXP):
-        bad |= s == 0.0
-    idx = np.nonzero(bad)
-    if idx[0].size:
-        return int(idx[0][0])
-    return None
-
-
-def describe_invalid_strength(spec: ModelSpec, value: float) -> str:
-    if not math.isfinite(value):
-        return f"{spec.family.value}: strength must be finite, got {value}"
-    if spec.family in (Family.CANONICAL, Family.EXPMIN):
-        return (
-            f"{spec.family.value}: strength is the weight itself and must be "
-            f"positive, got {value}"
-        )
-    return (
-        f"{spec.family.value}: strength 0 would give the outcome zero mass; "
-        f"omit the row instead"
-    )
+    return _raw_key(spec.family, strength, spec.scale_c, u, order=True)

