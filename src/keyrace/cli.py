@@ -15,10 +15,10 @@ bench     time the key race against the alias and inverse-CDF baselines
 ``sample`` reads its CSV in blocks of whole lines, each turned straight
 into integer group and label codes (:func:`read_table`), and hands the
 codes to the sampler, which sorts the rows into groups once per call.
-``--threads N`` (``sample``, ``bench``) cuts the rows into N shards whose
-winners are found one after another and merged; the output is identical
-for every N.  ``--replicates n`` (``sample``) prepares the table once and
-races it n times.  ``--quick`` belongs to ``validate``.
+``--replicates n`` (``sample``) prepares the table once and races it n
+times.  ``sample`` accepts ``--threads N`` and ignores it: every group
+is raced in one pass, whatever N is.  ``--quick`` belongs to
+``validate``.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 4 warnings on the update stream.
@@ -48,7 +48,6 @@ from .sampler import (
     code_ids,
     first_duplicate,
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
-    replicate_winners,
     sample_arrays,
     sample_codes,
 )
@@ -371,7 +370,7 @@ def cmd_sample(args) -> int:
     # strength raises here, before any output
     races = sample_codes(table.group_codes, table.group_names, table.label_codes,
                          table.label_names, table.strengths, spec, SeedContext(seed=args.seed),
-                         args.replicates, args.threads, table.keys, check_duplicates=False)
+                         args.replicates, table.keys, check_duplicates=False)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -441,9 +440,15 @@ def _validate_input_file(args, spec: ModelSpec) -> int:
         idx = groups[gid]
         labels = [all_labels[i] for i in idx]
         strengths = table.strengths[idx]
-        report = stats.run_choice_experiment(
-            spec, strengths, replicates, seed=args.seed, labels=labels
-        )
+        try:
+            report = stats.run_choice_experiment(
+                spec, strengths, replicates, seed=args.seed, labels=labels
+            )
+        except FamilyDomainError:
+            raise
+        except ValueError as err:  # e.g. an expected count too small for the chi-square
+            print(f"error: group {gid!r}: {err}", file=sys.stderr)
+            return EXIT_DOMAIN
         ok = not report.reject_at(validation.SIGNIFICANCE)
         failures += 0 if ok else 1
         print(
@@ -494,7 +499,7 @@ def cmd_bench(args) -> int:
     ctx = SeedContext(seed=args.seed)
 
     t0 = time.perf_counter()
-    winners = sample_arrays(groups, labels, strengths, spec, ctx, n_shards=args.threads)
+    winners = sample_arrays(groups, labels, strengths, spec, ctx)
     race_elapsed = time.perf_counter() - t0
     print(f"key-race      {n_rows} rows -> {len(winners)} groups   "
           f"{race_elapsed:8.4f} s   {n_rows / race_elapsed:12.0f} rows/s")
@@ -508,30 +513,16 @@ def cmd_bench(args) -> int:
     build_elapsed = time.perf_counter() - t0
     u1, u2 = rng.random(draws), rng.random(draws)
     t0 = time.perf_counter()
-    alias_idx = baselines.sample_alias_indices(table, u1, u2)
+    baselines.sample_alias_indices(table, u1, u2)
     alias_elapsed = time.perf_counter() - t0
     print(f"alias         build {build_elapsed:.4f} s + {draws} draws "
           f"{alias_elapsed:8.4f} s   {draws / alias_elapsed:12.0f} draws/s")
     u = rng.random(draws)
     t0 = time.perf_counter()
-    inv_idx = baselines.sample_inverse_indices(table, u)
+    baselines.sample_inverse_indices(table, u)
     inv_elapsed = time.perf_counter() - t0
     print(f"inverse-cdf   {draws} draws (bisection)        "
           f"{inv_elapsed:8.4f} s   {draws / inv_elapsed:12.0f} draws/s")
-
-    # modal agreement between the three samplers on the same weight vector
-    spec_can = ModelSpec(Family.CANONICAL)
-    race_idx = replicate_winners(
-        spec_can, outcome_labels, weights, args.seed + 1, min(draws, 20_000)
-    )
-    modal = {
-        "race": int(np.bincount(race_idx, minlength=n_outcomes).argmax()),
-        "alias": int(np.bincount(alias_idx, minlength=n_outcomes).argmax()),
-        "inverse": int(np.bincount(inv_idx, minlength=n_outcomes).argmax()),
-    }
-    agree = len(set(modal.values())) == 1
-    print(f"modal-agreement {'yes' if agree else 'no (sampling noise on flat weights)'}"
-          f" {modal}")
 
     # dynamic-update cost split by case
     table2 = DynamicTable(spec, SeedContext(seed=args.seed))
@@ -579,13 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0)
 
-    def add_threads(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=1,
-                       help="shards of a sequential reduction; output is identical for any value")
-
     p_sample = sub.add_parser("sample", help="winner per group of a CSV table")
     add_common(p_sample)
-    add_threads(p_sample)
+    p_sample.add_argument("--threads", type=int, default=1,
+                          help="accepted and ignored: each group is raced in one pass")
     p_sample.add_argument("--replicates", type=int, default=1,
                           help="race the table n times; ids are digested once for all of them")
     p_sample.add_argument("input", help="CSV with header ID,QUAL,Strength")
@@ -615,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="throughput of race vs baselines")
     add_common(p_bench)
-    add_threads(p_bench)
     p_bench.add_argument("--rows", type=int, default=100_000)
     p_bench.add_argument("--draws", type=int, default=100_000)
     p_bench.add_argument("--updates", type=int, default=10_000)

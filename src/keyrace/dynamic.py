@@ -43,6 +43,7 @@ from .sampler import (
     Row,
     SeedContext,
     _beats,
+    _fold,
     _string_digest,
     _uniform,
 )
@@ -132,17 +133,11 @@ class DynamicTable:
 
     def _rescan(self, group_id: str) -> tuple[GroupWinner, int]:
         rows = self._rows[group_id]
-        items = iter(rows.items())
-        label, st = next(items)
-        best_label, best = label, st
-        comparisons = 0
-        for label, st in items:
-            comparisons += 1
-            if _beats(st.order_key, label, best.order_key, best_label, self.spec.orientation):
-                best_label, best = label, st
-        winner = GroupWinner(group_id, best_label, best.key, len(rows), best.order_key)
+        candidates = (GroupWinner(group_id, label, st.key, 1, st.order_key)
+                      for label, st in rows.items())
+        winner = _fold(candidates, self.spec.orientation)[group_id]
         self._winners[group_id] = winner
-        return winner, comparisons
+        return winner, len(rows) - 1
 
     def _digest(self, s: str) -> int:
         digest = self._digests.get(s)

@@ -4,19 +4,19 @@ Every row ``(group_id, label, strength)`` gets its own uniform draw and
 competition key; the winner of each group is the row with the extremal
 key.  Because the per-row work touches nothing but the row itself and the
 per-group step is an associative, commutative merge, the whole procedure
-is schedule-independent: any sharding or fold order produces
-byte-identical winners.
+is schedule-independent: the winner maps of any partition of the rows,
+merged with :func:`merge_winner_maps`, are byte-identical to the whole
+table's.
 
 A call is prepared once and raced once per replicate.  Preparing checks
 the strengths, gives every row exact integer group and label codes (the
 CLI codes the rows while reading and calls :func:`sample_codes`),
 rejects duplicate ``(group_id, label)`` rows and digests each distinct id
 once, in numpy.
-The rows are then sorted once, stably, into (shard, group) segments.
-Only the uniforms, keys and the reduction depend on the replicate: each
-replicate takes every segment's maximum with one segmented reduction,
-compares labels only in segments whose best keys tie exactly, and merges
-a group's segments by the same step.
+The rows are then sorted once, stably, by group.  Only the uniforms,
+keys and the reduction depend on the replicate: each replicate takes
+every group's maximum with one segmented reduction and compares labels
+only in groups whose best keys tie exactly.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
@@ -383,26 +383,16 @@ def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
     return winners
 
 
-def _races(table: _Table, spec: ModelSpec, ctx: SeedContext, n_replicates: int,
-           n_shards: int) -> Iterator[dict[str, GroupWinner]]:
+def _races(table: _Table, spec: ModelSpec, ctx: SeedContext,
+           n_replicates: int) -> Iterator[dict[str, GroupWinner]]:
     """Winner maps of replicates ``ctx.replicate ..`` of a prepared table.
 
-    The rows are cut into ``n_shards`` contiguous slices and sorted once,
-    stably, into (shard, group) segments.  Each replicate keys the rows in
-    that order, takes each segment's winner with :func:`_winners` and
-    merges the winners of a group's segments by the same step.
+    The rows are sorted once, stably, by group code.  Each replicate keys
+    the rows in that order and takes each group's winner with
+    :func:`_winners`.
     """
     n, n_groups = len(table.strengths), len(table.group_names)
-    cuts = np.linspace(0, n, max(1, min(n_shards, n)) + 1, dtype=np.intp)
-    segment = np.repeat(np.arange(cuts.size - 1), np.diff(cuts)) * n_groups + table.group_codes
-    order = np.argsort(segment, kind="stable")
-    segment = segment[order]
-    starts = np.flatnonzero(np.diff(segment, prepend=-1))
-    merge = None
-    if cuts.size > 2:  # a group may have a segment in several shards
-        seg_groups = segment[starts] % n_groups
-        merge = np.argsort(seg_groups, kind="stable")
-        merge_starts = np.flatnonzero(np.diff(seg_groups[merge], prepend=-1))
+    order = np.argsort(table.group_codes, kind="stable")
     table = replace(
         table,
         group_codes=table.group_codes[order],
@@ -410,6 +400,7 @@ def _races(table: _Table, spec: ModelSpec, ctx: SeedContext, n_replicates: int,
         strengths=table.strengths[order],
         injected_keys=None if table.injected_keys is None else table.injected_keys[order],
     )
+    starts = np.flatnonzero(np.diff(table.group_codes, prepend=-1))
     rows_per_group = np.bincount(table.group_codes, minlength=n_groups).tolist()
     for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
         if n == 0:
@@ -422,10 +413,6 @@ def _races(table: _Table, spec: ModelSpec, ctx: SeedContext, n_replicates: int,
             order_keys = table.injected_keys
         adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
         win = _winners(adj, table.label_codes, starts, table.label_names)
-        if merge is not None:
-            win = win[merge]
-            win = win[_winners(adj[win], table.label_codes[win], merge_starts,
-                               table.label_names)]
         win_order_keys = order_keys[win]
         keys = (
             win_order_keys
@@ -526,7 +513,6 @@ def sample_arrays(
     strengths: np.ndarray,
     spec: ModelSpec,
     ctx: SeedContext,
-    n_shards: int = 1,
     injected_keys: np.ndarray | None = None,
 ) -> dict[str, GroupWinner]:
     """Columnar sampling: one winner per group of parallel row arrays.
@@ -535,7 +521,7 @@ def sample_arrays(
     the arguments.
     """
     return next(
-        sample_replicates(group_ids, labels, strengths, spec, ctx, 1, n_shards, injected_keys)
+        sample_replicates(group_ids, labels, strengths, spec, ctx, 1, injected_keys)
     )
 
 
@@ -546,7 +532,6 @@ def sample_replicates(
     spec: ModelSpec,
     ctx: SeedContext,
     n_replicates: int,
-    n_shards: int = 1,
     injected_keys: np.ndarray | None = None,
 ) -> Iterator[dict[str, GroupWinner]]:
     """Winner maps of replicates ``ctx.replicate .. ctx.replicate + n_replicates - 1``.
@@ -557,16 +542,15 @@ def sample_replicates(
     distinct id is digested once for all replicates.  The returned
     iterator then keys and reduces one replicate per step.
 
-    With ``n_shards > 1`` the rows are cut into that many contiguous
-    slices; each slice's winner of a group is found on its own and the
-    winners of a group's slices are merged by the same total-order
-    comparator, so the outcome is identical for every shard count.  When
+    A row's key depends on nothing but the row and the replicate, so the
+    maps of the parts of any partition of the rows, merged with
+    :func:`merge_winner_maps`, equal the whole table's map.  When
     ``injected_keys`` is given the keys are taken verbatim instead of
     generated (used to replay externally keyed tables); every one must be
     finite.
     """
     return sample_codes(*_factorize(group_ids), *_factorize(labels), strengths, spec, ctx,
-                        n_replicates, n_shards, injected_keys)
+                        n_replicates, injected_keys)
 
 
 def sample_codes(
@@ -578,7 +562,6 @@ def sample_codes(
     spec: ModelSpec,
     ctx: SeedContext,
     n_replicates: int = 1,
-    n_shards: int = 1,
     injected_keys: np.ndarray | None = None,
     check_duplicates: bool = True,
 ) -> Iterator[dict[str, GroupWinner]]:
@@ -595,7 +578,7 @@ def sample_codes(
         injected_keys = np.asarray(injected_keys, dtype=np.float64)
     table = _prepare(group_codes, group_names, label_codes, label_names, strengths, spec,
                      injected_keys, check_duplicates)
-    return _races(table, spec, ctx, n_replicates, n_shards)
+    return _races(table, spec, ctx, n_replicates)
 
 
 def replicate_winners(

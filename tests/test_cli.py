@@ -1,8 +1,12 @@
 """Command-line contract: formats, exit codes, determinism."""
 
 import csv
+import itertools
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +92,8 @@ class TestSample:
         assert result.stdout.splitlines() == expected
 
     @pytest.mark.parametrize("argv", [["update", "--threads", "2"], ["sample", "--quick"],
-                                      ["validate", "--replicates", "2"]])
+                                      ["validate", "--replicates", "2"],
+                                      ["bench", "--threads", "2"]])
     def test_flags_of_other_subcommands_rejected(self, argv, worked_example_csv):
         result = run_cli(*argv, *([str(worked_example_csv)] if argv[0] == "sample" else []),
                          stdin="")
@@ -248,6 +253,15 @@ class TestValidate:
         assert "CRITERION group-g1 PASS" in result.stdout
         assert "CRITERION group-g2 PASS" in result.stdout
 
+    def test_input_file_too_few_expected_counts_is_a_domain_error(self, tmp_path):
+        # weight 1e-9 gives label a an expected count far below 5
+        path = tmp_path / "tiny.csv"
+        path.write_text("ID,QUAL,Strength\ng1,a,1e-9\ng1,b,1.0\n")
+        result = run_cli("validate", "--quick", "--input", str(path))
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error: group 'g1': smallest expected count")
+        assert "Traceback" not in result.stderr
+
 
 class TestBench:
     def test_small_bench_completes(self):
@@ -262,7 +276,7 @@ class TestBench:
     def test_single_row_degenerate(self):
         result = run_cli("bench", "--rows", "1", "--draws", "2000", "--updates", "10")
         assert result.returncode == 0, result.stderr
-        assert "modal-agreement yes" in result.stdout
+        assert "key-race      1 rows -> 1 groups" in result.stdout
 
     def test_million_row_sample_reports_throughput(self):
         result = run_cli("bench", "--rows", "1000000", "--draws", "1000",
@@ -293,3 +307,31 @@ def test_worked_example_fixture_roundtrip(tmp_path):
     table = read_table(str(path), inject_keys=True)
     assert len(table.group_ids) == 14
     assert table.keys is not None
+
+
+def _readme_command_lines():
+    """The ``keyrace ...`` lines of README's "Command line" block, comments and redirects cut."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [re.sub(r"\s#.*|\s<\s*\S+", "", line).strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("keyrace ")]
+
+
+def test_readme_command_lines_parse():
+    from keyrace.cli import build_parser
+
+    lines = _readme_command_lines()
+    assert len(lines) >= 5
+    for line in lines:
+        # each [...] is tried both with and without its contents
+        parts = re.split(r"\[([^\[\]]*)\]", line)
+        optional = parts[1::2]
+        for keep in itertools.product([False, True], repeat=len(optional)):
+            text = parts[0] + "".join(
+                (opt if k else "") + rest for opt, k, rest in zip(optional, keep, parts[2::2])
+            )
+            argv = shlex.split(text)[1:]
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {text!r}")

@@ -204,6 +204,17 @@ def _random_rows(rng, n, n_groups, n_labels):
     ]
 
 
+def _merged_slices(n_slices, groups, labels, strengths, spec, ctx, injected_keys=None):
+    """sample_arrays of each of n contiguous slices of a table, merged."""
+    cuts = np.linspace(0, len(groups), n_slices + 1, dtype=int).tolist()
+    maps = [
+        sample_arrays(groups[a:b], labels[a:b], strengths[a:b], spec, ctx,
+                      injected_keys=None if injected_keys is None else injected_keys[a:b])
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    return merge_winner_maps(maps, spec.orientation)
+
+
 class TestSample:
     def test_equal_weights_frequency(self):
         # two weight-1 rows: winner frequency 0.5 within 3 sigma over 1e5
@@ -267,7 +278,7 @@ class TestSample:
         )
         assert got == expected
 
-    @pytest.mark.parametrize("shards", [2, 3, 8])
+    @pytest.mark.parametrize("shards", [2, 3, 4, 8])
     def test_sample_arrays_shard_invariance(self, shards):
         rows = _random_rows(np.random.default_rng(5), 700, 30, 25)
         spec = ModelSpec(Family.GUMBEL1)
@@ -279,7 +290,7 @@ class TestSample:
             spec,
             ctx,
         )
-        assert sample_arrays(*args, n_shards=shards) == sample_arrays(*args, n_shards=1)
+        assert _merged_slices(shards, *args) == sample_arrays(*args)
 
     def test_injected_keys_race(self):
         groups = [g for g, _, _, _ in WORKED_EXAMPLE_ROWS]
@@ -319,11 +330,12 @@ class TestInputContracts:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_injected_key_rejected(self, bad, shards):
-        # a NaN key used to win or lose depending on the shard count
+        # a NaN key would win or lose depending on where the table is sliced,
+        # so the call that holds it rejects it, however the table is sliced
         with pytest.raises(FamilyDomainError, match=r"group_id='a', label='x'"):
-            sample_arrays(
-                ["a"] * 4, ["w", "x", "y", "z"], np.ones(4), ModelSpec(Family.GUMBEL1),
-                SeedContext(0), n_shards=shards, injected_keys=[1.0, bad, 0.5, 2.0],
+            _merged_slices(
+                shards, ["a"] * 4, ["w", "x", "y", "z"], np.ones(4), ModelSpec(Family.GUMBEL1),
+                SeedContext(0), injected_keys=[1.0, bad, 0.5, 2.0],
             )
 
     @pytest.mark.parametrize("bad_id", [7, b"g"])
@@ -339,15 +351,14 @@ class TestInputContracts:
         with pytest.raises(TypeError, match=f"must be str, got {type(bad_id).__name__}"):
             calls[entry]()
 
-    @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("keys", [None, np.arange(5.0)])
-    def test_duplicate_row_rejected(self, keys, shards):
-        # rows 0 and 4 repeat ('g', 'a'); at two shards they fall in different shards
+    def test_duplicate_row_rejected(self, keys):
+        # rows 0 and 4 repeat ('g', 'a')
         args = (_DUP_GROUPS, _DUP_LABELS, np.ones(5), ModelSpec(Family.CANONICAL), SeedContext(0))
         with pytest.raises(ValueError, match=_DUP_MESSAGE):
-            sample_arrays(*args, n_shards=shards, injected_keys=keys)
+            sample_arrays(*args, injected_keys=keys)
         with pytest.raises(ValueError, match=_DUP_MESSAGE):  # raised by the call itself
-            sample_replicates(*args, 3, n_shards=shards, injected_keys=keys)
+            sample_replicates(*args, 3, injected_keys=keys)
 
     def test_sample_codes_checks_duplicates_unless_told_not_to(self):
         groups, labels = {}, {}
@@ -385,8 +396,8 @@ def _tables(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(_tables(), st.integers(0, 2**64 - 1), st.integers(1, 6))
-def test_columnar_core_matches_scalar_reference(table, seed, shards):
+@given(_tables(), st.integers(0, 2**64 - 1))
+def test_columnar_core_matches_scalar_reference(table, seed):
     """sample_arrays equals a row-by-row fold of derive_uniform and _beats."""
     groups, labels, strengths, spec = table
     ctx = SeedContext(seed, seed % 5)
@@ -401,7 +412,7 @@ def test_columnar_core_matches_scalar_reference(table, seed, shards):
             expected[g] = GroupWinner(g, l, key, inc.row_count + 1, order_key)
         else:
             expected[g] = GroupWinner(g, inc.label, inc.key, inc.row_count + 1, inc.order_key)
-    got = sample_arrays(groups, labels, strengths, spec, ctx, n_shards=shards)
+    got = sample_arrays(groups, labels, strengths, spec, ctx)
     assert got == expected
 
 
@@ -413,9 +424,8 @@ def test_columnar_label_tie_breaks_match_fold(table, data, shards):
     n = len(groups)
     keys = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))
     keyed = [KeyedRow(Row(g, l, s), 0.5, k) for g, l, s, k in zip(groups, labels, strengths, keys)]
-    got = sample_arrays(
-        groups, labels, strengths, spec, SeedContext(0), n_shards=shards, injected_keys=keys
-    )
+    got = _merged_slices(shards, groups, labels, strengths, spec, SeedContext(0),
+                         injected_keys=keys)
     assert got == reduce_winners(keyed, spec.orientation)
 
 
@@ -546,12 +556,11 @@ def test_sample_replicates_matches_sample_arrays(table, seed, first, n, shards, 
     groups, labels, strengths, spec = table
     keys = np.linspace(-1.0, 1.0, len(groups)) if inject else None
     got = list(sample_replicates(
-        groups, labels, strengths, spec, SeedContext(seed, first), n, n_shards=shards,
-        injected_keys=keys,
+        groups, labels, strengths, spec, SeedContext(seed, first), n, injected_keys=keys,
     ))
     expected = [
-        sample_arrays(groups, labels, strengths, spec, SeedContext(seed, first + r),
-                      n_shards=shards, injected_keys=keys)
+        _merged_slices(shards, groups, labels, strengths, spec, SeedContext(seed, first + r),
+                       injected_keys=keys)
         for r in range(n)
     ]
     assert got == expected
@@ -576,5 +585,8 @@ def test_segmented_reduce_matches_fold_on_signed_zero_ties(table, data, shards, 
 
     expected = exact(reduce_winners(keyed, spec.orientation))
     got = list(sample_replicates(groups, labels, strengths, spec, SeedContext(0), n,
-                                 n_shards=shards, injected_keys=keys))
+                                 injected_keys=keys))
     assert [exact(winners) for winners in got] == [expected] * n
+    merged = _merged_slices(shards, groups, labels, strengths, spec, SeedContext(0),
+                            injected_keys=keys)
+    assert exact(merged) == expected
