@@ -153,8 +153,8 @@ class DynamicTable:
         version = self._versions.get((group_id, label), -1) + 1
         self._versions[(group_id, label)] = version
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
-        # keyed on 0-d arrays, as generate_key keys a Python float
-        key, order_key = map(float, _keys(self.spec, s, np.asarray(u, dtype=np.float64)))
+        # keyed as a 1-element array, as generate_key keys a Python float
+        key, order_key = (float(k[0]) for k in _keys(self.spec, s.reshape(1), np.full(1, u)))
         group = self._rows.setdefault(group_id, {})
         is_new_row = label not in group
         group[label] = _RowState(strength, u, key, order_key, version)

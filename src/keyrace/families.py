@@ -179,13 +179,19 @@ def _maybe_scalar(arr: np.ndarray, scalar_in: bool):
 
 
 def _raw_key(family: Family, strength, c, u, order: bool = False):
-    """The family's key (or order key) kernel behind its ``key_*`` function's checks."""
+    """The family's key (or order key) kernel behind its ``key_*`` function's checks.
+
+    A single row is keyed as a 1-element array, so it gets the bits the
+    columnar core gives the same row (see :class:`_Law`).
+    """
     law = _LAWS[family]
     scalar = np.isscalar(strength) and np.isscalar(u)
     cc = _check_positive(c, "c") if law.scaled else None
-    s = law.raw_strength(strength)
+    s, uu = law.raw_strength(strength), _check_uniform(u)
     kernel = law.order_key if order else law.key
-    return _maybe_scalar(kernel(s, cc, _check_uniform(u)), scalar)
+    if scalar:
+        return float(kernel(s.reshape(1), cc, uu.reshape(1))[0])
+    return kernel(s, cc, uu)
 
 
 def key_canonical(alpha, u):
@@ -243,8 +249,9 @@ class _Law:
 
     ``key`` and ``order_key`` are kernels ``(strength, c, u) -> key`` with
     no argument checks, for strengths in the domain and uniforms in (0, 1).
-    They use their operands as given: numpy's power on 0-d and 1-d operands
-    can differ in the last bit, so each caller keeps its path's shapes.
+    They use their operands as given.  numpy's power on 0-d operands can
+    differ in the last bit from the 1-d result, so a single row is keyed
+    as a 1-element array, never as 0-d ones.
     """
 
     strength_sign: float  # the sign every strength must have; 0.0: any finite strength

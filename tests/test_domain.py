@@ -132,11 +132,11 @@ def _bits(values):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("spec, strength", _shape_specs())
 def test_key_paths_keep_their_operand_shapes(spec, strength):
-    """DynamicTable keys on 0-d operands and sample_arrays on 1-d ones.
+    """DynamicTable, generate_key and sample_arrays give a row the same bits.
 
-    numpy's power differs in the last bit between the two for about 5% of
-    uniforms when the exponent is 0.5 or 2.0, so equal bits here pin each
-    path to its shape.
+    numpy's power on 0-d operands differs in the last bit from the 1-d
+    result for about 5% of uniforms when the exponent is 0.5 or 2.0, so
+    equal bits here pin every path to 1-d operands.
     """
     ctx = SeedContext(11)
     groups = [f"g{i:03d}" for i in range(200) for _ in range(2)]
@@ -159,6 +159,8 @@ def test_key_paths_keep_their_operand_shapes(spec, strength):
     winners = sample_arrays(groups, labels, np.asarray(strengths), spec, ctx)
     keys = generate_key(spec, np.asarray(strengths), np.asarray(uniforms))
     order_keys = generate_order_key(spec, np.asarray(strengths), np.asarray(uniforms))
+    np.testing.assert_array_equal(_bits(keys), _bits([k for k, _ in scalar]))
+    np.testing.assert_array_equal(_bits(order_keys), _bits([o for _, o in scalar]))
     at = {(g, l): i for i, (g, l) in enumerate(zip(groups, labels))}
     won = [at[w.group_id, w.label] for w in winners.values()]
     np.testing.assert_array_equal(_bits([w.key for w in winners.values()]), _bits(keys[won]))

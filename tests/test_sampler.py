@@ -351,14 +351,16 @@ class TestInputContracts:
         with pytest.raises(TypeError, match=f"must be str, got {type(bad_id).__name__}"):
             calls[entry]()
 
+    @pytest.mark.parametrize("replicates", [1, 2])
     @pytest.mark.parametrize("keys", [None, np.arange(5.0)])
-    def test_duplicate_row_rejected(self, keys):
+    def test_duplicate_row_rejected(self, keys, replicates):
         # rows 0 and 4 repeat ('g', 'a')
         args = (_DUP_GROUPS, _DUP_LABELS, np.ones(5), ModelSpec(Family.CANONICAL), SeedContext(0))
         with pytest.raises(ValueError, match=_DUP_MESSAGE):
             sample_arrays(*args, injected_keys=keys)
-        with pytest.raises(ValueError, match=_DUP_MESSAGE):  # raised by the call itself
-            sample_replicates(*args, 3, injected_keys=keys)
+        # raised by the call itself, before any replicate is drawn
+        with pytest.raises(ValueError, match=_DUP_MESSAGE):
+            sample_replicates(*args, replicates, injected_keys=keys)
 
     def test_sample_codes_checks_duplicates_unless_told_not_to(self):
         groups, labels = {}, {}
