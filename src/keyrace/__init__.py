@@ -32,6 +32,7 @@ from .families import (
     strength_to_alpha,
 )
 from .sampler import (
+    CodedTable,
     GroupWinner,
     KeyedRow,
     Row,
@@ -74,6 +75,7 @@ __all__ = [
     "strength_to_alpha",
     "alpha_to_strength",
     "SeedContext",
+    "CodedTable",
     "Row",
     "KeyedRow",
     "GroupWinner",

@@ -13,8 +13,11 @@ bench     time the key race against the alias and inverse-CDF baselines
           and split dynamic-update costs by case
 
 ``sample`` reads its CSV in blocks of whole lines, each turned straight
-into integer group and label codes (:func:`read_table`), and hands the
-codes to the sampler, which sorts the rows into groups once per call.
+into integer group and label codes, and :func:`read_table` returns the
+rows as one :class:`~keyrace.sampler.CodedTable`, the type the sampler
+races.  Building it rejects a repeated (ID, QUAL), which the reader then
+names with its line.  The sampler sorts the rows into groups once per
+call.
 ``--replicates n`` (``sample``) prepares the table once and races it n
 times.  ``sample`` accepts ``--threads N`` and ignores it: every group
 is raced in one pass, whatever N is.  ``--quick`` belongs to
@@ -33,20 +36,19 @@ import io
 import itertools
 import sys
 import time
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from . import baselines, stats, validation
+from . import baselines, sampler, stats, validation
 from .dynamic import DynamicTable, RowNotFoundError
 from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
+    CodedTable,
     GroupWinner,
     SeedContext,
     code_ids,
-    first_duplicate,
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
     sample_arrays,
     sample_codes,
@@ -74,32 +76,6 @@ class CliParseError(Exception):
 class _InvalidUtf8(Exception):
     def __init__(self, byte: int):
         super().__init__(f"invalid UTF-8 byte 0x{byte:02x}")
-
-
-@dataclass
-class ParsedTable:
-    """An input table held as exact codes.
-
-    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
-    strengths[i])``; names are in first-seen order.
-    """
-
-    group_codes: np.ndarray
-    group_names: list[str]
-    label_codes: np.ndarray
-    label_names: list[str]
-    strengths: np.ndarray
-    keys: np.ndarray | None  # injected keys, when the file carries them
-
-    @property
-    def group_ids(self) -> list[str]:
-        """Every row's group id."""
-        return list(map(self.group_names.__getitem__, self.group_codes.tolist()))
-
-    @property
-    def labels(self) -> list[str]:
-        """Every row's label."""
-        return list(map(self.label_names.__getitem__, self.label_codes.tolist()))
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -153,7 +129,7 @@ def _floats(fields: list[str]) -> tuple[list[float], int | None]:
     return values, None
 
 
-class _TableReader:
+class _CsvReader:
     """Checks and codes the records of an input table as they are read.
 
     Each error is raised at its record, after every error of an earlier
@@ -177,7 +153,7 @@ class _TableReader:
         self.batch_rows = [0]  # first row of each batch, then the row count
         self.batch_lines: list[int | list[int]] = []  # its first row's line, or every row's
 
-    def read(self, fh) -> ParsedTable:
+    def read(self, fh) -> CodedTable:
         blocks = _blocks(fh)
         first = next(blocks, b"")
         end = first.find(b"\n") + 1 or len(first)
@@ -191,10 +167,8 @@ class _TableReader:
                 break
         if not self.header_seen:
             raise CliParseError("empty file: expected header ID,QUAL,Strength", 1)
-        group_codes, label_codes = self.check_duplicates()
-        return ParsedTable(group_codes, list(self.groups), label_codes, list(self.labels),
-                           np.concatenate(self.strengths),
-                           np.concatenate(self.keys) if self.inject_keys else None)
+        return self.table(np.concatenate(self.strengths),
+                          np.concatenate(self.keys) if self.inject_keys else None)
 
     def read_csv(self, blocks: Iterable[bytes]) -> None:
         """Read the rest of the file with :mod:`csv`."""
@@ -304,26 +278,32 @@ class _TableReader:
 
     def fail(self, error: CliParseError) -> NoReturn:
         """Raise the first repeated row read so far, else ``error``."""
-        self.check_duplicates()
+        self.table(np.zeros(self.batch_rows[-1]))  # only the codes are checked
         raise error
 
-    def check_duplicates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raise at the first row that repeats an (ID, QUAL); else all rows' codes."""
+    def table(self, strengths: np.ndarray, keys: np.ndarray | None = None) -> CodedTable:
+        """Every row read so far, with these strengths and keys.
+
+        A row that repeats an (ID, QUAL) raises at its line.
+        """
         group_codes = np.concatenate(self.group_codes)  # every record batch adds one
         label_codes = np.concatenate(self.label_codes)
-        dup = first_duplicate(group_codes, label_codes, len(self.labels))
-        if dup is not None:
+        try:
+            return CodedTable(group_codes, list(self.groups), label_codes, list(self.labels),
+                              strengths, keys)
+        except ValueError:  # a repeated (ID, QUAL)? find it again, to name its line
+            dup = sampler.first_duplicate(group_codes, label_codes, len(self.labels))
+            if dup is None:
+                raise
             batch = bisect.bisect_right(self.batch_rows, dup) - 1
             lines, i = self.batch_lines[batch], dup - self.batch_rows[batch]
-            gid = list(self.groups)[group_codes[dup]]
-            label = list(self.labels)[label_codes[dup]]
+            gid, label = list(self.groups)[group_codes[dup]], list(self.labels)[label_codes[dup]]
             raise CliParseError(f"duplicate row ({gid},{label})",
-                                lines + i if isinstance(lines, int) else lines[i])
-        return group_codes, label_codes
+                                lines + i if isinstance(lines, int) else lines[i]) from None
 
 
-def read_table(path: str, inject_keys: bool = False) -> ParsedTable:
-    """Parse an input CSV, enforcing the header and row uniqueness.
+def read_table(path: str, inject_keys: bool = False) -> CodedTable:
+    """Parse an input CSV into a :class:`CodedTable`, enforcing the header and row uniqueness.
 
     The file is read in blocks of whole lines and each block is coded as
     it is read, so no row's strings are kept.  The header line is read by
@@ -337,7 +317,7 @@ def read_table(path: str, inject_keys: bool = False) -> ParsedTable:
     and fields over ``csv.field_size_limit()`` included.
     """
     with open(path, "rb") as fh:
-        return _TableReader(inject_keys).read(fh)
+        return _CsvReader(inject_keys).read(fh)
 
 
 def _format_winner(w: GroupWinner, with_key: bool) -> str:
@@ -346,7 +326,7 @@ def _format_winner(w: GroupWinner, with_key: bool) -> str:
     return f"{w.group_id},{w.label}"
 
 
-def emit_table(table: ParsedTable, path: str) -> None:
+def emit_table(table: CodedTable, path: str) -> None:
     """Write a parsed table back out in the input format (round-trip aid)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -368,9 +348,7 @@ def cmd_sample(args) -> int:
 
     # read_table has rejected repeated rows, naming their lines; a bad
     # strength raises here, before any output
-    races = sample_codes(table.group_codes, table.group_names, table.label_codes,
-                         table.label_names, table.strengths, spec, SeedContext(seed=args.seed),
-                         args.replicates, table.keys, check_duplicates=False)
+    races = sample_codes(table, spec, SeedContext(seed=args.seed), args.replicates)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:

@@ -88,7 +88,6 @@ class _RowState:
     uniform: float
     key: float
     order_key: float
-    version: int
 
 
 class DynamicTable:
@@ -157,7 +156,7 @@ class DynamicTable:
         key, order_key = (float(k[0]) for k in _keys(self.spec, s.reshape(1), np.full(1, u)))
         group = self._rows.setdefault(group_id, {})
         is_new_row = label not in group
-        group[label] = _RowState(strength, u, key, order_key, version)
+        group[label] = _RowState(strength, u, key, order_key)
         size = len(group)
 
         incumbent = self._winners.get(group_id)
@@ -250,7 +249,7 @@ class DynamicTable:
         for kr in keyed:
             gid, label = kr.row.group_id, kr.row.label
             group = self._rows.setdefault(gid, {})
-            group[label] = _RowState(kr.row.strength, kr.uniform, kr.key, kr.order_key, 0)
+            group[label] = _RowState(kr.row.strength, kr.uniform, kr.key, kr.order_key)
             self._versions.setdefault((gid, label), 0)
         for gid in {kr.row.group_id for kr in keyed}:
             self._rescan(gid)

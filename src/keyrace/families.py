@@ -178,20 +178,24 @@ def _maybe_scalar(arr: np.ndarray, scalar_in: bool):
     return float(arr) if scalar_in else arr
 
 
-def _raw_key(family: Family, strength, c, u, order: bool = False):
-    """The family's key (or order key) kernel behind its ``key_*`` function's checks.
+def _checked_key(kernel: Callable, s: np.ndarray, c, u, scalar: bool):
+    """``kernel(s, c, u)`` on checked operands.
 
     A single row is keyed as a 1-element array, so it gets the bits the
     columnar core gives the same row (see :class:`_Law`).
     """
-    law = _LAWS[family]
-    scalar = np.isscalar(strength) and np.isscalar(u)
-    cc = _check_positive(c, "c") if law.scaled else None
-    s, uu = law.raw_strength(strength), _check_uniform(u)
-    kernel = law.order_key if order else law.key
+    uu = _check_uniform(u)
     if scalar:
-        return float(kernel(s.reshape(1), cc, uu.reshape(1))[0])
-    return kernel(s, cc, uu)
+        return float(kernel(s.reshape(1), c, uu.reshape(1))[0])
+    return kernel(s, c, uu)
+
+
+def _raw_key(family: Family, strength, c, u, order: bool = False):
+    """The family's key (or order key) kernel behind its ``key_*`` function's checks."""
+    law = _LAWS[family]
+    cc = _check_positive(c, "c") if law.scaled else None
+    return _checked_key(law.order_key if order else law.key, law.raw_strength(strength), cc, u,
+                        np.isscalar(strength) and np.isscalar(u))
 
 
 def key_canonical(alpha, u):
@@ -384,12 +388,21 @@ def alpha_to_strength(spec: ModelSpec, alpha):
     return _maybe_scalar(_LAWS[spec.family].from_alpha(spec, a), scalar)
 
 
+def _spec_key(spec: ModelSpec, strength, u, order: bool):
+    law = _LAWS[spec.family]
+    return _checked_key(law.order_key if order else law.key, _check_strengths(spec, strength),
+                        np.asarray(spec.scale_c, np.float64), u,
+                        np.isscalar(strength) and np.isscalar(u))
+
+
 def generate_key(spec: ModelSpec, strength, u):
     """Competition key of ``spec.family`` for ``(strength, u)``.
 
-    Checks its arguments as the family's ``key_*`` function does.
+    A strength outside the family's domain raises as in
+    :func:`strength_to_alpha`; a wrong-sign ``frechet2``/``negexp``
+    strength is rejected, not raced as ``abs(s)``.
     """
-    return _raw_key(spec.family, strength, spec.scale_c, u)
+    return _spec_key(spec, strength, u, order=False)
 
 
 def generate_order_key(spec: ModelSpec, strength, u):
@@ -399,4 +412,4 @@ def generate_order_key(spec: ModelSpec, strength, u):
     which is ranked in log domain to dodge ``u**(1/a)`` underflow.  A
     strictly increasing transform never changes a group's winner.
     """
-    return _raw_key(spec.family, strength, spec.scale_c, u, order=True)
+    return _spec_key(spec, strength, u, order=True)

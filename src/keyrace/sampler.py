@@ -8,15 +8,17 @@ is schedule-independent: the winner maps of any partition of the rows,
 merged with :func:`merge_winner_maps`, are byte-identical to the whole
 table's.
 
-A call is prepared once and raced once per replicate.  Preparing checks
-the strengths, gives every row exact integer group and label codes (the
-CLI codes the rows while reading and calls :func:`sample_codes`),
-rejects duplicate ``(group_id, label)`` rows and digests each distinct id
-once, in numpy.
-The rows are then sorted once, stably, by group.  Only the uniforms,
-keys and the reduction depend on the replicate: each replicate takes
-every group's maximum with one segmented reduction and compares labels
-only in groups whose best keys tie exactly.
+Every entry point holds its rows as one :class:`CodedTable`: exact
+integer group and label codes plus the distinct ids, built with no
+``(group_id, label)`` pair twice, since the pair is what a row's uniform
+is hashed from.  The CLI codes the rows while reading and passes its
+table to :func:`sample_codes`; the library entry points code theirs with
+:meth:`CodedTable.from_ids`.  A call is prepared once and raced once per
+replicate.  Preparing checks the strengths and digests each distinct id
+once, in numpy.  The rows are then sorted once, stably, by group.  Only
+the uniforms, keys and the reduction depend on the replicate: each
+replicate takes every group's maximum with one segmented reduction and
+compares labels only in groups whose best keys tie exactly.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
@@ -29,7 +31,7 @@ the partitioning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -46,6 +48,7 @@ from .families import (
 
 __all__ = [
     "SeedContext",
+    "CodedTable",
     "Row",
     "KeyedRow",
     "GroupWinner",
@@ -228,6 +231,57 @@ class SeedContext:
 
 
 @dataclass(frozen=True)
+class CodedTable:
+    """A table of rows held as exact codes, with no (group_id, label) pair twice.
+
+    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
+    strengths[i])``, with distinct names, as :func:`code_ids` makes them.
+    ``keys``, when given, are injected keys that stand in for generated
+    ones.  Building a table that repeats a pair raises ``ValueError``
+    naming the first repeat, so a table once built is never checked again.
+    """
+
+    group_codes: np.ndarray
+    group_names: list[str]
+    label_codes: np.ndarray
+    label_names: list[str]
+    strengths: np.ndarray
+    keys: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        columns = {"group_codes": np.intp, "label_codes": np.intp, "strengths": np.float64}
+        if self.keys is not None:
+            columns["keys"] = np.float64
+        for name, dtype in columns.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(getattr(self, name)) for name in columns}) > 1:
+            raise ValueError("a table's columns must all have one length")
+        dup = first_duplicate(self.group_codes, self.label_codes, len(self.label_names))
+        if dup is not None:
+            raise ValueError("duplicate row (group_id={!r}, label={!r})".format(*self.row(dup)))
+
+    @classmethod
+    def from_ids(cls, group_ids: Sequence[str], labels: Sequence[str], strengths,
+                 keys=None) -> CodedTable:
+        """The table of parallel row arrays, coded in first-seen order."""
+        return cls(*_factorize(group_ids), *_factorize(labels), strengths, keys)
+
+    def row(self, i: int) -> tuple[str, str]:
+        """Row i's ``(group_id, label)``."""
+        return self.group_names[self.group_codes[i]], self.label_names[self.label_codes[i]]
+
+    @property
+    def group_ids(self) -> list[str]:
+        """Every row's group id."""
+        return list(map(self.group_names.__getitem__, self.group_codes.tolist()))
+
+    @property
+    def labels(self) -> list[str]:
+        """Every row's label."""
+        return list(map(self.label_names.__getitem__, self.label_codes.tolist()))
+
+
+@dataclass(frozen=True)
 class Row:
     group_id: str
     label: str
@@ -295,65 +349,22 @@ def _beats(
     return order_key < inc_order_key
 
 
-@dataclass(frozen=True)
-class _Table:
-    """The replicate-independent part of a call.
-
-    Rows are held as exact group and label codes; digests are held once
-    per distinct id and expanded when rows are keyed.
-    """
-
-    group_codes: np.ndarray
-    group_names: list[str]
-    label_codes: np.ndarray
-    label_names: list[str]
-    strengths: np.ndarray
-    injected_keys: np.ndarray | None
-    group_digests: np.ndarray | None  # None when the keys are injected
-    label_digests: np.ndarray | None
-
-
-def _prepare(group_codes: np.ndarray, group_names: Sequence[str],
-             label_codes: np.ndarray, label_names: Sequence[str],
-             strengths: np.ndarray, spec: ModelSpec,
-             injected_keys: np.ndarray | None = None,
-             check_duplicates: bool = True) -> _Table:
-    """Domain check, digests and duplicate check of a table given as exact codes.
+def _prepare(table: CodedTable, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """Domain check of a table, then the digests of its distinct group ids and labels.
 
     Injected keys stand in for the strengths, so they are checked for
-    being finite instead and no digests are taken.
+    being finite instead, and no digests are taken: None is returned.
     """
-    def where(i: int) -> tuple[str, str]:
-        return group_names[group_codes[i]], label_names[label_codes[i]]
-
-    if injected_keys is None:
-        _check_strengths(spec, strengths, where)
-    else:
-        bad = np.flatnonzero(~np.isfinite(injected_keys))
+    if table.keys is not None:
+        bad = np.flatnonzero(~np.isfinite(table.keys))
         if bad.size:
-            gid, label = where(bad[0])
             raise FamilyDomainError(
-                f"injected key must be finite, got {injected_keys[bad[0]]} "
-                f"(group_id={gid!r}, label={label!r})"
+                f"injected key must be finite, got {table.keys[bad[0]]} "
+                "(group_id={!r}, label={!r})".format(*table.row(bad[0]))
             )
-    digests = (
-        (_string_digests(group_names), _string_digests(label_names))
-        if injected_keys is None
-        else (None, None)
-    )
-    dup = (first_duplicate(group_codes, label_codes, len(label_names))
-           if check_duplicates else None)
-    if dup is not None:
-        gid, label = where(dup)
-        raise ValueError(f"duplicate row (group_id={gid!r}, label={label!r})")
-    return _Table(group_codes, list(group_names), label_codes, list(label_names), strengths,
-                  injected_keys, *digests)
-
-
-def _uniforms(table: _Table, ctx: SeedContext) -> np.ndarray:
-    """Uniform of every row of a prepared table under ``ctx``."""
-    return _uniform(ctx.seed, ctx.replicate, 0, table.group_digests[table.group_codes],
-                    table.label_digests[table.label_codes])
+        return None
+    _check_strengths(spec, table.strengths, table.row)
+    return _string_digests(table.group_names), _string_digests(table.label_names)
 
 
 def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
@@ -383,48 +394,44 @@ def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
     return winners
 
 
-def _races(table: _Table, spec: ModelSpec, ctx: SeedContext,
-           n_replicates: int) -> Iterator[dict[str, GroupWinner]]:
+def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spec: ModelSpec,
+           ctx: SeedContext, n_replicates: int) -> Iterator[dict[str, GroupWinner]]:
     """Winner maps of replicates ``ctx.replicate ..`` of a prepared table.
 
-    The rows are sorted once, stably, by group code.  Each replicate keys
-    the rows in that order and takes each group's winner with
-    :func:`_winners`.
+    ``digests`` are :func:`_prepare`'s.  The rows are sorted once, stably,
+    by group code.  Each replicate keys the rows in that order and takes
+    each group's winner with :func:`_winners`.
     """
-    n, n_groups = len(table.strengths), len(table.group_names)
     order = np.argsort(table.group_codes, kind="stable")
-    table = replace(
-        table,
-        group_codes=table.group_codes[order],
-        label_codes=table.label_codes[order],
-        strengths=table.strengths[order],
-        injected_keys=None if table.injected_keys is None else table.injected_keys[order],
-    )
-    starts = np.flatnonzero(np.diff(table.group_codes, prepend=-1))
-    rows_per_group = np.bincount(table.group_codes, minlength=n_groups).tolist()
+    group_codes, label_codes = table.group_codes[order], table.label_codes[order]
+    strengths = table.strengths[order]
+    injected_keys = None if table.keys is None else table.keys[order]
+    starts = np.flatnonzero(np.diff(group_codes, prepend=-1))
+    rows_per_group = np.bincount(group_codes, minlength=len(table.group_names)).tolist()
     for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
-        if n == 0:
+        if not order.size:
             yield {}
             continue
-        if table.injected_keys is None:
-            uniforms = _uniforms(table, SeedContext(ctx.seed, replicate))
-            order_keys = _order_keys(spec, table.strengths, uniforms)
+        if injected_keys is None:
+            uniforms = _uniform(ctx.seed, replicate, 0, digests[0][group_codes],
+                                digests[1][label_codes])
+            order_keys = _order_keys(spec, strengths, uniforms)
         else:
-            order_keys = table.injected_keys
+            order_keys = injected_keys
         adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
-        win = _winners(adj, table.label_codes, starts, table.label_names)
+        win = _winners(adj, label_codes, starts, table.label_names)
         win_order_keys = order_keys[win]
         keys = (
             win_order_keys
-            if table.injected_keys is not None
-            else _keys(spec, table.strengths[win], uniforms[win], win_order_keys)[0]
+            if injected_keys is not None
+            else _keys(spec, strengths[win], uniforms[win], win_order_keys)[0]
         )
-        g_codes = table.group_codes[win].tolist()
+        g_codes = group_codes[win].tolist()
         yield {
             gid: GroupWinner(gid, label, key, rows_per_group[g], order_key)
             for gid, label, key, g, order_key in zip(
                 map(table.group_names.__getitem__, g_codes),
-                map(table.label_names.__getitem__, table.label_codes[win].tolist()),
+                map(table.label_names.__getitem__, label_codes[win].tolist()),
                 keys.tolist(),
                 g_codes,
                 win_order_keys.tolist(),
@@ -454,17 +461,18 @@ def assign_keys(
     """Attach a derived uniform and competition key to every row.
 
     Order-preserving; each output depends only on its own row and ``ctx``,
-    so any partition of the input can be keyed independently.  Family
-    domain errors are re-raised with the offending (group_id, label), and
-    a repeated (group_id, label) raises ``ValueError``.
+    so any partition of the input can be keyed independently.  A repeated
+    (group_id, label) raises ``ValueError``; otherwise family domain errors
+    are raised with the offending (group_id, label).
     """
     if not rows:
         return []
     strengths = np.fromiter((r.strength for r in rows), dtype=np.float64, count=len(rows))
-    table = _prepare(*_factorize([r.group_id for r in rows]),
-                     *_factorize([r.label for r in rows]), strengths, spec)
-    uniforms = _uniforms(table, ctx)
-    keys, order_keys = _keys(spec, strengths, uniforms)
+    table = CodedTable.from_ids([r.group_id for r in rows], [r.label for r in rows], strengths)
+    group_digests, label_digests = _prepare(table, spec)
+    uniforms = _uniform(ctx.seed, ctx.replicate, 0, group_digests[table.group_codes],
+                        label_digests[table.label_codes])
+    keys, order_keys = _keys(spec, table.strengths, uniforms)
     return [
         KeyedRow(row, u, key, order_key)
         for row, u, key, order_key in zip(
@@ -536,9 +544,9 @@ def sample_replicates(
 ) -> Iterator[dict[str, GroupWinner]]:
     """Winner maps of replicates ``ctx.replicate .. ctx.replicate + n_replicates - 1``.
 
-    The table is checked and prepared when this is called: a bad strength
-    raises :class:`FamilyDomainError` naming its ``(group_id, label)``, a
-    repeated ``(group_id, label)`` raises ``ValueError``, and every
+    The table is checked and prepared when this is called: a repeated
+    ``(group_id, label)`` raises ``ValueError``, then a bad strength raises
+    :class:`FamilyDomainError` naming its ``(group_id, label)``, and every
     distinct id is digested once for all replicates.  The returned
     iterator then keys and reduces one replicate per step.
 
@@ -549,36 +557,14 @@ def sample_replicates(
     generated (used to replay externally keyed tables); every one must be
     finite.
     """
-    return sample_codes(*_factorize(group_ids), *_factorize(labels), strengths, spec, ctx,
-                        n_replicates, injected_keys)
+    table = CodedTable.from_ids(group_ids, labels, strengths, injected_keys)
+    return sample_codes(table, spec, ctx, n_replicates)
 
 
-def sample_codes(
-    group_codes: np.ndarray,
-    group_names: Sequence[str],
-    label_codes: np.ndarray,
-    label_names: Sequence[str],
-    strengths: np.ndarray,
-    spec: ModelSpec,
-    ctx: SeedContext,
-    n_replicates: int = 1,
-    injected_keys: np.ndarray | None = None,
-    check_duplicates: bool = True,
-) -> Iterator[dict[str, GroupWinner]]:
-    """:func:`sample_replicates` of a table given as exact integer codes.
-
-    Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
-    strengths[i])``, with distinct names, as :func:`code_ids` makes them.
-    A caller that has already rejected repeated (group, label) code pairs,
-    for instance with :func:`first_duplicate`, may pass
-    ``check_duplicates=False`` to skip the check's sort.
-    """
-    strengths = np.asarray(strengths, dtype=np.float64)
-    if injected_keys is not None:
-        injected_keys = np.asarray(injected_keys, dtype=np.float64)
-    table = _prepare(group_codes, group_names, label_codes, label_names, strengths, spec,
-                     injected_keys, check_duplicates)
-    return _races(table, spec, ctx, n_replicates)
+def sample_codes(table: CodedTable, spec: ModelSpec, ctx: SeedContext,
+                 n_replicates: int = 1) -> Iterator[dict[str, GroupWinner]]:
+    """:func:`sample_replicates` of a table already coded, as the CLI reads one."""
+    return _races(table, _prepare(table, spec), spec, ctx, n_replicates)
 
 
 def replicate_winners(

@@ -14,6 +14,7 @@ expected false-positive count under the null is 0.02).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,18 +328,17 @@ def check_dynamic_vs_scratch(
         spec = model_for(family)
         table = DynamicTable(spec, SeedContext(seed=base_seed))
         rng = np.random.default_rng(base_seed + 1009 * fam_index)
-        live: set[tuple[str, str]] = set()
+        live: list[tuple[str, str]] = []  # the live rows, kept sorted
         mismatches = 0
         for step in range(steps):
             if live and rng.random() < 0.3:
-                gid, label = sorted(live)[rng.integers(len(live))]
-                table.delete(gid, label)
-                live.discard((gid, label))
+                table.delete(*live.pop(rng.integers(len(live))))
             else:
-                gid = f"g{rng.integers(n_groups):03d}"
-                label = f"q{rng.integers(40):02d}"
-                table.upsert(gid, label, _random_stream_strength(rng, spec))
-                live.add((gid, label))
+                row = f"g{rng.integers(n_groups):03d}", f"q{rng.integers(40):02d}"
+                table.upsert(*row, _random_stream_strength(rng, spec))
+                at = bisect.bisect_left(live, row)
+                if live[at:at + 1] != [row]:
+                    live.insert(at, row)
             if step % check_every == check_every - 1 or step == steps - 1:
                 scratch = reduce_winners(table.snapshot_keyed_rows(), spec.orientation)
                 if scratch != table.winners():

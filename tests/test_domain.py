@@ -67,6 +67,8 @@ def test_library_entry_points_agree_on_the_strength_domain(family, s):
             [Row("g", "a", s), Row("g", "b", _valid(spec))], spec, ctx)),
         "replicate_winners": _outcome(lambda: replicate_winners(spec, ["a", "b"], strengths,
                                                                 3, 8)),
+        "generate_key": _outcome(lambda: generate_key(spec, strengths, np.full(2, 0.5))),
+        "generate_order_key": _outcome(lambda: generate_order_key(spec, s, 0.5)),
         "upsert": _outcome(upsert),
     }
     if _in_domain(spec, s):

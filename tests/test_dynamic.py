@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyrace import dynamic, stats
 from keyrace.dynamic import DynamicTable, RowNotFoundError, UpdateCase
 from keyrace.families import DegenerateWeightError, Family, ModelSpec
-from keyrace.sampler import SeedContext, _string_digest, derive_uniform, reduce_winners
+from keyrace.sampler import (
+    SeedContext,
+    _string_digest,
+    derive_uniform,
+    reduce_winners,
+    sample_arrays,
+)
 from keyrace.validation import (
     WORKED_EXAMPLE_WINNERS,
     check_dynamic_vs_scratch,
@@ -199,6 +207,38 @@ class TestScratchOracle:
         uniforms = {kr.row.label: kr.uniform for kr in table.snapshot_keyed_rows()}
         assert uniforms == {"a": derive_uniform(table.ctx, "g", "a", version=2),
                             "b": derive_uniform(table.ctx, "g", "b", version=1)}
+
+
+@st.composite
+def _replay_tables(draw):
+    """A table of every family and shape, strengths exactly 0.5/2.0/3.7 among them."""
+    spec = ModelSpec(draw(st.sampled_from(list(Family))),
+                     scale_c=draw(st.sampled_from([0.5, 1.0, 2.0, 3.7])))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(["g0", "g1", "g2", "g3"]),
+                                    st.text(max_size=4)),
+                          min_size=1, max_size=40, unique=True))
+    magnitudes = st.one_of(st.sampled_from([0.5, 2.0, 3.7]), st.floats(0.1, 5.0))
+    signs = st.sampled_from([spec.strength_sign] if spec.strength_sign else [1.0, -1.0])
+    strengths = [draw(signs) * draw(magnitudes) for _ in pairs]
+    return spec, [g for g, _ in pairs], [l for _, l in pairs], strengths
+
+
+@settings(max_examples=80, deadline=None)
+@given(_replay_tables(), st.integers(0, 2**64 - 1), st.integers(0, 3))
+def test_upsert_replay_equals_sample_arrays(table, seed, replicate):
+    """Each row upserted once into a fresh table gives sample_arrays' winners, key bits too."""
+    spec, groups, labels, strengths = table
+    ctx = SeedContext(seed, replicate)
+    replay = DynamicTable(spec, ctx)
+    for row in zip(groups, labels, strengths):
+        replay.upsert(*row)
+
+    def fields(winners):
+        return {g: (w.label, w.row_count, repr(w.key), repr(w.order_key))
+                for g, w in winners.items()}
+
+    assert fields(replay.winners()) == fields(
+        sample_arrays(groups, labels, np.asarray(strengths), spec, ctx))
 
 
 class TestDistributionalFreshness:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from keyrace import cli
 from keyrace.cli import CliParseError, read_table
+from keyrace.sampler import CodedTable
 
 
 class _BadByte(Exception):
@@ -98,7 +99,7 @@ def _outcome(read, path, inject_keys):
         table = read(path, inject_keys)
     except CliParseError as err:
         return "rejected", str(err)
-    if isinstance(table, cli.ParsedTable):
+    if isinstance(table, CodedTable):
         table = (table.group_ids, table.labels, table.strengths.tolist(),
                  None if table.keys is None else table.keys.tolist())
     group_ids, labels, strengths, keys = table

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyrace import sampler, stats
+from keyrace import cli, sampler, stats
 from keyrace.dynamic import DynamicTable
 from keyrace.families import (
     DegenerateWeightError,
@@ -21,6 +21,7 @@ from keyrace.families import (
     generate_order_key,
 )
 from keyrace.sampler import (
+    CodedTable,
     GroupWinner,
     KeyedRow,
     Row,
@@ -35,13 +36,13 @@ from keyrace.sampler import (
     assign_keys,
     code_ids,
     derive_uniform,
+    first_duplicate,
     merge_winner_maps,
     reduce_winners,
     replicate_uniforms,
     replicate_winners,
     sample,
     sample_arrays,
-    sample_codes,
     sample_replicates,
 )
 from keyrace.validation import WORKED_EXAMPLE_ROWS, WORKED_EXAMPLE_WINNERS
@@ -362,17 +363,54 @@ class TestInputContracts:
         with pytest.raises(ValueError, match=_DUP_MESSAGE):
             sample_replicates(*args, replicates, injected_keys=keys)
 
-    def test_sample_codes_checks_duplicates_unless_told_not_to(self):
+    def test_coded_table_rejects_duplicates(self):
         groups, labels = {}, {}
         codes = (code_ids(_DUP_GROUPS, groups), list(groups),
                  code_ids(_DUP_LABELS, labels), list(labels))
-        spec = ModelSpec(Family.GUMBEL1)
         with pytest.raises(ValueError, match=_DUP_MESSAGE):
-            sample_codes(*codes, np.ones(5), spec, SeedContext(0))
-        # a caller that checked the pairs itself skips the sort; the race still runs
-        (winners,) = sample_codes(*codes, np.ones(5), spec, SeedContext(0),
-                                  check_duplicates=False)
-        assert sorted(winners) == sorted(set(_DUP_GROUPS))
+            CodedTable(*codes, np.ones(5))
+
+    @pytest.mark.parametrize("n_strengths", [1, 3])
+    def test_columns_of_unequal_length_rejected(self, n_strengths):
+        # an extra strength used to be dropped without a word
+        with pytest.raises(ValueError, match="one length"):
+            sample_arrays(["g", "g"], ["a", "b"], np.ones(n_strengths),
+                          ModelSpec(Family.GUMBEL1), SeedContext(0))
+
+    def test_duplicate_row_rejected_before_a_bad_strength(self, tmp_path, capsys):
+        # the repeated pair comes after the wrong-sign strength in file order
+        groups, labels, strengths = ["g", "g", "g"], ["a", "b", "a"], [1.0, -1.0, 2.0]
+        spec, ctx = ModelSpec(Family.CANONICAL), SeedContext(0)
+        rows = [Row(*r) for r in zip(groups, labels, strengths)]
+        message = r"duplicate row \(group_id='g', label='a'\)"
+        for call in (lambda: sample_arrays(groups, labels, strengths, spec, ctx),
+                     lambda: sample(rows, spec, ctx), lambda: assign_keys(rows, spec, ctx)):
+            with pytest.raises(ValueError, match=message) as err:
+                call()
+            assert not isinstance(err.value, FamilyDomainError)
+        path = tmp_path / "t.csv"
+        path.write_text("ID,QUAL,Strength\ng,a,1.0\ng,b,-1.0\ng,a,2.0\n")
+        assert cli.main(["sample", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 4: duplicate row (g,a)\n"
+
+    def test_duplicates_are_looked_for_once_per_call(self, tmp_path, capsys):
+        groups, labels = ["g", "g", "h"], ["a", "b", "a"]
+        path = tmp_path / "t.csv"
+        path.write_text("ID,QUAL,Strength\n" + "".join(f"{g},{l},1.0\n"
+                                                       for g, l in zip(groups, labels)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return first_duplicate(*args)
+
+        with mock.patch.object(sampler, "first_duplicate", counted):
+            assert cli.main(["sample", "--replicates", "3", str(path)]) == 0
+            assert len(calls) == 1
+            spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
+            maps = list(sample_replicates(groups, labels, np.ones(3), spec, ctx, 3))
+            assert len(maps) == 3 and len(calls) == 2
+        assert len(capsys.readouterr().out.splitlines()) == 3 * 2
 
     @pytest.mark.parametrize("entry", [sample, assign_keys])
     def test_duplicate_row_rejected_by_row_entry_points(self, entry):
