@@ -120,12 +120,17 @@ def _plain(block: bytes) -> bool:
 
 
 def _floats(fields: list[str]) -> tuple[list[float], int | None]:
-    """``float`` of the fields up to the first that is not a number, and its index."""
+    """``float`` of the fields up to the first that is not a number, and its index.
+
+    That field's value is a NaN placeholder, so a column cut after it has
+    one value per field.
+    """
     values: list[float] = []
     try:
         values.extend(map(float, fields))
     except ValueError:
-        return values, len(values)
+        values.append(np.nan)
+        return values, len(values) - 1
     return values, None
 
 
@@ -262,7 +267,7 @@ class _CsvReader:
         if self.inject_keys:
             keys, bad = _floats(columns[3][:n])
             message = f"bad {_KEY_COLUMN} value {columns[3][bad]!r}" if bad is not None else ""
-            nonfinite = np.flatnonzero(~np.isfinite(keys))
+            nonfinite = np.flatnonzero(~np.isfinite(keys[:bad]))  # not the placeholder
             if nonfinite.size:  # all before the first unparsed key
                 bad, message = int(nonfinite[0]), f"non-finite {_KEY_COLUMN} value"
             if bad is not None and (bad_strength is None or bad < bad_strength):

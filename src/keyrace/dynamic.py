@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from .families import ModelSpec, _check_strengths, _keys
+from .families import ModelSpec, _check_strengths, _row_keys
 from .sampler import (
     GroupWinner,
     KeyedRow,
@@ -152,8 +150,7 @@ class DynamicTable:
         version = self._versions.get((group_id, label), -1) + 1
         self._versions[(group_id, label)] = version
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
-        # keyed as a 1-element array, as generate_key keys a Python float
-        key, order_key = (float(k[0]) for k in _keys(self.spec, s.reshape(1), np.full(1, u)))
+        key, order_key = _row_keys(self.spec, s, u)
         group = self._rows.setdefault(group_id, {})
         is_new_row = label not in group
         group[label] = _RowState(strength, u, key, order_key)

@@ -39,9 +39,15 @@ Every entry point that takes a ``ModelSpec`` accepts the same strengths
 (:func:`first_invalid_strength`): finite, > 0 for ``canonical`` and
 ``expmin``, and of the sign of ``d`` for the multiplicative families, so
 ``frechet2`` strengths must be > 0 and ``negexp`` strengths < 0 (0 is a
-zero-mass weight).  Only the raw ``key_*`` functions race ``abs(s)``.
+zero-mass weight).  Each ``key_*`` function is :func:`generate_key` (or
+:func:`generate_order_key`) of a one-off ``ModelSpec``, with ``scale_c=c``
+where it takes a ``c``, so its errors name the family and ``c`` must be a
+scalar; ``key_frechet2`` and ``key_negexp`` pass ``+|s|`` and ``-|s|``, so
+they race ``abs(s)``.
 
 All key functions accept scalars or numpy arrays and evaluate in float64.
+A scalar strength and uniform are keyed as 1-element arrays, so they get
+the bits the columnar core gives the same row.
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ def _as_float_array(x) -> np.ndarray:
 
 def _check_uniform(u) -> np.ndarray:
     arr = _as_float_array(u)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
         raise FamilyDomainError("uniform draw must lie in the open interval (0, 1)")
     return arr
 
@@ -158,44 +164,8 @@ def _check_positive(value, name: str) -> np.ndarray:
     return arr
 
 
-def _check_finite_strength(strength) -> np.ndarray:
-    arr = _as_float_array(strength)
-    if not np.all(np.isfinite(arr)):
-        raise FamilyDomainError("strength must be finite")
-    return arr
-
-
-def _check_nonzero_strength(strength) -> np.ndarray:
-    arr = _as_float_array(strength)
-    if np.any(arr == 0.0):
-        raise DegenerateWeightError(
-            "strength 0 would give the outcome zero mass; omit the row instead"
-        )
-    return _check_finite_strength(arr)
-
-
 def _maybe_scalar(arr: np.ndarray, scalar_in: bool):
     return float(arr) if scalar_in else arr
-
-
-def _checked_key(kernel: Callable, s: np.ndarray, c, u, scalar: bool):
-    """``kernel(s, c, u)`` on checked operands.
-
-    A single row is keyed as a 1-element array, so it gets the bits the
-    columnar core gives the same row (see :class:`_Law`).
-    """
-    uu = _check_uniform(u)
-    if scalar:
-        return float(kernel(s.reshape(1), c, uu.reshape(1))[0])
-    return kernel(s, c, uu)
-
-
-def _raw_key(family: Family, strength, c, u, order: bool = False):
-    """The family's key (or order key) kernel behind its ``key_*`` function's checks."""
-    law = _LAWS[family]
-    cc = _check_positive(c, "c") if law.scaled else None
-    return _checked_key(law.order_key if order else law.key, law.raw_strength(strength), cc, u,
-                        np.isscalar(strength) and np.isscalar(u))
 
 
 def key_canonical(alpha, u):
@@ -203,7 +173,7 @@ def key_canonical(alpha, u):
 
     Strictly increasing in ``u``; lies in (0, 1).
     """
-    return _raw_key(Family.CANONICAL, alpha, None, u)
+    return generate_key(ModelSpec(Family.CANONICAL), alpha, u)
 
 
 def log_key_canonical(alpha, u):
@@ -213,27 +183,27 @@ def log_key_canonical(alpha, u):
     the same winner while staying far from the underflow range that
     ``u**(1/alpha)`` hits for small ``alpha``.
     """
-    return _raw_key(Family.CANONICAL, alpha, None, u, order=True)
+    return generate_order_key(ModelSpec(Family.CANONICAL), alpha, u)
 
 
 def key_gumbel1(strength, c, u):
     """Additive key ``strength - c*log(-log(u))`` (shifted Gumbel noise)."""
-    return _raw_key(Family.GUMBEL1, strength, c, u)
+    return generate_key(ModelSpec(Family.GUMBEL1, scale_c=c), strength, u)
 
 
 def key_frechet2(strength, c, u):
     """Multiplicative key ``|strength| * (-log(u))**(-c)``; always positive."""
-    return _raw_key(Family.FRECHET2, strength, c, u)
+    return generate_key(ModelSpec(Family.FRECHET2, scale_c=c), np.abs(strength), u)
 
 
 def key_negexp(strength, c, u):
     """Multiplicative key ``-|strength| * (-log(u))**c``; always negative."""
-    return _raw_key(Family.NEGEXP, strength, c, u)
+    return generate_key(ModelSpec(Family.NEGEXP, scale_c=c), -np.abs(strength), u)
 
 
 def key_expmin(alpha, u):
     """Exponential-race key ``-log(u)/alpha``; the group argmin wins."""
-    return _raw_key(Family.EXPMIN, alpha, None, u)
+    return generate_key(ModelSpec(Family.EXPMIN), alpha, u)
 
 
 # The ways a strength can leave a family's domain: (vectorised test it
@@ -253,21 +223,18 @@ class _Law:
 
     ``key`` and ``order_key`` are kernels ``(strength, c, u) -> key`` with
     no argument checks, for strengths in the domain and uniforms in (0, 1).
-    They use their operands as given.  numpy's power on 0-d operands can
-    differ in the last bit from the 1-d result, so a single row is keyed
-    as a 1-element array, never as 0-d ones.
+    They use their operands as given; a single row is keyed through
+    :func:`_row_keys`.
     """
 
     strength_sign: float  # the sign every strength must have; 0.0: any finite strength
     rules: tuple  # the strength domain: the rules above, checked in this order
     to_alpha: Callable  # (spec, strength) -> weight
     from_alpha: Callable  # (spec, weight) -> strength
-    raw_strength: Callable  # the key_* function's strength check (frechet2/negexp: abs)
     key: Callable
     order_key: Callable | None = None  # the ranking kernel; None: ``key`` itself
     orientation: Orientation = Orientation.MAX
     offset_d: float = 0.0  # the default offset
-    scaled: bool = True  # the kernels use c, so the key_* function takes and checks it
     scale_positive: bool = True  # ModelSpec: scale_c must be > 0
     offset_rule: tuple[Callable, str] | None = None  # ModelSpec: offset_d test and message
 
@@ -280,28 +247,22 @@ def _weight(spec, x):
     return x.astype(np.float64)
 
 
-def _check_alpha(alpha) -> np.ndarray:
-    return _check_positive(alpha, "alpha")
-
-
 _LAWS = {
     Family.CANONICAL: _Law(
         strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
-        raw_strength=_check_alpha, key=lambda s, c, u: u ** (1.0 / s),
-        order_key=lambda s, c, u: np.log(u) / s, scaled=False,
+        key=lambda s, c, u: u ** (1.0 / s), order_key=lambda s, c, u: np.log(u) / s,
     ),
     Family.GUMBEL1: _Law(
         strength_sign=0.0, rules=(_FINITE,),
         to_alpha=lambda spec, s: np.exp((s - spec.offset_d) / spec.scale_c),
         from_alpha=lambda spec, a: spec.scale_c * np.log(a) + spec.offset_d,
-        raw_strength=_check_finite_strength, key=lambda s, c, u: s - c * np.log(-np.log(u)),
+        key=lambda s, c, u: s - c * np.log(-np.log(u)),
     ),
     Family.FRECHET2: _Law(
         strength_sign=1.0,
         rules=(_FINITE, _MASS, (lambda s: s > 0.0, FamilyDomainError, _SIGN_OF_D)),
         to_alpha=lambda spec, s: (s / spec.offset_d) ** (1.0 / spec.scale_c),
         from_alpha=lambda spec, a: spec.offset_d * a ** spec.scale_c,
-        raw_strength=lambda s: np.abs(_check_nonzero_strength(s)),
         key=lambda s, c, u: s * (-np.log(u)) ** (-c),
         offset_d=1.0,
         offset_rule=(lambda d: d > 0, "frechet2 records positive strengths: offset_d must be > 0"),
@@ -311,15 +272,13 @@ _LAWS = {
         rules=(_FINITE, _MASS, (lambda s: s < 0.0, FamilyDomainError, _SIGN_OF_D)),
         to_alpha=lambda spec, s: (s / spec.offset_d) ** (-1.0 / spec.scale_c),
         from_alpha=lambda spec, a: spec.offset_d * a ** (-spec.scale_c),
-        raw_strength=lambda s: -np.abs(_check_nonzero_strength(s)),
         key=lambda s, c, u: s * (-np.log(u)) ** c,
         offset_d=-1.0,
         offset_rule=(lambda d: d < 0, "negexp records negative strengths: offset_d must be < 0"),
     ),
     Family.EXPMIN: _Law(
         strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
-        raw_strength=_check_alpha, key=lambda s, c, u: -np.log(u) / s,
-        orientation=Orientation.MIN, scaled=False, scale_positive=False,
+        key=lambda s, c, u: -np.log(u) / s, orientation=Orientation.MIN, scale_positive=False,
     ),
 }
 
@@ -388,11 +347,24 @@ def alpha_to_strength(spec: ModelSpec, alpha):
     return _maybe_scalar(_LAWS[spec.family].from_alpha(spec, a), scalar)
 
 
+def _row_keys(spec: ModelSpec, strength: np.ndarray, u) -> tuple[float, float]:
+    """``(key, order_key)`` of one row whose strength and uniform are checked.
+
+    numpy's power on 0-d operands can differ in the last bit from the 1-d
+    result, so the row is keyed as 1-element arrays, never as 0-d ones,
+    and gets the bits the columnar core gives the same row.
+    """
+    key, order_key = _keys(spec, strength.reshape(1), np.full(1, u, dtype=np.float64))
+    return float(key[0]), float(order_key[0])
+
+
 def _spec_key(spec: ModelSpec, strength, u, order: bool):
+    s, uu = _check_strengths(spec, strength), _check_uniform(u)
+    if np.isscalar(strength) and np.isscalar(u):
+        key, order_key = _row_keys(spec, s, uu)
+        return order_key if order else key
     law = _LAWS[spec.family]
-    return _checked_key(law.order_key if order else law.key, _check_strengths(spec, strength),
-                        np.asarray(spec.scale_c, np.float64), u,
-                        np.isscalar(strength) and np.isscalar(u))
+    return (law.order_key if order else law.key)(s, np.asarray(spec.scale_c, np.float64), uu)
 
 
 def generate_key(spec: ModelSpec, strength, u):

@@ -128,11 +128,9 @@ def _string_digests(strings: Sequence[str]) -> np.ndarray:
     ``S{8w}`` buffer viewed as little-endian words; word j is absorbed
     only into rows whose true byte length reaches it.  Lengths come from
     the encoded bytes, never from numpy, which strips trailing NULs.
+    Every string must be a ``str``, as :class:`CodedTable` checks.
     """
-    try:
-        data = list(map(str.encode, strings))
-    except TypeError:
-        raise _str_type_error(next(s for s in strings if not isinstance(s, str))) from None
+    data = list(map(str.encode, strings))
     lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
     out = _mix64_array(np.uint64(_GOLDEN) ^ lengths.astype(np.uint64))
     n_words = (lengths + 7) >> 3
@@ -238,7 +236,9 @@ class CodedTable:
     strengths[i])``, with distinct names, as :func:`code_ids` makes them.
     ``keys``, when given, are injected keys that stand in for generated
     ones.  Building a table that repeats a pair raises ``ValueError``
-    naming the first repeat, so a table once built is never checked again.
+    naming the first repeat, and then one with a name that is not a
+    ``str`` raises ``TypeError``, so a table once built is never checked
+    again.
     """
 
     group_codes: np.ndarray
@@ -259,6 +259,10 @@ class CodedTable:
         dup = first_duplicate(self.group_codes, self.label_codes, len(self.label_names))
         if dup is not None:
             raise ValueError("duplicate row (group_id={!r}, label={!r})".format(*self.row(dup)))
+        not_str = [s for names in (self.group_names, self.label_names) for s in names
+                   if not isinstance(s, str)]
+        if not_str:
+            raise _str_type_error(not_str[0])
 
     @classmethod
     def from_ids(cls, group_ids: Sequence[str], labels: Sequence[str], strengths,

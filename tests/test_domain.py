@@ -16,6 +16,12 @@ from keyrace.families import (
     first_invalid_strength,
     generate_key,
     generate_order_key,
+    key_canonical,
+    key_expmin,
+    key_frechet2,
+    key_gumbel1,
+    key_negexp,
+    log_key_canonical,
     strength_to_alpha,
 )
 from keyrace.sampler import (
@@ -131,10 +137,23 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def _key_functions(spec):
+    """The spec-less ``key_*`` functions of ``spec``'s family as ``(key, order_key)`` of (s, u)."""
+    c = spec.scale_c
+    return {
+        Family.CANONICAL: (key_canonical, log_key_canonical),
+        Family.GUMBEL1: (lambda s, u: key_gumbel1(s, c, u),) * 2,
+        Family.FRECHET2: (lambda s, u: key_frechet2(s, c, u),) * 2,
+        Family.NEGEXP: (lambda s, u: key_negexp(s, c, u),) * 2,
+        Family.EXPMIN: (key_expmin,) * 2,
+    }[spec.family]
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("spec, strength", _shape_specs())
 def test_key_paths_keep_their_operand_shapes(spec, strength):
-    """DynamicTable, generate_key and sample_arrays give a row the same bits.
+    """DynamicTable, generate_key, the key_* functions and sample_arrays give
+    a row the same bits.
 
     numpy's power on 0-d operands differs in the last bit from the 1-d
     result for about 5% of uniforms when the exponent is 0.5 or 2.0, so
@@ -163,6 +182,18 @@ def test_key_paths_keep_their_operand_shapes(spec, strength):
     order_keys = generate_order_key(spec, np.asarray(strengths), np.asarray(uniforms))
     np.testing.assert_array_equal(_bits(keys), _bits([k for k, _ in scalar]))
     np.testing.assert_array_equal(_bits(order_keys), _bits([o for _, o in scalar]))
+    key_fn, order_key_fn = _key_functions(spec)
+    # key_frechet2 and key_negexp race |s|, so either sign gives the spec's keys
+    signs = (1.0, -1.0) if spec.family in (Family.FRECHET2, Family.NEGEXP) else (1.0,)
+    for s in (sign * strength for sign in signs):
+        np.testing.assert_array_equal(_bits([key_fn(s, u) for u in uniforms]), _bits(keys))
+        np.testing.assert_array_equal(_bits([order_key_fn(s, u) for u in uniforms]),
+                                      _bits(order_keys))
+        np.testing.assert_array_equal(_bits(key_fn(np.full(len(uniforms), s), uniforms)),
+                                      _bits(keys))
+        np.testing.assert_array_equal(
+            _bits(order_key_fn(np.full(len(uniforms), s), np.asarray(uniforms))),
+            _bits(order_keys))
     at = {(g, l): i for i, (g, l) in enumerate(zip(groups, labels))}
     won = [at[w.group_id, w.label] for w in winners.values()]
     np.testing.assert_array_equal(_bits([w.key for w in winners.values()]), _bits(keys[won]))

@@ -5,6 +5,7 @@ Reference values marked "frozen" were computed independently with
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ class TestExpMin:
     def test_bad_alpha(self):
         with pytest.raises(FamilyDomainError):
             key_expmin(-2.0, 0.5)
+
+
+@pytest.mark.parametrize("key, args, message", [
+    (key_canonical, (0.0, 0.5), "canonical: strength is the weight itself and must be positive"),
+    (log_key_canonical, (-1.0, 0.5), "canonical: strength is the weight itself"),
+    (key_gumbel1, (math.nan, 1.0, 0.5), "gumbel1: strength must be finite, got nan"),
+    (key_frechet2, (math.inf, 1.0, 0.5), "frechet2: strength must be finite, got inf"),
+    (key_negexp, (-0.0, 1.0, 0.5), "negexp: strength 0 would give the outcome zero mass"),
+    (key_expmin, (np.array([1.0, -2.0]), 0.5), "expmin: strength is the weight itself"),
+    (key_gumbel1, (0.0, -1.0, 0.5), "scale_c must be positive for gumbel1, got -1.0"),
+])
+def test_key_functions_carry_the_spec_messages(key, args, message):
+    with pytest.raises(FamilyDomainError, match=re.escape(message)):
+        key(*args)
+
+
+@pytest.mark.parametrize("key", [key_gumbel1, key_frechet2, key_negexp])
+@pytest.mark.parametrize("strength", [2.0, np.array([2.0, 3.0])], ids=["scalar", "array"])
+def test_array_scale_rejected(key, strength):
+    # c is a ModelSpec's scale_c: one number for every row, never one per row
+    with pytest.raises(TypeError):
+        key(strength, np.array([1.0, 2.0]), 0.5)
 
 
 class TestStrengthToAlpha:

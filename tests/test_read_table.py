@@ -220,3 +220,27 @@ def test_nul_is_read_as_csv_reader_reads_it(tmp_path, raw, line):
         outcome = _outcome(read_table, str(path), False)
         assert outcome == ("rejected", f"line {line}: line contains NUL")
         assert outcome == _outcome(oracle_read_table, str(path), False)
+
+
+@pytest.mark.parametrize("raw, inject, message", [
+    (b"ID,QUAL,Strength\ng1,a,1\ng1,b,x\n", False, "line 3: bad Strength value 'x'"),
+    (b'ID,QUAL,Strength\ng1,a,1\n"g1",b,x\n', False, "line 3: bad Strength value 'x'"),
+    (b"ID,QUAL,Strength,KEY\ng1,a,1,0.5\ng1,b,2,x\n", True, "line 3: bad KEY value 'x'"),
+    (b"ID,QUAL,Strength,KEY\ng1,a,1,0.5\ng1,b,2,inf\n", True, "line 3: non-finite KEY value"),
+    (b"ID,QUAL,Strength,KEY\ng1,a,1,0.5\ng1,b,x,y\n", True, "line 3: bad Strength value 'x'"),
+    (b"ID,QUAL,Strength,KEY\ng1,a,1,y\ng1,b,x,0.5\n", True, "line 2: bad KEY value 'y'"),
+], ids=["strength", "strength-csv", "key", "non-finite-key", "strength-then-key",
+        "key-then-strength"])
+def test_a_bad_field_leaves_every_batch_one_length(tmp_path, raw, inject, message):
+    """Every batch the reader took has as many strengths (and keys) as codes."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    reader = cli._CsvReader(inject)
+    with open(path, "rb") as fh, pytest.raises(CliParseError) as err:
+        reader.read(fh)
+    assert str(err.value) == message
+    columns = [reader.group_codes, reader.label_codes, reader.strengths]
+    if inject:
+        columns.append(reader.keys)
+    lengths = [[len(batch) for batch in column] for column in columns]
+    assert lengths == [lengths[0]] * len(columns), lengths

@@ -340,12 +340,16 @@ class TestInputContracts:
             )
 
     @pytest.mark.parametrize("bad_id", [7, b"g"])
-    @pytest.mark.parametrize("entry", ["sample", "sample_arrays", "derive_uniform", "upsert"])
+    @pytest.mark.parametrize("entry", ["sample", "sample_arrays", "derive_uniform", "upsert",
+                                       "injected_keys"])
     def test_non_str_ids_rejected(self, entry, bad_id):
         spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
         calls = {
             "sample": lambda: sample([Row(bad_id, "a", 1.0)], spec, ctx),
             "sample_arrays": lambda: sample_arrays(["g"], [bad_id], [1.0], spec, ctx),
+            # injected keys take no digests, so the table itself checks its ids
+            "injected_keys": lambda: sample_arrays([bad_id, "g"], ["a", "b"], [1.0, 2.0], spec,
+                                                   ctx, injected_keys=[1.0, 2.0]),
             "derive_uniform": lambda: derive_uniform(ctx, "g", bad_id),
             "upsert": lambda: DynamicTable(spec, ctx).upsert(bad_id, "a", 1.0),
         }
