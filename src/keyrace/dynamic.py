@@ -1,9 +1,10 @@
 """Incremental winner maintenance under streaming upserts and deletes.
 
 The static sampler recomputes every group from scratch.  When the row set
-drifts over time, almost all of that work is avoidable: alongside the
-rows we keep each group's current winner, and an update touches more than
-one stored value only when it *has* to.
+drifts over time, almost all of that work is avoidable: each row is
+stored with its key, so beside the rows we keep only each group's winning
+label, and an update touches more than one stored value only when it
+*has* to.
 
 For an upsert of ``(group, label, strength)`` whose freshly drawn key is
 ``k`` and whose group currently has winner ``w``:
@@ -41,6 +42,7 @@ from .sampler import (
     Row,
     SeedContext,
     _beats,
+    _check_order_key,
     _fold,
     _string_digest,
     _uniform,
@@ -93,14 +95,16 @@ class DynamicTable:
 
     After every public operation, ``winners()[g]`` equals the from-scratch
     reduction of group ``g``'s stored rows under the sampler's comparator;
-    there is no deferred state.
+    there is no deferred state.  A winner is built from its stored row and
+    its group's row count when it is read, so neither can go stale.
     """
 
     def __init__(self, spec: ModelSpec, ctx: SeedContext) -> None:
         self.spec = spec
         self.ctx = ctx
         self._rows: dict[str, dict[str, _RowState]] = {}
-        self._winners: dict[str, GroupWinner] = {}
+        # each group's winning label; its key and the group's size are read from the rows
+        self._best: dict[str, str] = {}
         # survives deletion so a re-inserted row never replays an old draw
         self._versions: dict[tuple[str, str], int] = {}
         # the digest of every group id and label seen, so no upsert digests a string again
@@ -113,28 +117,36 @@ class DynamicTable:
         return iter(self._rows)
 
     def winners(self) -> dict[str, GroupWinner]:
-        return dict(self._winners)
+        return {gid: self.winner(gid) for gid in self._best}
 
     def winner(self, group_id: str) -> GroupWinner | None:
-        return self._winners.get(group_id)
+        label = self._best.get(group_id)
+        if label is None:
+            return None
+        rows = self._rows[group_id]
+        return GroupWinner(group_id, label, rows[label].key, len(rows), rows[label].order_key)
 
     def snapshot_keyed_rows(self) -> list[KeyedRow]:
         """Current rows with their stored keys, for scratch re-reduction."""
-        out = []
-        for gid, rows in self._rows.items():
-            for label, st in rows.items():
-                out.append(
-                    KeyedRow(Row(gid, label, st.strength), st.uniform, st.key, st.order_key)
-                )
-        return out
+        return [KeyedRow(Row(gid, label, st.strength), st.uniform, st.key, st.order_key)
+                for gid, rows in self._rows.items() for label, st in rows.items()]
 
-    def _rescan(self, group_id: str) -> tuple[GroupWinner, int]:
+    def _rescan(self, group_id: str) -> int:
+        """Settle a group's winning label by folding all its rows; returns the comparisons."""
         rows = self._rows[group_id]
         candidates = (GroupWinner(group_id, label, st.key, 1, st.order_key)
                       for label, st in rows.items())
-        winner = _fold(candidates, self.spec.orientation)[group_id]
-        self._winners[group_id] = winner
-        return winner, len(rows) - 1
+        self._best[group_id] = _fold(candidates, self.spec.orientation)[group_id].label
+        return len(rows) - 1
+
+    def _report(self, operation: str, group_id: str, label: str, case: UpdateCase,
+                comparisons: int) -> ChangeReport:
+        """The report of an operation whose case is decided: re-scan if it needs one."""
+        rescanned = case in (UpdateCase.WINNER_RESCAN, UpdateCase.DELETE_RESCAN)
+        if rescanned:
+            comparisons += self._rescan(group_id)
+        return ChangeReport(operation, group_id, label, case, rescanned, comparisons,
+                            self.winner(group_id))
 
     def _digest(self, s: str) -> int:
         digest = self._digests.get(s)
@@ -152,53 +164,23 @@ class DynamicTable:
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
         key, order_key = _row_keys(self.spec, s, u)
         group = self._rows.setdefault(group_id, {})
-        is_new_row = label not in group
+        best = self._best.get(group_id)
+        # read before the new row is stored: the incumbent may be this very row
+        incumbent = None if best is None else group[best]
         group[label] = _RowState(strength, u, key, order_key)
-        size = len(group)
-
-        incumbent = self._winners.get(group_id)
-        if incumbent is None:
-            winner = GroupWinner(group_id, label, key, size, order_key)
-            self._winners[group_id] = winner
-            return ChangeReport(
-                "upsert", group_id, label, UpdateCase.NEW_WINNER, False, 0, winner
-            )
-
-        comparisons = 1
-        if _beats(order_key, label, incumbent.order_key, incumbent.label, self.spec.orientation):
-            case = (
-                UpdateCase.WINNER_IMPROVED
-                if label == incumbent.label
-                else UpdateCase.NEW_WINNER
-            )
-            winner = GroupWinner(group_id, label, key, size, order_key)
-            self._winners[group_id] = winner
-            return ChangeReport("upsert", group_id, label, case, False, comparisons, winner)
-
-        if label != incumbent.label:
-            # losing key, winner untouched; only the row count may change
-            winner = (
-                GroupWinner(group_id, incumbent.label, incumbent.key, size, incumbent.order_key)
-                if is_new_row
-                else incumbent
-            )
-            self._winners[group_id] = winner
-            return ChangeReport(
-                "upsert", group_id, label, UpdateCase.LOSES_TO_WINNER, False, comparisons, winner
-            )
-
-        # the winner row itself was re-keyed downwards: its stored maximum
-        # is stale and only a scan of this group can settle the new winner
-        winner, scan_cmp = self._rescan(group_id)
-        return ChangeReport(
-            "upsert",
-            group_id,
-            label,
-            UpdateCase.WINNER_RESCAN,
-            True,
-            comparisons + scan_cmp,
-            winner,
-        )
+        if incumbent is None or _beats(order_key, label, incumbent.order_key, best,
+                                       self.spec.orientation):
+            case = UpdateCase.WINNER_IMPROVED if label == best else UpdateCase.NEW_WINNER
+            self._best[group_id] = label
+        elif label != best:
+            # losing key, winner untouched
+            case = UpdateCase.LOSES_TO_WINNER
+        else:
+            # the winner row itself was re-keyed downwards: its stored maximum
+            # is stale and only a scan of this group can settle the new winner
+            case = UpdateCase.WINNER_RESCAN
+        # a new group's first row is compared with nothing
+        return self._report("upsert", group_id, label, case, 0 if incumbent is None else 1)
 
     def delete(self, group_id: str, label: str) -> ChangeReport:
         """Remove one row; re-scan only if it held the group's winner."""
@@ -206,47 +188,30 @@ class DynamicTable:
         if group is None or label not in group:
             raise RowNotFoundError(f"no row (group_id={group_id!r}, label={label!r})")
         del group[label]
-        incumbent = self._winners[group_id]
-        comparisons = 1  # the identity check against the stored winner
-
         if not group:
             del self._rows[group_id]
-            del self._winners[group_id]
-            return ChangeReport(
-                "delete", group_id, label, UpdateCase.GROUP_REMOVED, False, comparisons, None
-            )
-
-        if label != incumbent.label:
-            winner = GroupWinner(
-                group_id, incumbent.label, incumbent.key, len(group), incumbent.order_key
-            )
-            self._winners[group_id] = winner
-            return ChangeReport(
-                "delete", group_id, label, UpdateCase.DELETE_NONWINNER, False, comparisons, winner
-            )
-
-        winner, scan_cmp = self._rescan(group_id)
-        return ChangeReport(
-            "delete",
-            group_id,
-            label,
-            UpdateCase.DELETE_RESCAN,
-            True,
-            comparisons + scan_cmp,
-            winner,
-        )
+            del self._best[group_id]
+            case = UpdateCase.GROUP_REMOVED
+        elif label != self._best[group_id]:
+            case = UpdateCase.DELETE_NONWINNER
+        else:
+            case = UpdateCase.DELETE_RESCAN
+        return self._report("delete", group_id, label, case, 1)  # 1: the check against the winner
 
     def ingest_keyed(self, keyed: Iterable[KeyedRow]) -> None:
         """Load rows whose keys were produced elsewhere (no redraw).
 
         Versions are recorded as 0; later upserts of the same rows redraw
-        from version 1 as usual.
+        from version 1 as usual.  A NaN order key raises
+        :class:`FamilyDomainError` before any row of the batch is stored.
         """
         keyed = list(keyed)
+        for kr in keyed:
+            _check_order_key(kr.order_key, kr.row.group_id, kr.row.label)
         for kr in keyed:
             gid, label = kr.row.group_id, kr.row.label
             group = self._rows.setdefault(gid, {})
             group[label] = _RowState(kr.row.strength, kr.uniform, kr.key, kr.order_key)
             self._versions.setdefault((gid, label), 0)
-        for gid in {kr.row.group_id for kr in keyed}:
+        for gid in dict.fromkeys(kr.row.group_id for kr in keyed):  # first-seen, not hash, order
             self._rescan(gid)

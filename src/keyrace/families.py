@@ -360,7 +360,7 @@ def _row_keys(spec: ModelSpec, strength: np.ndarray, u) -> tuple[float, float]:
 
 def _spec_key(spec: ModelSpec, strength, u, order: bool):
     s, uu = _check_strengths(spec, strength), _check_uniform(u)
-    if np.isscalar(strength) and np.isscalar(u):
+    if s.ndim == 0 and uu.ndim == 0:  # a scalar or 0-d array each: one row
         key, order_key = _row_keys(spec, s, uu)
         return order_key if order else key
     law = _LAWS[spec.family]

@@ -443,11 +443,25 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
         }
 
 
+def _check_order_key(order_key: float, group_id: str, label: str) -> None:
+    """Raise :class:`FamilyDomainError` on a NaN order key, which no total order can rank."""
+    if order_key != order_key:
+        raise FamilyDomainError(
+            f"order key must not be NaN (group_id={group_id!r}, label={label!r})"
+        )
+
+
 def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[str, GroupWinner]:
-    """Pairwise merge per group: better order_key, label tie-break, counts added."""
+    """Pairwise merge per group: better order_key, label tie-break, counts added.
+
+    A NaN order key raises :class:`FamilyDomainError`, so the merge is a
+    total order and its result does not depend on the candidates' order;
+    ±inf are ordinary extremes.
+    """
     merged: dict[str, GroupWinner] = {}
     for cand in candidates:
         gid = cand.group_id
+        _check_order_key(cand.order_key, gid, cand.label)
         inc = merged.get(gid)
         if inc is None:
             merged[gid] = cand
@@ -492,7 +506,8 @@ def reduce_winners(
 
     The pairwise merge (better order_key, label tie-break, counts added)
     is associative and commutative, so the result is independent of input
-    order and of any partitioning into sub-reductions.
+    order and of any partitioning into sub-reductions.  A NaN order key
+    raises :class:`FamilyDomainError` naming its ``(group_id, label)``.
     """
     return _fold(
         (GroupWinner(kr.row.group_id, kr.row.label, kr.key, 1, kr.order_key) for kr in keyed),
@@ -583,20 +598,24 @@ def replicate_winners(
 
     Equivalent to running :func:`sample` once per ``SeedContext(seed, r)``
     and recording the winner; replicates are independent because every
-    uniform is derived per (replicate, group, label).  Replicates are raced
-    in blocks of a fixed size (there is no ``chunk_elems`` knob), each
-    label's keys folded into the block's running best, so working memory
-    beside the result is O(block) whatever labels times replicates is.
+    uniform is derived per (replicate, group, label).  The rows are checked
+    as every table is: a repeated label or a ``strengths`` of another
+    length raises ``ValueError``, a label that is not a ``str`` raises
+    ``TypeError`` and a bad strength :class:`FamilyDomainError`.
+    Replicates are raced in blocks of a fixed size, each label's keys
+    folded into the block's running best, so working memory beside the
+    result is O(block) whatever labels times replicates is.
     """
     n = len(labels)
     if n == 0:
         raise ValueError("need at least one label")
-    s = _check_strengths(spec, strengths, lambda i: (group_id, str(labels[i])))
+    table = CodedTable.from_ids([group_id] * n, labels, strengths)
+    (group_digest,), label_digests = _prepare(table, spec)
+    s = table.strengths
     # ties break toward the smallest label: labels race in sorted order and
     # only a strictly better key takes the lead
     label_order = sorted(range(n), key=lambda i: labels[i])
-    group_digest = _string_digest(group_id)
-    label_digests = [_string_digest(labels[i]) for i in label_order]
+    label_digests = label_digests[label_order]
     better, extreme, worst = ((np.greater, np.maximum, -np.inf)
                               if spec.orientation is Orientation.MAX
                               else (np.less, np.minimum, np.inf))

@@ -153,7 +153,7 @@ def _key_functions(spec):
 @pytest.mark.parametrize("spec, strength", _shape_specs())
 def test_key_paths_keep_their_operand_shapes(spec, strength):
     """DynamicTable, generate_key, the key_* functions and sample_arrays give
-    a row the same bits.
+    a row the same bits, whether its operands are floats, 0-d or 1-d arrays.
 
     numpy's power on 0-d operands differs in the last bit from the 1-d
     result for about 5% of uniforms when the exponent is 0.5 or 2.0, so
@@ -176,6 +176,15 @@ def test_key_paths_keep_their_operand_shapes(spec, strength):
     np.testing.assert_array_equal(_bits([kr.key for kr in rows]), _bits([k for k, _ in scalar]))
     np.testing.assert_array_equal(_bits([kr.order_key for kr in rows]),
                                   _bits([o for _, o in scalar]))
+    # a 0-d array strength or uniform is one row too, keyed as a Python float is
+    for s0, to_u in ((np.asarray(strength), float), (strength, np.asarray),
+                     (np.asarray(strength), np.asarray)):
+        np.testing.assert_array_equal(
+            _bits([generate_key(spec, s0, to_u(u)) for u in uniforms]),
+            _bits([k for k, _ in scalar]))
+        np.testing.assert_array_equal(
+            _bits([generate_order_key(spec, s0, to_u(u)) for u in uniforms]),
+            _bits([o for _, o in scalar]))
 
     winners = sample_arrays(groups, labels, np.asarray(strengths), spec, ctx)
     keys = generate_key(spec, np.asarray(strengths), np.asarray(uniforms))
@@ -189,6 +198,11 @@ def test_key_paths_keep_their_operand_shapes(spec, strength):
         np.testing.assert_array_equal(_bits([key_fn(s, u) for u in uniforms]), _bits(keys))
         np.testing.assert_array_equal(_bits([order_key_fn(s, u) for u in uniforms]),
                                       _bits(order_keys))
+        np.testing.assert_array_equal(
+            _bits([key_fn(np.asarray(s), np.asarray(u)) for u in uniforms]), _bits(keys))
+        np.testing.assert_array_equal(
+            _bits([order_key_fn(np.asarray(s), np.asarray(u)) for u in uniforms]),
+            _bits(order_keys))
         np.testing.assert_array_equal(_bits(key_fn(np.full(len(uniforms), s), uniforms)),
                                       _bits(keys))
         np.testing.assert_array_equal(

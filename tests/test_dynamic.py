@@ -9,7 +9,10 @@ from keyrace import dynamic, stats
 from keyrace.dynamic import DynamicTable, RowNotFoundError, UpdateCase
 from keyrace.families import DegenerateWeightError, Family, ModelSpec
 from keyrace.sampler import (
+    KeyedRow,
+    Row,
     SeedContext,
+    _beats,
     _string_digest,
     derive_uniform,
     reduce_winners,
@@ -150,6 +153,14 @@ class TestWinnerLookup:
             "#4": ("YELLOW", 3.083588566),
         }
 
+    def test_ingest_keeps_first_seen_group_order(self):
+        # groups were settled in set order, so winners() came out in an
+        # order that changed with PYTHONHASHSEED
+        keyed = [KeyedRow(Row(f"g{i:02d}", "a", 1.0), 0.5, float(i)) for i in range(12, 0, -1)]
+        table = _table()
+        table.ingest_keyed(keyed)
+        assert list(table.winners()) == list(table.groups()) == [kr.row.group_id for kr in keyed]
+
 
 class TestCostAccounting:
     def test_case_ii_costs_one_comparison(self):
@@ -239,6 +250,71 @@ def test_upsert_replay_equals_sample_arrays(table, seed, replicate):
 
     assert fields(replay.winners()) == fields(
         sample_arrays(groups, labels, np.asarray(strengths), spec, ctx))
+
+
+@st.composite
+def _streams(draw):
+    """Upserts, re-upserts and deletes over a few rows, for every family.
+
+    scale_c = 1000 makes some frechet2 and negexp keys overflow to +-inf.
+    """
+    spec = ModelSpec(draw(st.sampled_from(list(Family))),
+                     scale_c=draw(st.sampled_from([0.5, 1.0, 2.0, 1000.0])))
+    signs = st.sampled_from([spec.strength_sign] if spec.strength_sign else [1.0, -1.0])
+    rows = st.tuples(st.sampled_from(["g0", "g1"]), st.sampled_from(["a", "b", "c", "d"]))
+    op = st.one_of(
+        st.tuples(st.just("upsert"), rows, st.builds(lambda sign, m: sign * m, signs,
+                                                     st.floats(0.1, 5.0))),
+        st.tuples(st.just("delete"), rows, st.none()),
+    )
+    return spec, draw(st.lists(op, min_size=1, max_size=60))
+
+
+def _expected_report(table, operation, group_id, label, before):
+    """The report an operation must give: from the winner before it, ``_beats``
+    on the row's new order key and the scratch reduction after it."""
+    rows = {kr.row.label: kr for kr in table.snapshot_keyed_rows() if kr.row.group_id == group_id}
+    after = reduce_winners(table.snapshot_keyed_rows(), table.spec.orientation).get(group_id)
+    if operation == "delete":
+        if not rows:
+            return UpdateCase.GROUP_REMOVED, False, 1, None
+        if label != before.label:
+            return UpdateCase.DELETE_NONWINNER, False, 1, after
+        return UpdateCase.DELETE_RESCAN, True, 1 + len(rows) - 1, after
+    if before is None:
+        return UpdateCase.NEW_WINNER, False, 0, after
+    if _beats(rows[label].order_key, label, before.order_key, before.label,
+              table.spec.orientation):
+        case = UpdateCase.WINNER_IMPROVED if label == before.label else UpdateCase.NEW_WINNER
+        return case, False, 1, after
+    if label != before.label:
+        return UpdateCase.LOSES_TO_WINNER, False, 1, after
+    return UpdateCase.WINNER_RESCAN, True, 1 + len(rows) - 1, after
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(_streams(), st.integers(0, 2**64 - 1))
+def test_every_report_matches_the_oracle(stream, seed):
+    """Each report's case, re-scan, cost and winner follow from the winner
+    before the operation and the rows after it."""
+    spec, ops = stream
+    table = DynamicTable(spec, SeedContext(seed))
+    for operation, (group_id, label), strength in ops:
+        live = {(kr.row.group_id, kr.row.label) for kr in table.snapshot_keyed_rows()}
+        if operation == "delete" and (group_id, label) not in live:
+            with pytest.raises(RowNotFoundError):
+                table.delete(group_id, label)
+            continue
+        before = table.winner(group_id)
+        if operation == "upsert":
+            report = table.upsert(group_id, label, strength)
+        else:
+            report = table.delete(group_id, label)
+        assert (report.operation, report.group_id, report.label) == (operation, group_id, label)
+        expected = _expected_report(table, operation, group_id, label, before)
+        assert (report.case, report.rescanned, report.comparisons, report.winner) == expected
+        assert table.winners() == reduce_winners(table.snapshot_keyed_rows(), spec.orientation)
 
 
 class TestDistributionalFreshness:

@@ -13,9 +13,32 @@ import keyrace
 _MODULES = sorted(m.name for m in pkgutil.iter_modules(keyrace.__path__)
                   if not m.name.startswith("_"))
 
-# imported only so that perfbench's traced runs can wrap them with spans:
-# run.py wraps sampler.generate_order_key and probe.py wraps cli.merge_winner_maps
-_KEPT_FOR_WRAPPING = {("sampler", "generate_order_key"), ("cli", "merge_winner_maps")}
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _wrapped_by_perfbench() -> set[tuple[str, str]]:
+    """Every ``(module, name)`` of a ``tracer.wrap(<module>, "<name>", ...)`` in perfbench.
+
+    Its traced runs replace ``keyrace.<module>.<name>`` with a span, so each
+    must exist, and an import kept only for that is not an unused one.
+    """
+    wrapped = set()
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "wrap" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "tracer"):
+                module, name = node.args[:2]
+                wrapped.add((module.id, name.value))
+    return wrapped
+
+
+def test_perfbench_wraps_names_that_exist():
+    wrapped = _wrapped_by_perfbench()
+    assert wrapped, "no tracer.wrap call found under perfbench/"
+    missing = [(module, name) for module, name in sorted(wrapped)
+               if not hasattr(importlib.import_module(f"keyrace.{module}"), name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", ["keyrace"] + [f"keyrace.{m}" for m in _MODULES])
@@ -41,5 +64,5 @@ def test_no_unused_imports(path):
         ):
             exported.update(ast.literal_eval(node.value))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    kept = {name for module, name in _KEPT_FOR_WRAPPING if module == path.stem}
+    kept = {name for module, name in _wrapped_by_perfbench() if module == path.stem}
     assert sorted(imported - used - exported - kept) == []

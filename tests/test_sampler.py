@@ -1,5 +1,6 @@
 """Derived randomness, key assignment, and the associative winner reduction."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -194,6 +195,37 @@ class TestReduceWinners:
             perm = rng.permutation(len(keyed))
             assert reduce_winners([keyed[i] for i in perm], Orientation.MAX) == expected
 
+    @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps", "ingest_keyed"])
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_merge_is_a_total_order(self, merge, orientation):
+        # NaN compares false both ways, so it would win or lose by input
+        # order; it is refused, while +-inf rank as ordinary extremes
+        def keyed(label, order_key):
+            return KeyedRow(Row("g", label, 1.0), 0.5, order_key)
+
+        def merged(rows):
+            if merge == "reduce_winners":
+                return reduce_winners(rows, orientation)
+            if merge == "merge_winner_maps":
+                maps = [reduce_winners([kr], orientation) for kr in rows]
+                return merge_winner_maps(maps, orientation)
+            family = Family.GUMBEL1 if orientation is Orientation.MAX else Family.EXPMIN
+            table = DynamicTable(ModelSpec(family), SeedContext(0))
+            try:
+                table.ingest_keyed(rows)
+            except FamilyDomainError:
+                assert len(table) == 0  # the batch is checked before any row is stored
+                raise
+            return table.winners()
+
+        ranked = [keyed("c", float("inf")), keyed("a", 1.0), keyed("b", float("-inf"))]
+        best = "c" if orientation is Orientation.MAX else "b"
+        for perm in itertools.permutations(ranked + [keyed("d", float("nan"))]):
+            with pytest.raises(FamilyDomainError, match=r"NaN \(group_id='g', label='d'\)"):
+                merged(list(perm))
+        for perm in itertools.permutations(ranked):
+            assert merged(list(perm))["g"].label == best
+
 
 def _random_rows(rng, n, n_groups, n_labels):
     assert n <= n_groups * n_labels, "not enough distinct (group,label) pairs"
@@ -380,6 +412,17 @@ class TestInputContracts:
         with pytest.raises(ValueError, match="one length"):
             sample_arrays(["g", "g"], ["a", "b"], np.ones(n_strengths),
                           ModelSpec(Family.GUMBEL1), SeedContext(0))
+
+    @pytest.mark.parametrize("labels, strengths, message", [
+        # a repeated label used to give the first one every win
+        (["a", "a"], [1.0, 2.0], r"duplicate row \(group_id='g', label='a'\)"),
+        # an extra strength used to be ignored, a missing one to raise IndexError
+        (["a", "b"], [1.0, 2.0, 3.0], "one length"),
+        (["a", "b", "c"], [1.0, 2.0], "one length"),
+    ], ids=["repeated-label", "extra-strength", "missing-strength"])
+    def test_replicate_winners_follows_the_table_contract(self, labels, strengths, message):
+        with pytest.raises(ValueError, match=message):
+            replicate_winners(ModelSpec(Family.CANONICAL), labels, strengths, 0, 10)
 
     def test_duplicate_row_rejected_before_a_bad_strength(self, tmp_path, capsys):
         # the repeated pair comes after the wrong-sign strength in file order
