@@ -6,7 +6,8 @@ sample    read a CSV table (header ``ID,QUAL,Strength``) and write one
           winner line per group, sorted by ID
 update    apply a line-oriented stream of ``UPSERT id,qual,strength`` /
           ``DELETE id,qual`` commands, reporting each group's winner and
-          the update case after every command
+          the update case after every command; each line is decoded on
+          its own, and one that is not UTF-8 is skipped with a warning
 validate  run the correctness battery (or per-group checks on an input
           file) and print ``CRITERION <name> PASS|FAIL p=<value>`` lines
 bench     time the key race against the alias and inverse-CDF baselines
@@ -17,10 +18,14 @@ into integer group and label codes, and :func:`read_table` returns the
 rows as one :class:`~keyrace.sampler.CodedTable`, the type the sampler
 races.  Building it rejects a repeated (ID, QUAL), which the reader then
 names with its line.  The sampler sorts the rows into groups once per
-call.
-``--replicates n`` (``sample``) prepares the table once and races it n
-times.  ``sample`` accepts ``--threads N`` and ignores it: every group
-is raced in one pass, whatever N is.  ``--quick`` belongs to
+call and yields each replicate's winners as columns of label codes and
+keys, one entry per group.  ``sample`` ranks the group ids once and
+writes each replicate with one join over precomputed ``[r,]ID,``
+prefixes and the winning labels, formatting keys only under
+``--with-key``.
+``--replicates n`` (``sample``; n >= 0) prepares the table once and
+races it n times.  ``sample`` accepts ``--threads N`` and ignores it:
+every group is raced in one pass, whatever N is.  ``--quick`` belongs to
 ``validate``.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
@@ -36,7 +41,7 @@ import io
 import itertools
 import sys
 import time
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
@@ -46,12 +51,10 @@ from .dynamic import DynamicTable, RowNotFoundError
 from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
     CodedTable,
-    GroupWinner,
     SeedContext,
     code_ids,
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
     sample_arrays,
-    sample_codes,
 )
 
 EXIT_OK = 0
@@ -83,6 +86,17 @@ def _model_from_args(args) -> ModelSpec:
     return ModelSpec(Family(args.model), scale_c=args.scale, offset_d=offset)
 
 
+def _replicate_count(text: str) -> int:
+    """``--replicates``: an int, 0 or more; argparse exits 2 on anything else."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _blocks(fh) -> Iterator[bytes]:
     """A binary file in blocks of whole lines."""
     while block := fh.read(_BLOCK_BYTES):
@@ -107,6 +121,12 @@ def _csv_lines(blocks: Iterable[bytes]) -> Iterator[str]:
         yield from io.StringIO(text, newline="")
         if invalid is not None:
             raise invalid
+
+
+def _stream_lines(stream) -> Iterator[bytes]:
+    """The lines of a binary stream, each cut at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    for chunk in stream:  # each chunk ends at a \n, so a \r\n is never cut in two
+        yield from chunk.splitlines()
 
 
 def _plain(block: bytes) -> bool:
@@ -325,12 +345,6 @@ def read_table(path: str, inject_keys: bool = False) -> CodedTable:
         return _CsvReader(inject_keys).read(fh)
 
 
-def _format_winner(w: GroupWinner, with_key: bool) -> str:
-    if with_key:
-        return f"{w.group_id},{w.label},{w.key!r}"
-    return f"{w.group_id},{w.label}"
-
-
 def emit_table(table: CodedTable, path: str) -> None:
     """Write a parsed table back out in the input format (round-trip aid)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -353,15 +367,24 @@ def cmd_sample(args) -> int:
 
     # read_table has rejected repeated rows, naming their lines; a bad
     # strength raises here, before any output
-    races = sample_codes(table, spec, SeedContext(seed=args.seed), args.replicates)
+    races = sampler._race_columns(table, spec, SeedContext(seed=args.seed), args.replicates)
+    # read_table codes the groups from their rows, so every group has a
+    # segment and segment g is group g; rank the ids once for every replicate
+    names = table.group_names
+    ranked = sorted(range(len(names)), key=names.__getitem__)
+    gid_prefixes = [names[g] + "," for g in ranked]
+    by_id = np.array(ranked, dtype=np.intp)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        multi = args.replicates > 1
         for replicate, winners in enumerate(races):
-            for gid in sorted(winners):
-                line = _format_winner(winners[gid], args.with_key)
-                print((f"{replicate}," if multi else "") + line, file=out)
+            prefixes = ([f"{replicate},{p}" for p in gid_prefixes] if args.replicates > 1
+                        else gid_prefixes)
+            labels = map(table.label_names.__getitem__, winners.label_codes[by_id].tolist())
+            lines = (map("{}{},{!r}".format, prefixes, labels, winners.keys[by_id].tolist())
+                     if args.with_key else map(add, prefixes, labels))
+            if ranked:
+                out.write("\n".join(lines) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -372,22 +395,26 @@ def cmd_update(args) -> int:
     spec = _model_from_args(args)
     table = DynamicTable(spec, SeedContext(seed=args.seed))
     warned = False
-    stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    stream = open(args.input, "rb") if args.input else sys.stdin.buffer
     try:
-        for line_no, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            verb, _, rest = line.partition(" ")
-            fields = [f.strip() for f in rest.split(",")]
+        for line_no, raw in enumerate(_stream_lines(stream), start=1):
             try:
+                text, invalid = _decode(raw)
+                if invalid is not None:
+                    raise invalid
+                line = text.strip()
+                if not line:
+                    continue
+                verb, _, rest = line.partition(" ")
+                fields = [f.strip() for f in rest.split(",")]
                 if verb.upper() == "UPSERT" and len(fields) == 3:
                     report = table.upsert(fields[0], fields[1], float(fields[2]))
                 elif verb.upper() == "DELETE" and len(fields) == 2:
                     report = table.delete(fields[0], fields[1])
                 else:
-                    raise CliParseError(f"malformed command {line!r}", line_no)
-            except (CliParseError, ValueError, RowNotFoundError, FamilyDomainError) as err:
+                    raise CliParseError(f"malformed command {line!r}")
+            except (CliParseError, _InvalidUtf8, ValueError, RowNotFoundError,
+                    FamilyDomainError) as err:
                 print(f"warning: line {line_no}: {err}", file=sys.stderr)
                 warned = True
                 continue
@@ -401,7 +428,7 @@ def cmd_update(args) -> int:
                     f"{rescan} cmp={report.comparisons}"
                 )
     finally:
-        if stream is not sys.stdin:
+        if stream is not sys.stdin.buffer:
             stream.close()
     return EXIT_STREAM if warned else EXIT_OK
 
@@ -557,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sample)
     p_sample.add_argument("--threads", type=int, default=1,
                           help="accepted and ignored: each group is raced in one pass")
-    p_sample.add_argument("--replicates", type=int, default=1,
+    p_sample.add_argument("--replicates", type=_replicate_count, default=1,
                           help="race the table n times; ids are digested once for all of them")
     p_sample.add_argument("input", help="CSV with header ID,QUAL,Strength")
     p_sample.add_argument("-o", "--output", default=None)

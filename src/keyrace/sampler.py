@@ -18,7 +18,14 @@ replicate.  Preparing checks the strengths and digests each distinct id
 once, in numpy.  The rows are then sorted once, stably, by group.  Only
 the uniforms, keys and the reduction depend on the replicate: each
 replicate takes every group's maximum with one segmented reduction and
-compares labels only in groups whose best keys tie exactly.
+compares labels only in groups whose best keys tie exactly.  Its result
+is columnar: per group that has a row, in group-code order, the winning
+label code, key, order key and row count.  The CLI writes those columns
+as they are; :func:`sample_codes`, :func:`sample_replicates` and
+:func:`sample_arrays` are thin adapters that turn each replicate's
+columns into a map from group id to :class:`GroupWinner`.  The pairwise
+fold behind :func:`reduce_winners` and :func:`merge_winner_maps` is the
+reference that the columnar race is tested against.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
@@ -32,7 +39,7 @@ the partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -398,24 +405,38 @@ def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
     return winners
 
 
+def _check_n_replicates(n_replicates: int) -> None:
+    if n_replicates < 0:
+        raise ValueError(f"n_replicates must be >= 0, got {n_replicates}")
+
+
+class _RaceColumns(NamedTuple):
+    """One replicate's winners, one per group that has a row, in group-code order."""
+
+    group_codes: np.ndarray
+    label_codes: np.ndarray
+    keys: np.ndarray
+    order_keys: np.ndarray
+    row_counts: np.ndarray
+
+
 def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spec: ModelSpec,
-           ctx: SeedContext, n_replicates: int) -> Iterator[dict[str, GroupWinner]]:
-    """Winner maps of replicates ``ctx.replicate ..`` of a prepared table.
+           ctx: SeedContext, n_replicates: int) -> Iterator[_RaceColumns]:
+    """Winner columns of replicates ``ctx.replicate ..`` of a prepared table.
 
     ``digests`` are :func:`_prepare`'s.  The rows are sorted once, stably,
     by group code.  Each replicate keys the rows in that order and takes
-    each group's winner with :func:`_winners`.
+    each group's winner with :func:`_winners`.  A group named in
+    ``table.group_names`` with no row has no segment, so no winner.
     """
     order = np.argsort(table.group_codes, kind="stable")
     group_codes, label_codes = table.group_codes[order], table.label_codes[order]
     strengths = table.strengths[order]
     injected_keys = None if table.keys is None else table.keys[order]
     starts = np.flatnonzero(np.diff(group_codes, prepend=-1))
-    rows_per_group = np.bincount(group_codes, minlength=len(table.group_names)).tolist()
+    segment_groups = group_codes[starts]
+    row_counts = np.bincount(group_codes, minlength=len(table.group_names))[segment_groups]
     for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
-        if not order.size:
-            yield {}
-            continue
         if injected_keys is None:
             uniforms = _uniform(ctx.seed, replicate, 0, digests[0][group_codes],
                                 digests[1][label_codes])
@@ -430,17 +451,28 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
             if injected_keys is not None
             else _keys(spec, strengths[win], uniforms[win], win_order_keys)[0]
         )
-        g_codes = group_codes[win].tolist()
-        yield {
-            gid: GroupWinner(gid, label, key, rows_per_group[g], order_key)
-            for gid, label, key, g, order_key in zip(
-                map(table.group_names.__getitem__, g_codes),
-                map(table.label_names.__getitem__, label_codes[win].tolist()),
-                keys.tolist(),
-                g_codes,
-                win_order_keys.tolist(),
-            )
-        }
+        yield _RaceColumns(segment_groups, label_codes[win], keys, win_order_keys, row_counts)
+
+
+def _race_columns(table: CodedTable, spec: ModelSpec, ctx: SeedContext,
+                  n_replicates: int) -> Iterator[_RaceColumns]:
+    """:func:`_races` of a table, checked and digested when this is called."""
+    _check_n_replicates(n_replicates)
+    return _races(table, _prepare(table, spec), spec, ctx, n_replicates)
+
+
+def _winner_map(table: CodedTable, columns: _RaceColumns) -> dict[str, GroupWinner]:
+    """One replicate's winner columns as a map from group id to :class:`GroupWinner`."""
+    return {
+        gid: GroupWinner(gid, label, key, count, order_key)
+        for gid, label, key, count, order_key in zip(
+            map(table.group_names.__getitem__, columns.group_codes.tolist()),
+            map(table.label_names.__getitem__, columns.label_codes.tolist()),
+            columns.keys.tolist(),
+            columns.row_counts.tolist(),
+            columns.order_keys.tolist(),
+        )
+    }
 
 
 def _check_order_key(order_key: float, group_id: str, label: str) -> None:
@@ -564,7 +596,8 @@ def sample_replicates(
     """Winner maps of replicates ``ctx.replicate .. ctx.replicate + n_replicates - 1``.
 
     The table is checked and prepared when this is called: a repeated
-    ``(group_id, label)`` raises ``ValueError``, then a bad strength raises
+    ``(group_id, label)`` raises ``ValueError``, then a negative
+    ``n_replicates`` does (0 yields nothing), then a bad strength raises
     :class:`FamilyDomainError` naming its ``(group_id, label)``, and every
     distinct id is digested once for all replicates.  The returned
     iterator then keys and reduces one replicate per step.
@@ -583,7 +616,8 @@ def sample_replicates(
 def sample_codes(table: CodedTable, spec: ModelSpec, ctx: SeedContext,
                  n_replicates: int = 1) -> Iterator[dict[str, GroupWinner]]:
     """:func:`sample_replicates` of a table already coded, as the CLI reads one."""
-    return _races(table, _prepare(table, spec), spec, ctx, n_replicates)
+    return (_winner_map(table, columns)
+            for columns in _race_columns(table, spec, ctx, n_replicates))
 
 
 def replicate_winners(
@@ -601,11 +635,13 @@ def replicate_winners(
     uniform is derived per (replicate, group, label).  The rows are checked
     as every table is: a repeated label or a ``strengths`` of another
     length raises ``ValueError``, a label that is not a ``str`` raises
-    ``TypeError`` and a bad strength :class:`FamilyDomainError`.
+    ``TypeError`` and a bad strength :class:`FamilyDomainError`.  A
+    negative ``n_replicates`` raises ``ValueError`` first.
     Replicates are raced in blocks of a fixed size, each label's keys
     folded into the block's running best, so working memory beside the
     result is O(block) whatever labels times replicates is.
     """
+    _check_n_replicates(n_replicates)
     n = len(labels)
     if n == 0:
         raise ValueError("need at least one label")

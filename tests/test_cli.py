@@ -6,12 +6,18 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_worked_example_csv
+from keyrace import cli
+from keyrace.families import Family, ModelSpec
+from keyrace.sampler import KeyedRow, Row, SeedContext, assign_keys, reduce_winners
 
 EXPECTED_WORKED_OUTPUT = "#1,RED\n#2,WHITE\n#3,WHITE\n#4,YELLOW\n"
 
@@ -77,7 +83,7 @@ class TestSample:
 
     def test_replicates_match_library(self, tmp_path):
         from keyrace import Family, ModelSpec, SeedContext, sample_arrays
-        from keyrace.cli import _format_winner, read_table
+        from keyrace.cli import read_table
 
         path = write_random_table(tmp_path / "r.csv", 600, 30, seed=2)
         result = run_cli("sample", str(path), "--model", "gumbel1", "--seed", "4",
@@ -88,8 +94,20 @@ class TestSample:
         for r in range(3):
             winners = sample_arrays(table.group_ids, table.labels, table.strengths,
                                     ModelSpec(Family.GUMBEL1), SeedContext(4, r))
-            expected += [f"{r}," + _format_winner(winners[g], True) for g in sorted(winners)]
+            expected += [f"{r},{g},{winners[g].label},{winners[g].key!r}" for g in sorted(winners)]
         assert result.stdout.splitlines() == expected
+
+    @pytest.mark.parametrize("count", ["-1", "-2"])
+    def test_negative_replicates_rejected(self, count, worked_example_csv):
+        result = run_cli("sample", str(worked_example_csv), "--replicates", count)
+        assert result.returncode == 2
+        assert f"argument --replicates: must be >= 0, got {count}" in result.stderr
+        assert result.stdout == ""
+
+    def test_zero_replicates_write_nothing(self, worked_example_csv):
+        result = run_cli("sample", str(worked_example_csv), "--inject-keys", "--replicates", "0")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize("argv", [["update", "--threads", "2"], ["sample", "--quick"],
                                       ["validate", "--replicates", "2"],
@@ -158,6 +176,56 @@ def test_unreadable_input_is_a_parse_error(tmp_path, case, subcommand):
     assert "Traceback" not in result.stderr
 
 
+# ids with commas, quotes, spaces, newlines and multi-byte characters, which
+# csv.writer quotes; the output writes them unquoted
+_CSV_IDS = st.text(alphabet=st.sampled_from(list('ab ,"\né日')), max_size=5)
+
+
+@st.composite
+def _cli_tables(draw):
+    pairs = draw(st.lists(st.tuples(_CSV_IDS, _CSV_IDS), min_size=1, max_size=30,
+                          unique=True))
+    spec = ModelSpec(draw(st.sampled_from(list(Family))))
+    sign = spec.strength_sign or 1.0
+    strengths = draw(st.lists(st.floats(0.1, 5.0), min_size=len(pairs), max_size=len(pairs)))
+    keys = draw(st.none() | st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                                     min_size=len(pairs), max_size=len(pairs)))
+    rows = [Row(g, l, sign * s) for (g, l), s in zip(pairs, strengths)]
+    return spec, rows, keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_tables(), st.integers(0, 2**32), st.integers(1, 4), st.booleans())
+def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, with_key):
+    """``sample`` bytes equal each replicate's ``reduce_winners`` fold, sorted and formatted."""
+    spec, rows, keys = table
+    expected = []
+    for r in range(n_replicates):
+        if keys is None:
+            keyed = assign_keys(rows, spec, SeedContext(seed, r))
+        else:  # injected keys stand in for every replicate's
+            keyed = [KeyedRow(row, 0.5, k) for row, k in zip(rows, keys)]
+        winners = reduce_winners(keyed, spec.orientation)
+        for gid in sorted(winners):
+            w = winners[gid]
+            expected.append((f"{r}," if n_replicates > 1 else "") + f"{gid},{w.label}"
+                            + (f",{w.key!r}" if with_key else ""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "t.csv", Path(tmp) / "out.txt"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ID", "QUAL", "Strength"] + (["KEY"] if keys is not None else []))
+            for i, row in enumerate(rows):
+                writer.writerow([row.group_id, row.label, repr(row.strength)]
+                                + ([repr(keys[i])] if keys is not None else []))
+        argv = ["sample", str(path), "-o", str(out), "--model", spec.family.value,
+                "--seed", str(seed), "--replicates", str(n_replicates)]
+        argv += ["--with-key"] if with_key else []
+        argv += ["--inject-keys"] if keys is not None else []
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == "".join(line + "\n" for line in expected).encode("utf-8")
+
+
 @pytest.mark.parametrize("flag", ["--scale", "--offset"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_model_constant_is_a_domain_error(worked_example_csv, flag, value):
@@ -188,6 +256,25 @@ class TestUpdate:
         assert result.returncode == 4
         assert "warning" in result.stderr
         assert len(result.stdout.splitlines()) == 1  # the valid command still ran
+
+    def test_malformed_line_names_its_line_once(self):
+        result = run_cli("update", stdin="UPSERT g1,a,1.0\nbogus line\n")
+        assert result.returncode == 4
+        assert result.stderr == "warning: line 2: malformed command 'bogus line'\n"
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_invalid_utf8_line_is_skipped_with_a_warning(self, tmp_path, from_file):
+        stream = b"UPSERT g1,a,1.0\nUPSERT \xff\xfe,b,2.0\nUPSERT g1,\xc3\xa9,3.0\r\n"
+        path = tmp_path / "commands.txt"
+        path.write_bytes(stream)
+        result = subprocess.run(
+            [sys.executable, "-m", "keyrace", "update", *([str(path)] if from_file else [])],
+            input=None if from_file else stream, capture_output=True, timeout=300,
+        )
+        assert result.returncode == 4
+        assert result.stderr == b"warning: line 2: invalid UTF-8 byte 0xff\n"
+        lines = result.stdout.decode("utf-8").splitlines()
+        assert len(lines) == 2 and lines[1].startswith("g1,")  # the lines around it still ran
 
     def test_delete_missing_row_warns(self):
         result = run_cli("update", stdin="DELETE g1,ghost\n")

@@ -44,6 +44,7 @@ from keyrace.sampler import (
     replicate_winners,
     sample,
     sample_arrays,
+    sample_codes,
     sample_replicates,
 )
 from keyrace.validation import WORKED_EXAMPLE_ROWS, WORKED_EXAMPLE_WINNERS
@@ -458,6 +459,38 @@ class TestInputContracts:
             maps = list(sample_replicates(groups, labels, np.ones(3), spec, ctx, 3))
             assert len(maps) == 3 and len(calls) == 2
         assert len(capsys.readouterr().out.splitlines()) == 3 * 2
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    @pytest.mark.parametrize("entry", ["sample_replicates", "sample_codes", "replicate_winners"])
+    def test_negative_replicate_count_rejected(self, entry, n):
+        spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
+        calls = {
+            "sample_replicates": lambda: sample_replicates(["g", "g"], ["a", "b"], np.ones(2),
+                                                           spec, ctx, n),
+            "sample_codes": lambda: sample_codes(CodedTable.from_ids(["g"], ["a"], [1.0]),
+                                                 spec, ctx, n),
+            "replicate_winners": lambda: replicate_winners(spec, ["a", "b"], [1.0, 2.0], 0, n),
+        }
+        # raised by the call itself, before any replicate is drawn
+        with pytest.raises(ValueError, match=f"n_replicates must be >= 0, got {n}"):
+            calls[entry]()
+
+    def test_zero_replicates_yield_nothing(self):
+        spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
+        table = CodedTable.from_ids(["g", "g"], ["a", "b"], [1.0, 2.0])
+        assert list(sample_codes(table, spec, ctx, 0)) == []
+        assert list(sample_replicates(["g"], ["a"], [1.0], spec, ctx, 0)) == []
+        assert replicate_winners(spec, ["a", "b"], [1.0, 2.0], 0, 0).shape == (0,)
+
+    def test_group_without_rows_has_no_winner(self):
+        # a table built directly may name a group that no row belongs to
+        table = CodedTable(np.array([0, 0, 2]), ["g", "ghost", "h"], np.array([0, 1, 0]),
+                           ["a", "b"], np.array([1.0, 2.0, 3.0]))
+        spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(5)
+        (winners,) = sample_codes(table, spec, ctx)
+        assert sorted(winners) == ["g", "h"]
+        assert winners == sample_arrays(table.group_ids, table.labels, table.strengths, spec, ctx)
+        assert (winners["g"].row_count, winners["h"].row_count) == (2, 1)
 
     @pytest.mark.parametrize("entry", [sample, assign_keys])
     def test_duplicate_row_rejected_by_row_entry_points(self, entry):
