@@ -8,14 +8,6 @@ associative operation, so the whole pipeline shards freely and supports
 O(1)-ish streaming updates.
 """
 
-from .baselines import (
-    SearchStrategy,
-    WeightTable,
-    build_weight_table,
-    sample_alias,
-    sample_inverse,
-)
-from .dynamic import ChangeReport, DynamicTable, RowNotFoundError, UpdateCase
 from .families import (
     DegenerateWeightError,
     Family,
@@ -48,17 +40,34 @@ from .sampler import (
     sample_codes,
     sample_replicates,
 )
-from .stats import (
-    GofReport,
-    chi_square_gof,
-    chi_square_two_sample,
-    ks_one_sample,
-    ks_two_sample,
-    regularized_gamma_q,
-    run_choice_experiment,
-)
 
 __version__ = "0.1.0"
+
+# names whose modules the sampling path never uses: each is imported on
+# its first access (PEP 562), so ``keyrace sample`` does not load them
+_LAZY = {
+    **dict.fromkeys(["DynamicTable", "ChangeReport", "UpdateCase", "RowNotFoundError"],
+                    "dynamic"),
+    **dict.fromkeys(["WeightTable", "SearchStrategy", "build_weight_table", "sample_alias",
+                     "sample_inverse"], "baselines"),
+    **dict.fromkeys(["GofReport", "chi_square_gof", "chi_square_two_sample", "ks_one_sample",
+                     "ks_two_sample", "regularized_gamma_q", "run_choice_experiment"],
+                    "stats"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # here, so the package namespace does not hold it
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "Family",

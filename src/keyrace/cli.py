@@ -13,16 +13,22 @@ validate  run the correctness battery (or per-group checks on an input
 bench     time the key race against the alias and inverse-CDF baselines
           and split dynamic-update costs by case
 
-``sample`` reads its CSV in blocks of whole lines, each turned straight
-into integer group and label codes, and :func:`read_table` returns the
-rows as one :class:`~keyrace.sampler.CodedTable`, the type the sampler
-races.  Building it rejects a repeated (ID, QUAL), which the reader then
-names with its line.  The sampler sorts the rows into groups once per
-call and yields each replicate's winners as columns of label codes and
-keys, one entry per group.  ``sample`` ranks the group ids once and
-writes each replicate with one join over precomputed ``[r,]ID,``
-prefixes and the winning labels, formatting keys only under
-``--with-key``.
+``sample`` imports only what it runs: this module, the sampler, the
+family table and numpy; each other command imports its own modules when
+it runs.  It reads its CSV in blocks of whole lines, each turned straight
+into integer group and label codes, one dictionary pass per column, and
+:func:`read_table` returns the rows as one
+:class:`~keyrace.sampler.CodedTable`, the type the sampler races.
+Building it rejects a repeated (ID, QUAL), which the reader then names
+with its line.  The sampler sorts the rows into groups once per call, by
+a radix sort of group codes narrowed to 8 or 16 bits where they fit, and
+yields each replicate's winners as columns of label codes and keys, one
+entry per group.  ``sample`` ranks the group ids once and writes each
+replicate with one join over precomputed ``[r,]ID,`` prefixes and the
+winning labels, formatting keys only under ``--with-key``.  An id or
+label holding a comma, quote, CR or LF is written quoted, as csv.writer
+writes it; that is checked once per distinct name, and not at all when
+every line was split on commas, which leaves no such name.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
 races it n times.  ``sample`` accepts ``--threads N`` and ignores it:
 every group is raced in one pass, whatever N is.  ``--quick`` belongs to
@@ -41,13 +47,13 @@ import io
 import itertools
 import sys
 import time
+from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from . import baselines, sampler, stats, validation
-from .dynamic import DynamicTable, RowNotFoundError
+from . import sampler
 from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
     CodedTable,
@@ -139,6 +145,13 @@ def _plain(block: bytes) -> bool:
     return not (b'"' in block or b"\r" in block or b"\0" in block)
 
 
+def _csv_field(name: str) -> str:
+    """``name`` as csv.writer writes a field: quoted, quotes doubled, if it holds , " CR or LF."""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def _floats(fields: list[str]) -> tuple[list[float], int | None]:
     """``float`` of the fields up to the first that is not a number, and its index.
 
@@ -152,6 +165,17 @@ def _floats(fields: list[str]) -> tuple[list[float], int | None]:
         values.append(np.nan)
         return values, len(values) - 1
     return values, None
+
+
+@dataclass(frozen=True)
+class _ReadTable(CodedTable):
+    """A :class:`CodedTable` as :func:`read_table` read it.
+
+    ``plain_names`` is true when every line was split on commas and
+    newlines, so no id or label holds a comma, quote, CR or LF.
+    """
+
+    plain_names: bool = False
 
 
 class _CsvReader:
@@ -168,6 +192,7 @@ class _CsvReader:
         self.inject_keys = inject_keys
         self.expected = len(_HEADER) + (1 if inject_keys else 0)
         self.header_seen = False
+        self.plain_names = True  # every line so far was split, so no name holds , " CR or LF
         self.line = 1  # line number of the next record
         self.groups: dict[str, int] = {}
         self.labels: dict[str, int] = {}
@@ -188,6 +213,7 @@ class _CsvReader:
         blocks = itertools.chain([first] if first else [], blocks)
         for block in blocks:  # the header is read unless it is in this block, which is not plain
             if not (_plain(block) and self.read_split(block)):
+                self.plain_names = False
                 self.read_csv(itertools.chain([block], blocks))
                 break
         if not self.header_seen:
@@ -314,8 +340,8 @@ class _CsvReader:
         group_codes = np.concatenate(self.group_codes)  # every record batch adds one
         label_codes = np.concatenate(self.label_codes)
         try:
-            return CodedTable(group_codes, list(self.groups), label_codes, list(self.labels),
-                              strengths, keys)
+            return _ReadTable(group_codes, list(self.groups), label_codes, list(self.labels),
+                              strengths, keys, self.plain_names)
         except ValueError:  # a repeated (ID, QUAL)? find it again, to name its line
             dup = sampler.first_duplicate(group_codes, label_codes, len(self.labels))
             if dup is None:
@@ -372,7 +398,11 @@ def cmd_sample(args) -> int:
     # segment and segment g is group g; rank the ids once for every replicate
     names = table.group_names
     ranked = sorted(range(len(names)), key=names.__getitem__)
-    gid_prefixes = [names[g] + "," for g in ranked]
+    group_fields, label_fields = names, table.label_names
+    if not table.plain_names:  # csv read some line, so a name may need quoting
+        group_fields = list(map(_csv_field, names))
+        label_fields = list(map(_csv_field, label_fields))
+    gid_prefixes = [group_fields[g] + "," for g in ranked]
     by_id = np.array(ranked, dtype=np.intp)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
@@ -380,7 +410,7 @@ def cmd_sample(args) -> int:
         for replicate, winners in enumerate(races):
             prefixes = ([f"{replicate},{p}" for p in gid_prefixes] if args.replicates > 1
                         else gid_prefixes)
-            labels = map(table.label_names.__getitem__, winners.label_codes[by_id].tolist())
+            labels = map(label_fields.__getitem__, winners.label_codes[by_id].tolist())
             lines = (map("{}{},{!r}".format, prefixes, labels, winners.keys[by_id].tolist())
                      if args.with_key else map(add, prefixes, labels))
             if ranked:
@@ -392,6 +422,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_update(args) -> int:
+    from .dynamic import DynamicTable, RowNotFoundError
+
     spec = _model_from_args(args)
     table = DynamicTable(spec, SeedContext(seed=args.seed))
     warned = False
@@ -435,6 +467,8 @@ def cmd_update(args) -> int:
 
 def _validate_input_file(args, spec: ModelSpec) -> int:
     """Chi-square each group of an input table against its strengths."""
+    from . import stats, validation
+
     try:
         table = read_table(args.input)
     except (OSError, CliParseError) as err:
@@ -468,6 +502,8 @@ def _validate_input_file(args, spec: ModelSpec) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validation
+
     spec = _model_from_args(args)
     if args.quick:
         print("WARNING: reduced-power run (--quick); sample sizes are cut down")
@@ -501,6 +537,9 @@ def _bench_table(rng: np.random.Generator, spec: ModelSpec, n_rows: int, n_group
 
 
 def cmd_bench(args) -> int:
+    from . import baselines
+    from .dynamic import DynamicTable, RowNotFoundError
+
     spec = _model_from_args(args)
     rng = np.random.default_rng(args.seed)
     n_rows = args.rows

@@ -54,6 +54,10 @@ __all__ = ["DynamicTable", "ChangeReport", "UpdateCase", "RowNotFoundError"]
 class RowNotFoundError(KeyError):
     """Delete of a (group_id, label) that is not in the table."""
 
+    def __str__(self) -> str:
+        # the message as given, not KeyError's repr of it
+        return Exception.__str__(self)
+
 
 class UpdateCase(str, Enum):
     NEW_WINNER = "new-winner"            # upsert beats the stored winner

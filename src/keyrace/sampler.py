@@ -195,11 +195,12 @@ def code_ids(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """Exact integer codes of ``strings`` under a first-seen ``index``.
 
     Strings not yet in ``index`` are appended to it in first-seen order,
-    so one index can code a column that arrives in pieces.
+    so one index can code a column that arrives in pieces.  One pass: a
+    string's code is its index entry, made on its first sight.
     """
-    fresh = [s for s in dict.fromkeys(strings) if s not in index]
-    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-    return np.fromiter(map(index.__getitem__, strings), dtype=np.intp, count=len(strings))
+    setdefault = index.setdefault
+    return np.fromiter([setdefault(s, len(index)) for s in strings], dtype=np.intp,
+                       count=len(strings))
 
 
 def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -242,10 +243,10 @@ class CodedTable:
     Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
     strengths[i])``, with distinct names, as :func:`code_ids` makes them.
     ``keys``, when given, are injected keys that stand in for generated
-    ones.  Building a table that repeats a pair raises ``ValueError``
-    naming the first repeat, and then one with a name that is not a
-    ``str`` raises ``TypeError``, so a table once built is never checked
-    again.
+    ones.  Building a table with a code that indexes no name raises
+    ``ValueError``, as does one that repeats a pair, naming the first
+    repeat; then one with a name that is not a ``str`` raises
+    ``TypeError``, so a table once built is never checked again.
     """
 
     group_codes: np.ndarray
@@ -263,6 +264,10 @@ class CodedTable:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if len({len(getattr(self, name)) for name in columns}) > 1:
             raise ValueError("a table's columns must all have one length")
+        for codes, names in ((self.group_codes, self.group_names),
+                             (self.label_codes, self.label_names)):
+            if codes.size and not 0 <= codes.min() <= codes.max() < len(names):
+                raise ValueError("a table's codes must index its names")
         dup = first_duplicate(self.group_codes, self.label_codes, len(self.label_names))
         if dup is not None:
             raise ValueError("duplicate row (group_id={!r}, label={!r})".format(*self.row(dup)))
@@ -429,7 +434,10 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
     each group's winner with :func:`_winners`.  A group named in
     ``table.group_names`` with no row has no segment, so no winner.
     """
-    order = np.argsort(table.group_codes, kind="stable")
+    # a stable sort has one result; narrowed to the fewest bytes that hold
+    # every group code, codes of 8 or 16 bits are sorted by radix
+    narrow = np.min_scalar_type(len(table.group_names) - 1)
+    order = np.argsort(table.group_codes.astype(narrow), kind="stable")
     group_codes, label_codes = table.group_codes[order], table.label_codes[order]
     strengths = table.strengths[order]
     injected_keys = None if table.keys is None else table.keys[order]

@@ -1,6 +1,7 @@
 """Command-line contract: formats, exit codes, determinism."""
 
 import csv
+import io
 import itertools
 import re
 import shlex
@@ -176,9 +177,16 @@ def test_unreadable_input_is_a_parse_error(tmp_path, case, subcommand):
     assert "Traceback" not in result.stderr
 
 
-# ids with commas, quotes, spaces, newlines and multi-byte characters, which
-# csv.writer quotes; the output writes them unquoted
-_CSV_IDS = st.text(alphabet=st.sampled_from(list('ab ,"\né日')), max_size=5)
+# ids with commas, quotes, spaces, CR, LF and multi-byte characters; csv.writer
+# quotes those holding , " CR or LF, in the input and in the output alike
+_CSV_IDS = st.text(alphabet=st.sampled_from(list('ab ,"\r\né日')), max_size=5)
+
+
+def _csv_line(fields):
+    """``fields`` as csv.writer writes them, ended by LF instead of CRLF."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[: -len("\r\n")] + "\n"
 
 
 @st.composite
@@ -197,9 +205,10 @@ def _cli_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(_cli_tables(), st.integers(0, 2**32), st.integers(1, 4), st.booleans())
 def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, with_key):
-    """``sample`` bytes equal each replicate's ``reduce_winners`` fold, sorted and formatted."""
+    """``sample`` bytes equal each replicate's ``reduce_winners`` fold, sorted and
+    written as csv.writer writes them, and csv.reader reads back the winners."""
     spec, rows, keys = table
-    expected = []
+    expected, winner_records = [], []
     for r in range(n_replicates):
         if keys is None:
             keyed = assign_keys(rows, spec, SeedContext(seed, r))
@@ -208,8 +217,9 @@ def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, wit
         winners = reduce_winners(keyed, spec.orientation)
         for gid in sorted(winners):
             w = winners[gid]
-            expected.append((f"{r}," if n_replicates > 1 else "") + f"{gid},{w.label}"
-                            + (f",{w.key!r}" if with_key else ""))
+            record = ([str(r)] if n_replicates > 1 else []) + [gid, w.label]
+            winner_records.append(record)
+            expected.append(_csv_line(record + ([repr(w.key)] if with_key else [])))
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "t.csv", Path(tmp) / "out.txt"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -223,7 +233,10 @@ def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, wit
         argv += ["--with-key"] if with_key else []
         argv += ["--inject-keys"] if keys is not None else []
         assert cli.main(argv) == 0
-        assert out.read_bytes() == "".join(line + "\n" for line in expected).encode("utf-8")
+        assert out.read_bytes() == "".join(expected).encode("utf-8")
+        with open(out, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    assert [record[: len(record) - with_key] for record in records] == winner_records
 
 
 @pytest.mark.parametrize("flag", ["--scale", "--offset"])
@@ -279,6 +292,8 @@ class TestUpdate:
     def test_delete_missing_row_warns(self):
         result = run_cli("update", stdin="DELETE g1,ghost\n")
         assert result.returncode == 4
+        # the message itself, not KeyError's quoted repr of it
+        assert result.stderr == "warning: line 1: no row (group_id='g1', label='ghost')\n"
 
     def test_replay_matches_sample(self, tmp_path):
         # a script that upserts each row exactly once and deletes a few:

@@ -1,10 +1,12 @@
 """Every exported name resolves, in the package and in each of its modules,
-and every module-level import is used."""
+every module-level import is used, and ``sample`` imports only its own path."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +68,40 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     kept = {name for module, name in _wrapped_by_perfbench() if module == path.stem}
     assert sorted(imported - used - exported - kept) == []
+
+
+# modules that only update, validate and bench use
+_NOT_ON_THE_SAMPLE_PATH = {"keyrace.validation", "keyrace.dynamic", "keyrace.stats",
+                           "keyrace.baselines"}
+
+
+def test_sample_imports_only_its_path(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("ID,QUAL,Strength\ng1,a,1.0\ng1,b,2.0\ng2,a,3.0\n", encoding="utf-8")
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "keyrace", "sample",
+                             str(path)], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"keyrace.cli", "keyrace.sampler", "numpy"} <= imported
+    assert sorted(imported & _NOT_ON_THE_SAMPLE_PATH) == []
+
+
+def test_import_keyrace_loads_the_core_only():
+    code = "import sys, keyrace; print(*sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {"keyrace.families", "keyrace.sampler", "numpy"} <= loaded
+    assert sorted(loaded & _NOT_ON_THE_SAMPLE_PATH) == []
+
+
+def test_lazy_names_resolve_to_their_modules_and_are_listed():
+    assert set(keyrace.__all__) <= set(dir(keyrace))
+    for name, module in keyrace._LAZY.items():
+        assert name in keyrace.__all__
+        assert getattr(keyrace, name) is getattr(importlib.import_module(f"keyrace.{module}"),
+                                                 name)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        keyrace.no_such_name

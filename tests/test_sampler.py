@@ -492,6 +492,15 @@ class TestInputContracts:
         assert winners == sample_arrays(table.group_ids, table.labels, table.strengths, spec, ctx)
         assert (winners["g"].row_count, winners["h"].row_count) == (2, 1)
 
+    @pytest.mark.parametrize("group_codes, label_codes", [
+        ([0, 2], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 2]), ([0, 1], [-1, 0]),
+    ])
+    def test_code_that_indexes_no_name_rejected(self, group_codes, label_codes):
+        # the race sorts group codes narrowed to the width of the name count
+        with pytest.raises(ValueError, match="codes must index its names"):
+            CodedTable(np.array(group_codes), ["g", "h"], np.array(label_codes), ["a", "b"],
+                       np.ones(2))
+
     @pytest.mark.parametrize("entry", [sample, assign_keys])
     def test_duplicate_row_rejected_by_row_entry_points(self, entry):
         rows = [Row(g, l, 1.0) for g, l in zip(_DUP_GROUPS, _DUP_LABELS)]
@@ -710,3 +719,52 @@ def test_segmented_reduce_matches_fold_on_signed_zero_ties(table, data, shards, 
     merged = _merged_slices(shards, groups, labels, strengths, spec, SeedContext(0),
                             injected_keys=keys)
     assert exact(merged) == expected
+
+
+def _code_ids_three_pass(strings, index):
+    """The three-pass coding that :func:`code_ids` replaced, kept as its reference."""
+    fresh = [s for s in dict.fromkeys(strings) if s not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, strings), dtype=np.intp, count=len(strings))
+
+
+_FEW_IDS = st.text(alphabet="ab\0é", max_size=2)  # few distinct ids, so they repeat
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FEW_IDS, max_size=40), st.lists(_FEW_IDS, max_size=6, unique=True),
+       st.lists(st.integers(0, 40), max_size=4))
+def test_one_pass_code_ids_matches_three_pass(column, known, cuts):
+    """A column coded in 1-5 pieces, into an index that may hold entries already."""
+    cuts = sorted(min(c, len(column)) for c in cuts)
+    pieces = [column[a:b] for a, b in zip([0, *cuts], [*cuts, len(column)])]
+    index = {s: i for i, s in enumerate(known)}
+    reference = dict(index)
+    got = [code_ids(piece, index).tolist() for piece in pieces]
+    assert got == [_code_ids_three_pass(piece, reference).tolist() for piece in pieces]
+    assert list(index.items()) == list(reference.items())
+
+
+@pytest.mark.parametrize("n_groups", [255, 256, 257, 65535, 65536, 65537])
+def test_group_sort_across_code_widths_matches_fold(n_groups):
+    """Group counts around the 8- and 16-bit code widths race as the fold does.
+
+    Each group has a row in each half of the table.  Sorted on codes too
+    narrow for the last group, its rows would share a segment boundary
+    with group 0's; the injected keys, falling in row order, make group
+    0's first row its winner, which then would be lost.
+    """
+    group_ids = [f"g{g}" for g in range(n_groups)] * 2
+    labels = ["q0"] * n_groups + ["q1"] * n_groups
+    rng = np.random.default_rng(n_groups)
+    strengths = rng.uniform(0.5, 2.0, len(group_ids))
+    keys = -np.arange(len(group_ids), dtype=np.float64)
+    spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(n_groups)
+    rows = [Row(g, l, s) for g, l, s in zip(group_ids, labels, strengths.tolist())]
+    expected = reduce_winners(assign_keys(rows, spec, ctx), spec.orientation)
+    assert len(expected) == n_groups
+    assert sample_arrays(group_ids, labels, strengths, spec, ctx) == expected
+    keyed = [KeyedRow(row, 0.5, k) for row, k in zip(rows, keys.tolist())]
+    expected = reduce_winners(keyed, spec.orientation)
+    assert {w.label for w in expected.values()} == {"q0"}
+    assert sample_arrays(group_ids, labels, strengths, spec, ctx, injected_keys=keys) == expected
