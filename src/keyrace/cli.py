@@ -7,11 +7,14 @@ sample    read a CSV table (header ``ID,QUAL,Strength``) and write one
 update    apply a line-oriented stream of ``UPSERT id,qual,strength`` /
           ``DELETE id,qual`` commands, reporting each group's winner and
           the update case after every command; each line is decoded on
-          its own, and one that is not UTF-8 is skipped with a warning
+          its own, and one that is not UTF-8 is skipped with a warning.
+          A command's fields are one CSV record, read as ``sample`` reads
+          a line: quoted fields may hold commas and quotes, and spaces
+          are kept
 validate  run the correctness battery (or per-group checks on an input
           file) and print ``CRITERION <name> PASS|FAIL p=<value>`` lines
-bench     time the key race against the alias and inverse-CDF baselines
-          and split dynamic-update costs by case
+bench     run the battery's random upsert/delete stream on a dynamic
+          table and count its updates and comparisons by case
 
 ``sample`` imports only what it runs: this module, the sampler, the
 family table and numpy; each other command imports its own modules when
@@ -27,15 +30,17 @@ entry per group.  ``sample`` ranks the group ids once and writes each
 replicate with one join over precomputed ``[r,]ID,`` prefixes and the
 winning labels, formatting keys only under ``--with-key``.  An id or
 label holding a comma, quote, CR or LF is written quoted, as csv.writer
-writes it; that is checked once per distinct name, and not at all when
-every line was split on commas, which leaves no such name.
+writes it, by ``sample`` and ``update`` alike; ``sample`` looks for such a
+name in one scan of all the names joined, and quotes name by name only if
+it finds one.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
 races it n times.  ``sample`` accepts ``--threads N`` and ignores it:
 every group is raced in one pass, whatever N is.  ``--quick`` belongs to
 ``validate``.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
-4 warnings on the update stream.
+4 warnings on the update stream.  A reader that closes stdout early, as
+``| head`` does, ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -45,9 +50,8 @@ import bisect
 import csv
 import io
 import itertools
+import os
 import sys
-import time
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NoReturn
 
@@ -60,7 +64,7 @@ from .sampler import (
     SeedContext,
     code_ids,
     merge_winner_maps,  # noqa: F401  (not called here; the traced benchmark run wraps it)
-    sample_arrays,
+    sample_arrays,  # noqa: F401  (not called here; the traced benchmark run wraps it)
 )
 
 EXIT_OK = 0
@@ -145,11 +149,18 @@ def _plain(block: bytes) -> bool:
     return not (b'"' in block or b"\r" in block or b"\0" in block)
 
 
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
 def _csv_field(name: str) -> str:
     """``name`` as csv.writer writes a field: quoted, quotes doubled, if it holds , " CR or LF."""
-    if any(c in name for c in ',"\r\n'):
-        return '"' + name.replace('"', '""') + '"'
-    return name
+    return '"' + name.replace('"', '""') + '"' if _needs_quotes(name) else name
+
+
+def _csv_fields(names: list[str]) -> list[str]:
+    """:func:`_csv_field` of each name; ``names`` itself when one scan finds none to quote."""
+    return list(map(_csv_field, names)) if _needs_quotes("".join(names)) else names
 
 
 def _floats(fields: list[str]) -> tuple[list[float], int | None]:
@@ -167,17 +178,6 @@ def _floats(fields: list[str]) -> tuple[list[float], int | None]:
     return values, None
 
 
-@dataclass(frozen=True)
-class _ReadTable(CodedTable):
-    """A :class:`CodedTable` as :func:`read_table` read it.
-
-    ``plain_names`` is true when every line was split on commas and
-    newlines, so no id or label holds a comma, quote, CR or LF.
-    """
-
-    plain_names: bool = False
-
-
 class _CsvReader:
     """Checks and codes the records of an input table as they are read.
 
@@ -192,7 +192,6 @@ class _CsvReader:
         self.inject_keys = inject_keys
         self.expected = len(_HEADER) + (1 if inject_keys else 0)
         self.header_seen = False
-        self.plain_names = True  # every line so far was split, so no name holds , " CR or LF
         self.line = 1  # line number of the next record
         self.groups: dict[str, int] = {}
         self.labels: dict[str, int] = {}
@@ -213,7 +212,6 @@ class _CsvReader:
         blocks = itertools.chain([first] if first else [], blocks)
         for block in blocks:  # the header is read unless it is in this block, which is not plain
             if not (_plain(block) and self.read_split(block)):
-                self.plain_names = False
                 self.read_csv(itertools.chain([block], blocks))
                 break
         if not self.header_seen:
@@ -340,8 +338,8 @@ class _CsvReader:
         group_codes = np.concatenate(self.group_codes)  # every record batch adds one
         label_codes = np.concatenate(self.label_codes)
         try:
-            return _ReadTable(group_codes, list(self.groups), label_codes, list(self.labels),
-                              strengths, keys, self.plain_names)
+            return CodedTable(group_codes, list(self.groups), label_codes, list(self.labels),
+                              strengths, keys)
         except ValueError:  # a repeated (ID, QUAL)? find it again, to name its line
             dup = sampler.first_duplicate(group_codes, label_codes, len(self.labels))
             if dup is None:
@@ -371,18 +369,6 @@ def read_table(path: str, inject_keys: bool = False) -> CodedTable:
         return _CsvReader(inject_keys).read(fh)
 
 
-def emit_table(table: CodedTable, path: str) -> None:
-    """Write a parsed table back out in the input format (round-trip aid)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_HEADER) + ([_KEY_COLUMN] if table.keys is not None else []))
-        for i, (gid, label) in enumerate(zip(table.group_ids, table.labels)):
-            record = [gid, label, repr(float(table.strengths[i]))]
-            if table.keys is not None:
-                record.append(repr(float(table.keys[i])))
-            writer.writerow(record)
-
-
 def cmd_sample(args) -> int:
     spec = _model_from_args(args)
     try:
@@ -398,10 +384,7 @@ def cmd_sample(args) -> int:
     # segment and segment g is group g; rank the ids once for every replicate
     names = table.group_names
     ranked = sorted(range(len(names)), key=names.__getitem__)
-    group_fields, label_fields = names, table.label_names
-    if not table.plain_names:  # csv read some line, so a name may need quoting
-        group_fields = list(map(_csv_field, names))
-        label_fields = list(map(_csv_field, label_fields))
+    group_fields, label_fields = _csv_fields(names), _csv_fields(table.label_names)
     gid_prefixes = [group_fields[g] + "," for g in ranked]
     by_id = np.array(ranked, dtype=np.intp)
 
@@ -434,29 +417,30 @@ def cmd_update(args) -> int:
                 text, invalid = _decode(raw)
                 if invalid is not None:
                     raise invalid
-                line = text.strip()
-                if not line:
+                verb, _, record = text.lstrip().partition(" ")
+                if not verb:  # a blank line
                     continue
-                verb, _, rest = line.partition(" ")
-                fields = [f.strip() for f in rest.split(",")]
+                # the record's fields are read as sample reads a CSV line's
+                fields = next(csv.reader([record]), [])
                 if verb.upper() == "UPSERT" and len(fields) == 3:
                     report = table.upsert(fields[0], fields[1], float(fields[2]))
                 elif verb.upper() == "DELETE" and len(fields) == 2:
                     report = table.delete(fields[0], fields[1])
                 else:
-                    raise CliParseError(f"malformed command {line!r}")
-            except (CliParseError, _InvalidUtf8, ValueError, RowNotFoundError,
+                    raise CliParseError(f"malformed command {text.strip()!r}")
+            except (CliParseError, csv.Error, _InvalidUtf8, ValueError, RowNotFoundError,
                     FamilyDomainError) as err:
                 print(f"warning: line {line_no}: {err}", file=sys.stderr)
                 warned = True
                 continue
+            gid = _csv_field(report.group_id)
             if report.winner is None:
-                print(f"{report.group_id},-,- {report.case.value} no-rescan cmp={report.comparisons}")
+                print(f"{gid},-,- {report.case.value} no-rescan cmp={report.comparisons}")
             else:
                 w = report.winner
                 rescan = "rescan" if report.rescanned else "no-rescan"
                 print(
-                    f"{w.group_id},{w.label},{w.key!r} {report.case.value} "
+                    f"{gid},{_csv_field(w.label)},{w.key!r} {report.case.value} "
                     f"{rescan} cmp={report.comparisons}"
                 )
     finally:
@@ -523,75 +507,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
-def _bench_strengths(rng: np.random.Generator, spec: ModelSpec, size: int) -> np.ndarray:
-    if not spec.strength_sign:
-        return rng.normal(0.0, 1.0, size=size)
-    return spec.strength_sign * np.exp(rng.normal(0.0, 1.0, size=size))
-
-
-def _bench_table(rng: np.random.Generator, spec: ModelSpec, n_rows: int, n_groups: int):
-    groups = [f"g{int(i):05d}" for i in rng.integers(n_groups, size=n_rows)]
-    labels = [f"q{int(i):04d}" for i in range(n_rows)]  # unique per group by construction
-    strengths = _bench_strengths(rng, spec, n_rows)
-    return groups, labels, strengths
-
-
 def cmd_bench(args) -> int:
-    from . import baselines
-    from .dynamic import DynamicTable, RowNotFoundError
+    from .dynamic import DynamicTable
+    from .validation import _update_stream
 
-    spec = _model_from_args(args)
-    rng = np.random.default_rng(args.seed)
-    n_rows = args.rows
-    n_groups = max(1, n_rows // 20)
-    groups, labels, strengths = _bench_table(rng, spec, n_rows, n_groups)
-    ctx = SeedContext(seed=args.seed)
-
-    t0 = time.perf_counter()
-    winners = sample_arrays(groups, labels, strengths, spec, ctx)
-    race_elapsed = time.perf_counter() - t0
-    print(f"key-race      {n_rows} rows -> {len(winners)} groups   "
-          f"{race_elapsed:8.4f} s   {n_rows / race_elapsed:12.0f} rows/s")
-
-    n_outcomes = min(1000, max(1, n_rows))
-    weights = rng.uniform(0.5, 5.0, size=n_outcomes)
-    outcome_labels = [f"o{i:04d}" for i in range(n_outcomes)]
-    draws = args.draws
-    t0 = time.perf_counter()
-    table = baselines.build_weight_table(outcome_labels, weights)
-    build_elapsed = time.perf_counter() - t0
-    u1, u2 = rng.random(draws), rng.random(draws)
-    t0 = time.perf_counter()
-    baselines.sample_alias_indices(table, u1, u2)
-    alias_elapsed = time.perf_counter() - t0
-    print(f"alias         build {build_elapsed:.4f} s + {draws} draws "
-          f"{alias_elapsed:8.4f} s   {draws / alias_elapsed:12.0f} draws/s")
-    u = rng.random(draws)
-    t0 = time.perf_counter()
-    baselines.sample_inverse_indices(table, u)
-    inv_elapsed = time.perf_counter() - t0
-    print(f"inverse-cdf   {draws} draws (bisection)        "
-          f"{inv_elapsed:8.4f} s   {draws / inv_elapsed:12.0f} draws/s")
-
-    # dynamic-update cost split by case
-    table2 = DynamicTable(spec, SeedContext(seed=args.seed))
+    table = DynamicTable(_model_from_args(args), SeedContext(seed=args.seed))
     case_counts: dict[str, int] = {}
     case_cost: dict[str, int] = {}
-    live: list[tuple[str, str]] = []
-    for _ in range(args.updates):
-        if live and rng.random() < 0.25:
-            gid, label = live[int(rng.integers(len(live)))]
-            try:
-                report = table2.delete(gid, label)
-                live.remove((gid, label))
-            except RowNotFoundError:
-                continue
-        else:
-            gid = f"g{int(rng.integers(200)):04d}"
-            label = f"q{int(rng.integers(30)):03d}"
-            report = table2.upsert(gid, label, float(_bench_strengths(rng, spec, 1)[0]))
-            if (gid, label) not in live:
-                live.append((gid, label))
+    for report in _update_stream(table, np.random.default_rng(args.seed), args.updates):
         case_counts[report.case.value] = case_counts.get(report.case.value, 0) + 1
         case_cost[report.case.value] = case_cost.get(report.case.value, 0) + report.comparisons
     print(f"dynamic-updates {args.updates} ops")
@@ -650,10 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_validate.set_defaults(func=cmd_validate)
 
-    p_bench = sub.add_parser("bench", help="throughput of race vs baselines")
+    p_bench = sub.add_parser("bench", help="dynamic-update costs split by case")
     add_common(p_bench)
-    p_bench.add_argument("--rows", type=int, default=100_000)
-    p_bench.add_argument("--draws", type=int, default=100_000)
     p_bench.add_argument("--updates", type=int, default=10_000)
     p_bench.set_defaults(func=cmd_bench)
     return parser
@@ -666,6 +587,10 @@ def main(argv: list[str] | None = None) -> int:
     except FamilyDomainError as err:  # a bad --scale, --offset or strength
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does: not an error
+        # stdout's buffer is flushed again at exit, so send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ table's.
 Every entry point holds its rows as one :class:`CodedTable`: exact
 integer group and label codes plus the distinct ids, built with no
 ``(group_id, label)`` pair twice, since the pair is what a row's uniform
-is hashed from.  The CLI codes the rows while reading and passes its
-table to :func:`sample_codes`; the library entry points code theirs with
+is hashed from.  The CLI codes the rows while reading and races its table
+with :func:`_race_columns`; the library entry points code theirs with
 :meth:`CodedTable.from_ids`.  A call is prepared once and raced once per
 replicate.  Preparing checks the strengths and digests each distinct id
 once, in numpy.  The rows are then sorted once, stably, by group.  Only
@@ -623,7 +623,7 @@ def sample_replicates(
 
 def sample_codes(table: CodedTable, spec: ModelSpec, ctx: SeedContext,
                  n_replicates: int = 1) -> Iterator[dict[str, GroupWinner]]:
-    """:func:`sample_replicates` of a table already coded, as the CLI reads one."""
+    """:func:`sample_replicates` of a table already coded, as ``cli.read_table`` returns one."""
     return (_winner_map(table, columns)
             for columns in _race_columns(table, spec, ctx, n_replicates))
 

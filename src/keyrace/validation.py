@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import baselines, stats
-from .dynamic import DynamicTable
+from .dynamic import ChangeReport, DynamicTable
 from .families import (
     Family,
     ModelSpec,
@@ -314,6 +315,26 @@ def _random_stream_strength(rng: np.random.Generator, spec: ModelSpec) -> float:
     return spec.strength_sign * float(np.exp(rng.normal(0.0, 1.0)))
 
 
+def _update_stream(table: DynamicTable, rng: np.random.Generator, steps: int,
+                   n_groups: int = 50) -> Iterator[ChangeReport]:
+    """Apply ``steps`` random operations to ``table``, yielding each one's report.
+
+    While a row is live, 30% of the steps delete one; the rest upsert a row
+    of ``n_groups`` groups x 40 labels with a strength in the family's domain.
+    """
+    live: list[tuple[str, str]] = []  # the live rows, kept sorted
+    for _ in range(steps):
+        if live and rng.random() < 0.3:
+            report = table.delete(*live.pop(rng.integers(len(live))))
+        else:
+            row = f"g{rng.integers(n_groups):03d}", f"q{rng.integers(40):02d}"
+            report = table.upsert(*row, _random_stream_strength(rng, table.spec))
+            at = bisect.bisect_left(live, row)
+            if live[at:at + 1] != [row]:
+                live.insert(at, row)
+        yield report
+
+
 def check_dynamic_vs_scratch(
     base_seed: int,
     steps: int = 10_000,
@@ -328,17 +349,8 @@ def check_dynamic_vs_scratch(
         spec = model_for(family)
         table = DynamicTable(spec, SeedContext(seed=base_seed))
         rng = np.random.default_rng(base_seed + 1009 * fam_index)
-        live: list[tuple[str, str]] = []  # the live rows, kept sorted
         mismatches = 0
-        for step in range(steps):
-            if live and rng.random() < 0.3:
-                table.delete(*live.pop(rng.integers(len(live))))
-            else:
-                row = f"g{rng.integers(n_groups):03d}", f"q{rng.integers(40):02d}"
-                table.upsert(*row, _random_stream_strength(rng, spec))
-                at = bisect.bisect_left(live, row)
-                if live[at:at + 1] != [row]:
-                    live.insert(at, row)
+        for step, _ in enumerate(_update_stream(table, rng, steps, n_groups)):
             if step % check_every == check_every - 1 or step == steps - 1:
                 scratch = reduce_winners(table.snapshot_keyed_rows(), spec.orientation)
                 if scratch != table.winners():

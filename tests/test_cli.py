@@ -112,7 +112,7 @@ class TestSample:
 
     @pytest.mark.parametrize("argv", [["update", "--threads", "2"], ["sample", "--quick"],
                                       ["validate", "--replicates", "2"],
-                                      ["bench", "--threads", "2"]])
+                                      ["bench", "--threads", "2"], ["bench", "--rows", "10"]])
     def test_flags_of_other_subcommands_rejected(self, argv, worked_example_csv):
         result = run_cli(*argv, *([str(worked_example_csv)] if argv[0] == "sample" else []),
                          stdin="")
@@ -295,6 +295,21 @@ class TestUpdate:
         # the message itself, not KeyError's quoted repr of it
         assert result.stderr == "warning: line 1: no row (group_id='g1', label='ghost')\n"
 
+    @pytest.mark.parametrize("command, row", [
+        ('UPSERT g1,"x,y",1.0', 'g1,"x,y",1.0'),  # a quoted comma
+        ("UPSERT g1, a,1.0", "g1, a,1.0"),  # a leading space is kept
+        ('UPSERT g2,"q""t",2.0', 'g2,"q""t",2.0'),  # a doubled quote
+    ])
+    def test_fields_read_as_sample_reads_them(self, tmp_path, command, row):
+        result = run_cli("update", "--model", "gumbel1", "--seed", "2", stdin=command + "\n")
+        assert result.returncode == 0, result.stderr
+        path = tmp_path / "one.csv"
+        path.write_text(f"ID,QUAL,Strength\n{row}\n", encoding="utf-8")
+        sample = run_cli("sample", str(path), "--model", "gumbel1", "--seed", "2", "--with-key")
+        assert sample.returncode == 0, sample.stderr
+        # the winner's "gid,label,key" head, before " <case> <rescan> cmp=<n>"
+        assert result.stdout.rsplit(" ", 3)[0] == sample.stdout.rstrip("\n")
+
     def test_replay_matches_sample(self, tmp_path):
         # a script that upserts each row exactly once and deletes a few:
         # survivors keep version 0, so a fresh `sample` run must agree
@@ -324,6 +339,27 @@ class TestUpdate:
         sample_out = run_cli("sample", str(path), "--model", "gumbel1", "--seed", "3")
         assert sample_out.returncode == 0
         assert sorted(final_winners.values()) == sample_out.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", ["sample", "update"])
+def test_reader_closing_stdout_early_ends_quietly(tmp_path, command):
+    # each writes well over a pipe's 64 KiB: sample in one write per replicate
+    argv = ["update"]
+    if command == "sample":
+        table = write_random_table(tmp_path / "t.csv", 30_000, 30_000, seed=3)
+        argv = ["sample", "--model", "gumbel1", "--replicates", "3", str(table)]
+    commands = tmp_path / "commands.txt"
+    commands.write_text("".join(f"UPSERT g{i},q,1.0\n" for i in range(20_000)))
+    with open(commands, "rb") as stdin:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "keyrace", *argv],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()  # then close, as `| head -1` does
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 0
+    assert err == b""
 
 
 class TestValidate:
@@ -367,38 +403,32 @@ class TestValidate:
 
 class TestBench:
     def test_small_bench_completes(self):
-        result = run_cli("bench", "--rows", "2000", "--draws", "5000",
-                         "--updates", "1000", "--model", "gumbel1")
+        result = run_cli("bench", "--updates", "1000", "--model", "gumbel1")
         assert result.returncode == 0, result.stderr
-        assert "rows/s" in result.stdout
-        assert "draws/s" in result.stdout
         assert "dynamic-updates" in result.stdout
         assert "loses-to-winner" in result.stdout
 
-    def test_single_row_degenerate(self):
-        result = run_cli("bench", "--rows", "1", "--draws", "2000", "--updates", "10")
-        assert result.returncode == 0, result.stderr
-        assert "key-race      1 rows -> 1 groups" in result.stdout
+    def test_case_counts_are_the_battery_stream_tallied(self, capsys):
+        from keyrace.dynamic import DynamicTable
+        from keyrace.validation import _update_stream
 
-    def test_million_row_sample_reports_throughput(self):
-        result = run_cli("bench", "--rows", "1000000", "--draws", "1000",
-                         "--updates", "100", "--model", "gumbel1")
-        assert result.returncode == 0, result.stderr
-        first = result.stdout.splitlines()[0]
-        assert "1000000 rows" in first and "rows/s" in first
+        assert cli.main(["bench", "--updates", "3000", "--model", "frechet2", "--seed", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "dynamic-updates 3000 ops"
+        got = {}
+        for line in lines[1:]:
+            case, count, mean = re.fullmatch(
+                r"  (\S+) +count= *(\d+) mean-comparisons= *(\S+)", line).groups()
+            got[case] = (int(count), float(mean))
 
-
-def test_round_trip_parse_emit_parse(tmp_path, worked_example_csv):
-    from keyrace.cli import emit_table, read_table
-
-    first = read_table(str(worked_example_csv), inject_keys=True)
-    out = tmp_path / "again.csv"
-    emit_table(first, str(out))
-    second = read_table(str(out), inject_keys=True)
-    assert first.group_ids == second.group_ids
-    assert first.labels == second.labels
-    np.testing.assert_array_equal(first.strengths, second.strengths)
-    np.testing.assert_array_equal(first.keys, second.keys)
+        table = DynamicTable(ModelSpec(Family.FRECHET2), SeedContext(seed=5))
+        reports = list(_update_stream(table, np.random.default_rng(5), 3000))
+        expected = {}
+        for case in {r.case.value for r in reports}:
+            costs = [r.comparisons for r in reports if r.case.value == case]
+            expected[case] = (len(costs), float(f"{sum(costs) / len(costs):.2f}"))
+        assert got == expected
+        assert sum(count for count, _ in got.values()) == 3000
 
 
 def test_worked_example_fixture_roundtrip(tmp_path):
