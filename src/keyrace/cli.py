@@ -9,8 +9,9 @@ update    apply a line-oriented stream of ``UPSERT id,qual,strength`` /
           the update case after every command; each line is decoded on
           its own, and one that is not UTF-8 is skipped with a warning.
           A command's fields are one CSV record, read as ``sample`` reads
-          a line: quoted fields may hold commas and quotes, and spaces
-          are kept
+          a row: quoted fields may hold commas and quotes, spaces are
+          kept, fields beyond the ones the verb reads are ignored, and a
+          Strength that is not a number warns ``bad Strength value``
 validate  run the correctness battery (or per-group checks on an input
           file) and print ``CRITERION <name> PASS|FAIL p=<value>`` lines
 bench     run the battery's random upsert/delete stream on a dynamic
@@ -23,7 +24,9 @@ into integer group and label codes, one dictionary pass per column, and
 :func:`read_table` returns the rows as one
 :class:`~keyrace.sampler.CodedTable`, the type the sampler races.
 Building it rejects a repeated (ID, QUAL), which the reader then names
-with its line.  The sampler sorts the rows into groups once per call, by
+with its line, as it names a non-finite KEY before the table is built.
+Line numbers count CSV records, so a quoted line break advances none.
+The sampler sorts the rows into groups once per call, by
 a radix sort of group codes narrowed to 8 or 16 bits where they fit, and
 yields each replicate's winners as columns of label codes and keys, one
 entry per group.  ``sample`` ranks the group ids once and writes each
@@ -36,7 +39,7 @@ it finds one.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
 races it n times.  ``sample`` accepts ``--threads N`` and ignores it:
 every group is raced in one pass, whatever N is.  ``--quick`` belongs to
-``validate``.
+``validate``.  Every count option takes an int >= 0.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 4 warnings on the update stream.  A reader that closes stdout early, as
@@ -58,7 +61,7 @@ from typing import Iterable, Iterator, NoReturn
 import numpy as np
 
 from . import sampler
-from .families import Family, FamilyDomainError, ModelSpec
+from .families import Family, FamilyDomainError, ModelSpec, strength_to_alpha
 from .sampler import (
     CodedTable,
     SeedContext,
@@ -96,8 +99,8 @@ def _model_from_args(args) -> ModelSpec:
     return ModelSpec(Family(args.model), scale_c=args.scale, offset_d=offset)
 
 
-def _replicate_count(text: str) -> int:
-    """``--replicates``: an int, 0 or more; argparse exits 2 on anything else."""
+def _count(text: str) -> int:
+    """A count option: an int, 0 or more; argparse exits 2 on anything else."""
     try:
         n = int(text)
     except ValueError:
@@ -192,15 +195,19 @@ class _CsvReader:
         self.inject_keys = inject_keys
         self.expected = len(_HEADER) + (1 if inject_keys else 0)
         self.header_seen = False
-        self.line = 1  # line number of the next record
+        self.rows = 0  # rows taken
+        self.blank_rows: list[int] = []  # the rows taken before each blank record
         self.groups: dict[str, int] = {}
         self.labels: dict[str, int] = {}
         self.group_codes: list[np.ndarray] = []
         self.label_codes: list[np.ndarray] = []
         self.strengths: list[np.ndarray] = []
         self.keys: list[np.ndarray] = []
-        self.batch_rows = [0]  # first row of each batch, then the row count
-        self.batch_lines: list[int | list[int]] = []  # its first row's line, or every row's
+
+    def line(self, row: int) -> int:
+        """Row ``row``'s line (if ``row`` is the row count, the next record's), counted in
+        records: the header is record 1, and blank records are the only others."""
+        return row + 2 + bisect.bisect_right(self.blank_rows, row)
 
     def read(self, fh) -> CodedTable:
         blocks = _blocks(fh)
@@ -224,12 +231,12 @@ class _CsvReader:
         records = csv.reader(_csv_lines(blocks))
         while True:
             batch: list[list[str]] = []
-            error = None
+            message = None
             try:
                 batch.extend(itertools.islice(records, _CSV_BATCH))
             except (csv.Error, _InvalidUtf8) as err:  # raised at the record after the batch
-                error = CliParseError(str(err), self.line + len(batch))
-            self.take_records(batch, error)
+                message = str(err)
+            self.take_records(batch, message)
             if len(batch) < _CSV_BATCH:
                 return
 
@@ -257,30 +264,26 @@ class _CsvReader:
             return False
         # split on both separators at once and take the columns by stride
         fields = text.replace("\n", ",").split(",")
-        first, n_lines = self.line, ends.size
-        self.line += n_lines
-        self.take_columns([fields[j : n_lines * width : width] for j in range(self.expected)],
-                          first)
+        self.take_columns([fields[j : ends.size * width : width] for j in range(self.expected)])
         return True
 
-    def take_records(self, records: list[list[str]], error: CliParseError | None) -> None:
-        """Take consecutive records; ``error`` stops the file right after them."""
+    def take_records(self, records: list[list[str]], message: str | None) -> None:
+        """Take consecutive records; an error ``message`` stops the file right after them."""
         if not self.header_seen and records:
             self.take_header(records[0])
             records = records[1:]
         kept: list[list[str]] = []
-        lines: list[int] = []
-        for line, record in enumerate(records, self.line):
+        for record in records:
             if not record or (len(record) == 1 and not record[0].strip()):
+                self.blank_rows.append(self.rows + len(kept))
                 continue
             if len(record) < self.expected:
-                error = CliParseError(f"expected {self.expected} fields, got {len(record)}", line)
+                message = f"expected {self.expected} fields, got {len(record)}"
                 break
             kept.append(record)
-            lines.append(line)
-        self.line += len(records)
+        line = self.line(self.rows + len(kept)) if self.header_seen else 1  # the next record's
         self.take_columns([list(map(itemgetter(j), kept)) for j in range(self.expected)],
-                          lines, error)
+                          None if message is None else CliParseError(message, line))
 
     def take_header(self, record: list[str]) -> None:
         if tuple(record[: len(_HEADER)]) != _HEADER:
@@ -290,24 +293,15 @@ class _CsvReader:
         if self.inject_keys and (len(record) < 4 or record[3] != _KEY_COLUMN):
             raise CliParseError(f"--inject-keys needs a 4th column named {_KEY_COLUMN}", 1)
         self.header_seen = True
-        self.line = 2
 
-    def take_columns(self, columns: list[list[str]], lines: int | list[int],
-                     error: CliParseError | None = None) -> None:
-        """Take the columns of rows with enough fields.
-
-        ``lines`` is the first row's line when the rows are on consecutive
-        lines, else every row's line.
-        """
-        def line(i: int) -> int:
-            return lines + i if isinstance(lines, int) else lines[i]
-
+    def take_columns(self, columns: list[list[str]], error: CliParseError | None = None) -> None:
+        """Take the columns of the next rows, each with enough fields."""
         n = len(columns[0])
         strengths, bad_strength = _floats(columns[2])
         if bad_strength is not None:
             n = bad_strength + 1  # a bad row can still be a repeat, which comes first
             error = CliParseError(f"bad Strength value {columns[2][bad_strength]!r}",
-                                  line(bad_strength))
+                                  self.line(self.rows + bad_strength))
         if self.inject_keys:
             keys, bad = _floats(columns[3][:n])
             message = f"bad {_KEY_COLUMN} value {columns[3][bad]!r}" if bad is not None else ""
@@ -315,19 +309,18 @@ class _CsvReader:
             if nonfinite.size:  # all before the first unparsed key
                 bad, message = int(nonfinite[0]), f"non-finite {_KEY_COLUMN} value"
             if bad is not None and (bad_strength is None or bad < bad_strength):
-                n, error = bad + 1, CliParseError(message, line(bad))
+                n, error = bad + 1, CliParseError(message, self.line(self.rows + bad))
             self.keys.append(np.asarray(keys[:n], dtype=np.float64))
         self.group_codes.append(code_ids(columns[0][:n], self.groups))
         self.label_codes.append(code_ids(columns[1][:n], self.labels))
         self.strengths.append(np.asarray(strengths[:n], dtype=np.float64))
-        self.batch_lines.append(lines)
-        self.batch_rows.append(self.batch_rows[-1] + n)
+        self.rows += n
         if error is not None:
             self.fail(error)
 
     def fail(self, error: CliParseError) -> NoReturn:
         """Raise the first repeated row read so far, else ``error``."""
-        self.table(np.zeros(self.batch_rows[-1]))  # only the codes are checked
+        self.table(np.zeros(self.rows))  # only the codes are checked
         raise error
 
     def table(self, strengths: np.ndarray, keys: np.ndarray | None = None) -> CodedTable:
@@ -344,11 +337,8 @@ class _CsvReader:
             dup = sampler.first_duplicate(group_codes, label_codes, len(self.labels))
             if dup is None:
                 raise
-            batch = bisect.bisect_right(self.batch_rows, dup) - 1
-            lines, i = self.batch_lines[batch], dup - self.batch_rows[batch]
             gid, label = list(self.groups)[group_codes[dup]], list(self.labels)[label_codes[dup]]
-            raise CliParseError(f"duplicate row ({gid},{label})",
-                                lines + i if isinstance(lines, int) else lines[i]) from None
+            raise CliParseError(f"duplicate row ({gid},{label})", self.line(dup)) from None
 
 
 def read_table(path: str, inject_keys: bool = False) -> CodedTable:
@@ -420,29 +410,28 @@ def cmd_update(args) -> int:
                 verb, _, record = text.lstrip().partition(" ")
                 if not verb:  # a blank line
                     continue
-                # the record's fields are read as sample reads a CSV line's
+                # the record is read as sample reads a CSV row: extra fields are ignored
                 fields = next(csv.reader([record]), [])
-                if verb.upper() == "UPSERT" and len(fields) == 3:
-                    report = table.upsert(fields[0], fields[1], float(fields[2]))
-                elif verb.upper() == "DELETE" and len(fields) == 2:
+                if verb.upper() == "UPSERT" and len(fields) >= 3:
+                    try:
+                        strength = float(fields[2])
+                    except ValueError:
+                        raise CliParseError(f"bad Strength value {fields[2]!r}") from None
+                    report = table.upsert(fields[0], fields[1], strength)
+                elif verb.upper() == "DELETE" and len(fields) >= 2:
                     report = table.delete(fields[0], fields[1])
                 else:
                     raise CliParseError(f"malformed command {text.strip()!r}")
-            except (CliParseError, csv.Error, _InvalidUtf8, ValueError, RowNotFoundError,
+            except (CliParseError, csv.Error, _InvalidUtf8, RowNotFoundError,
                     FamilyDomainError) as err:
                 print(f"warning: line {line_no}: {err}", file=sys.stderr)
                 warned = True
                 continue
-            gid = _csv_field(report.group_id)
-            if report.winner is None:
-                print(f"{gid},-,- {report.case.value} no-rescan cmp={report.comparisons}")
-            else:
-                w = report.winner
-                rescan = "rescan" if report.rescanned else "no-rescan"
-                print(
-                    f"{gid},{_csv_field(w.label)},{w.key!r} {report.case.value} "
-                    f"{rescan} cmp={report.comparisons}"
-                )
+            w = report.winner  # None once a group's last row is deleted, which re-scans nothing
+            label, key = ("-", "-") if w is None else (_csv_field(w.label), repr(w.key))
+            rescan = "rescan" if report.rescanned else "no-rescan"
+            print(f"{_csv_field(report.group_id)},{label},{key} {report.case.value} {rescan} "
+                  f"cmp={report.comparisons}")
     finally:
         if stream is not sys.stdin.buffer:
             stream.close()
@@ -450,7 +439,7 @@ def cmd_update(args) -> int:
 
 
 def _validate_input_file(args, spec: ModelSpec) -> int:
-    """Chi-square each group of an input table against its strengths."""
+    """Chi-square each group of an input table, raced under its own id, against its strengths."""
     from . import stats, validation
 
     try:
@@ -462,19 +451,18 @@ def _validate_input_file(args, spec: ModelSpec) -> int:
     for i, gid in enumerate(table.group_ids):
         groups.setdefault(gid, []).append(i)
     all_labels = table.labels
-    replicates = 10_000 if args.quick else 60_000
+    replicates = validation.QUICK_REPLICATES if args.quick else validation.REPLICATES
     failures = 0
     for gid in sorted(groups):
         idx = groups[gid]
-        labels = [all_labels[i] for i in idx]
         strengths = table.strengths[idx]
+        alphas = strength_to_alpha(spec, strengths)  # a bad strength: FamilyDomainError, exit 3
+        winners = sampler.replicate_winners(spec, [all_labels[i] for i in idx], strengths,
+                                            args.seed, replicates, group_id=gid)
         try:
-            report = stats.run_choice_experiment(
-                spec, strengths, replicates, seed=args.seed, labels=labels
-            )
-        except FamilyDomainError:
-            raise
-        except ValueError as err:  # e.g. an expected count too small for the chi-square
+            report = stats.chi_square_gof(np.bincount(winners, minlength=len(idx)),
+                                          alphas / alphas.sum())
+        except ValueError as err:  # an expected count too small for the chi-square
             print(f"error: group {gid!r}: {err}", file=sys.stderr)
             return EXIT_DOMAIN
         ok = not report.reject_at(validation.SIGNIFICANCE)
@@ -544,9 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="winner per group of a CSV table")
     add_common(p_sample)
-    p_sample.add_argument("--threads", type=int, default=1,
+    p_sample.add_argument("--threads", type=_count, default=1,
                           help="accepted and ignored: each group is raced in one pass")
-    p_sample.add_argument("--replicates", type=_replicate_count, default=1,
+    p_sample.add_argument("--replicates", type=_count, default=1,
                           help="race the table n times; ids are digested once for all of them")
     p_sample.add_argument("input", help="CSV with header ID,QUAL,Strength")
     p_sample.add_argument("-o", "--output", default=None)
@@ -575,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="dynamic-update costs split by case")
     add_common(p_bench)
-    p_bench.add_argument("--updates", type=int, default=10_000)
+    p_bench.add_argument("--updates", type=_count, default=10_000)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

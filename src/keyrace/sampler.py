@@ -11,7 +11,8 @@ table's.
 Every entry point holds its rows as one :class:`CodedTable`: exact
 integer group and label codes plus the distinct ids, built with no
 ``(group_id, label)`` pair twice, since the pair is what a row's uniform
-is hashed from.  The CLI codes the rows while reading and races its table
+is hashed from, and with no non-finite injected key.  The CLI codes the
+rows while reading and races its table
 with :func:`_race_columns`; the library entry points code theirs with
 :meth:`CodedTable.from_ids`.  A call is prepared once and raced once per
 replicate.  Preparing checks the strengths and digests each distinct id
@@ -246,7 +247,9 @@ class CodedTable:
     ones.  Building a table with a code that indexes no name raises
     ``ValueError``, as does one that repeats a pair, naming the first
     repeat; then one with a name that is not a ``str`` raises
-    ``TypeError``, so a table once built is never checked again.
+    ``TypeError``, and one with a non-finite injected key raises
+    :class:`FamilyDomainError` naming its ``(group_id, label)``, so a
+    table once built is never checked again.
     """
 
     group_codes: np.ndarray
@@ -275,6 +278,13 @@ class CodedTable:
                    if not isinstance(s, str)]
         if not_str:
             raise _str_type_error(not_str[0])
+        if self.keys is not None:
+            bad = np.flatnonzero(~np.isfinite(self.keys))
+            if bad.size:
+                raise FamilyDomainError(
+                    f"injected key must be finite, got {self.keys[bad[0]]} "
+                    "(group_id={!r}, label={!r})".format(*self.row(bad[0]))
+                )
 
     @classmethod
     def from_ids(cls, group_ids: Sequence[str], labels: Sequence[str], strengths,
@@ -368,16 +378,10 @@ def _beats(
 def _prepare(table: CodedTable, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray] | None:
     """Domain check of a table, then the digests of its distinct group ids and labels.
 
-    Injected keys stand in for the strengths, so they are checked for
-    being finite instead, and no digests are taken: None is returned.
+    Injected keys stand in for the strengths, and the table checked them
+    when it was built, so no digests are taken: None is returned.
     """
     if table.keys is not None:
-        bad = np.flatnonzero(~np.isfinite(table.keys))
-        if bad.size:
-            raise FamilyDomainError(
-                f"injected key must be finite, got {table.keys[bad[0]]} "
-                "(group_id={!r}, label={!r})".format(*table.row(bad[0]))
-            )
         return None
     _check_strengths(spec, table.strengths, table.row)
     return _string_digests(table.group_names), _string_digests(table.label_names)
@@ -604,8 +608,10 @@ def sample_replicates(
     """Winner maps of replicates ``ctx.replicate .. ctx.replicate + n_replicates - 1``.
 
     The table is checked and prepared when this is called: a repeated
-    ``(group_id, label)`` raises ``ValueError``, then a negative
-    ``n_replicates`` does (0 yields nothing), then a bad strength raises
+    ``(group_id, label)`` raises ``ValueError``, then a non-finite
+    injected key raises :class:`FamilyDomainError`, both when the
+    :class:`CodedTable` is built; then a negative ``n_replicates`` raises
+    ``ValueError`` (0 yields nothing), then a bad strength raises
     :class:`FamilyDomainError` naming its ``(group_id, label)``, and every
     distinct id is digested once for all replicates.  The returned
     iterator then keys and reduces one replicate per step.

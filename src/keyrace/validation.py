@@ -48,6 +48,7 @@ from .sampler import (
 __all__ = ["CriterionResult", "run_battery", "WORKED_EXAMPLE_ROWS", "WORKED_EXAMPLE_WINNERS"]
 
 SIGNIFICANCE = 1e-3
+REPLICATES, QUICK_REPLICATES = 60_000, 10_000  # per choice experiment
 
 # Four-group quality table with precomputed competition keys; the winners
 # are fully determined by the keys, which makes it the canned fixture for
@@ -458,7 +459,7 @@ def check_stat_kernels() -> list[CriterionResult]:
 def run_battery(base_seed: int = 0, quick: bool = False) -> list[CriterionResult]:
     """Execute the standard criterion set; `quick` trades power for speed."""
     n_seeds = 5 if quick else 20
-    replicates = 10_000 if quick else 60_000
+    replicates = QUICK_REPLICATES if quick else REPLICATES
     ks_n = 5_000 if quick else 20_000
     rep_n = 2_000 if quick else 10_000
     instances = 2_000 if quick else 10_000

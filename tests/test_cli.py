@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import itertools
@@ -104,6 +105,14 @@ class TestSample:
         assert result.returncode == 2
         assert f"argument --replicates: must be >= 0, got {count}" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("argv", [["sample", "--threads", "-3", "t.csv"],
+                                      ["bench", "--updates", "-5"]])
+    def test_negative_counts_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert f"argument {argv[1]}: must be >= 0, got {argv[2]}" in capsys.readouterr().err
 
     def test_zero_replicates_write_nothing(self, worked_example_csv):
         result = run_cli("sample", str(worked_example_csv), "--inject-keys", "--replicates", "0")
@@ -239,6 +248,72 @@ def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, wit
     assert [record[: len(record) - with_key] for record in records] == winner_records
 
 
+def _main(argv):
+    """``cli.main(argv)`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# ids as in _CSV_IDS, but with no CR or LF, which would split an update command
+_LINE_IDS = st.text(alphabet=st.sampled_from(list('ab ,"é日')), max_size=5)
+_STRENGTH_TEXTS = st.one_of(
+    st.floats(-5.0, 5.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1_0", " 2.5", "0", "-1.5", "1.5", "x", ""]),
+)
+
+
+@st.composite
+def _command_tables(draw):
+    """Rows with distinct (ID, QUAL) pairs, each as its CSV record's fields, extras included."""
+    pairs = draw(st.lists(st.tuples(_LINE_IDS, _LINE_IDS), min_size=1, max_size=8,
+                          unique=True))
+    return [[g, l, draw(_STRENGTH_TEXTS)] + draw(st.lists(_LINE_IDS, max_size=2))
+            for g, l in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_command_tables(), st.sampled_from([f.value for f in Family]), st.integers(0, 2**32))
+def test_update_reads_each_row_as_sample_does(rows, model, seed):
+    """One table as a CSV and as one UPSERT per row: each row is accepted by
+    ``sample`` (as a one-row file) and by ``update`` alike, or rejected by both
+    with one message; the accepted rows' ``sample --with-key`` lines are the
+    heads of each group's last ``update`` line."""
+    common = ["--model", model, "--seed", str(seed)]
+    header = "ID,QUAL,Strength\n"
+    records = [_csv_line(row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, commands = Path(tmp) / "t.csv", Path(tmp) / "commands.txt"
+        commands.write_text("".join("UPSERT " + r for r in records), encoding="utf-8")
+        code, out, err = _main(["update", str(commands), *common])
+        assert code == (4 if err else 0)
+        warnings = {}
+        for line in err.splitlines():
+            line_no, message = re.fullmatch(r"warning: line (\d+): (.*)", line).groups()
+            warnings[int(line_no)] = message
+        accepted = []
+        for line_no, record in enumerate(records, start=1):
+            path.write_text(header + record, encoding="utf-8")
+            code, _, sample_err = _main(["sample", str(path), *common])
+            assert (code == 0) == (line_no not in warnings), (record, sample_err, warnings)
+            if code:  # the same message, less sample's "error: " and "line 2: "
+                message = re.sub(r"^error: (line 2: )?", "", sample_err.rstrip("\n"))
+                assert warnings[line_no] == message
+            else:
+                accepted.append(record)
+        path.write_text(header + "".join(accepted), encoding="utf-8")
+        code, sample_out, _ = _main(["sample", str(path), "--with-key", *common])
+    assert code == 0
+    # the winner's "gid,label,key" head, before " <case> <rescan> cmp=<n>"; a row's
+    # first upsert has version 0, the version sample uses
+    last = {}
+    for line in out.splitlines():
+        head = line.rsplit(" ", 3)[0]
+        last[next(csv.reader([head]))[0]] = head
+    assert sample_out.splitlines() == [last[gid] for gid in sorted(last)]
+
+
 @pytest.mark.parametrize("flag", ["--scale", "--offset"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_model_constant_is_a_domain_error(worked_example_csv, flag, value):
@@ -299,6 +374,7 @@ class TestUpdate:
         ('UPSERT g1,"x,y",1.0', 'g1,"x,y",1.0'),  # a quoted comma
         ("UPSERT g1, a,1.0", "g1, a,1.0"),  # a leading space is kept
         ('UPSERT g2,"q""t",2.0', 'g2,"q""t",2.0'),  # a doubled quote
+        ("UPSERT g1,a,1.0,extra", "g1,a,1.0,extra"),  # an extra field is ignored
     ])
     def test_fields_read_as_sample_reads_them(self, tmp_path, command, row):
         result = run_cli("update", "--model", "gumbel1", "--seed", "2", stdin=command + "\n")
@@ -390,6 +466,13 @@ class TestValidate:
         assert result.returncode == 0, result.stdout
         assert "CRITERION group-g1 PASS" in result.stdout
         assert "CRITERION group-g2 PASS" in result.stdout
+
+    def test_input_file_groups_race_under_their_own_ids(self, tmp_path, capsys):
+        path = tmp_path / "twins.csv"
+        path.write_text("ID,QUAL,Strength\ng1,a,1.0\ng1,b,2.0\ng2,a,1.0\ng2,b,2.0\n")
+        assert cli.main(["validate", "--quick", "--input", str(path)]) == 0
+        p_values = re.findall(r"CRITERION group-g[12] PASS p=(\S+)", capsys.readouterr().out)
+        assert len(p_values) == 2 and p_values[0] != p_values[1]
 
     def test_input_file_too_few_expected_counts_is_a_domain_error(self, tmp_path):
         # weight 1e-9 gives label a an expected count far below 5

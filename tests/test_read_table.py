@@ -172,6 +172,10 @@ def _files(draw):
 @example((b"ID,QUAL,Strength\ng1,a,1\ng1,a,x\n", False), None)  # both on one row
 @example((b"ID,QUAL,Strength\rg1,a,1\r\xff,b,2\n", False), None)  # bad byte after a lone CR
 @example((b"ID,QUAL,Strength\ng1,a,1\ng1,b,2,extra\ng2,c,3\n", False), None)  # uneven block
+@example((b"ID,QUAL,Strength\n\ng1,a,1\n\ng1,a,2\n", False), None)  # blanks, repeat: line 5
+@example((b"ID,QUAL,Strength\ng1,a,1\n" + b"\n" * 20_000 + b"g1,b,2\n\n\ng1,c,x\n", False),
+         None)  # blanks in two csv batches, then a bad Strength in the second: line 20006
+@example((b'ID,QUAL,Strength\ng1,"two\nlines",1.0\ng1,b,x\n', False), None)  # quoted LF: line 3
 def test_read_table_matches_csv_reader_loop(tmp_path_factory, file, data):
     raw, inject = file
     path = tmp_path_factory.mktemp("t") / "t.csv"

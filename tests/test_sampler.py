@@ -372,6 +372,10 @@ class TestInputContracts:
                 SeedContext(0), injected_keys=[1.0, bad, 0.5, 2.0],
             )
 
+    def test_coded_table_rejects_a_non_finite_key_when_built(self):
+        with pytest.raises(FamilyDomainError, match=r"\(group_id='g', label='a'\)"):
+            CodedTable.from_ids(["g"], ["a"], [1.0], keys=[float("nan")])
+
     @pytest.mark.parametrize("bad_id", [7, b"g"])
     @pytest.mark.parametrize("entry", ["sample", "sample_arrays", "derive_uniform", "upsert",
                                        "injected_keys"])
