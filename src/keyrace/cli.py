@@ -37,9 +37,12 @@ writes it, by ``sample`` and ``update`` alike; ``sample`` looks for such a
 name in one scan of all the names joined, and quotes name by name only if
 it finds one.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
-races it n times.  ``sample`` accepts ``--threads N`` and ignores it:
-every group is raced in one pass, whatever N is.  ``--quick`` belongs to
-``validate``.  Every count option takes an int >= 0.
+races it n times.  ``sample --threads N`` reads a file of two or more
+blocks in up to N pieces at once: the first itself and each other in a
+forked process.  It merges their codes in file order, so the table, the
+output and every error message are the same for any N; the race itself
+is one pass.
+``--quick`` belongs to ``validate``.  Every count option takes an int >= 0.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 4 warnings on the update stream.  A reader that closes stdout early, as
@@ -56,7 +59,7 @@ import itertools
 import os
 import sys
 from operator import add, itemgetter
-from typing import Iterable, Iterator, NoReturn
+from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -110,9 +113,9 @@ def _count(text: str) -> int:
     return n
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """A binary file in blocks of whole lines."""
-    while block := fh.read(_BLOCK_BYTES):
+def _blocks(fh, end: int | None = None) -> Iterator[bytes]:
+    """A binary file in blocks of whole lines, up to offset ``end`` (a line start) if given."""
+    while block := fh.read(_BLOCK_BYTES if end is None else min(_BLOCK_BYTES, end - fh.tell())):
         if not block.endswith(b"\n"):
             block += fh.readline()
         yield block
@@ -209,22 +212,37 @@ class _CsvReader:
         records: the header is record 1, and blank records are the only others."""
         return row + 2 + bisect.bisect_right(self.blank_rows, row)
 
-    def read(self, fh) -> CodedTable:
-        blocks = _blocks(fh)
-        first = next(blocks, b"")
-        end = first.find(b"\n") + 1 or len(first)
-        if _plain(first[:end]):
-            self.read_csv([first[:end]])  # the header: one line, so one record
-            first = first[end:]
-        blocks = itertools.chain([first] if first else [], blocks)
-        for block in blocks:  # the header is read unless it is in this block, which is not plain
-            if not (_plain(block) and self.read_split(block)):
-                self.read_csv(itertools.chain([block], blocks))
-                break
+    def read(self, fh, workers: int = 1) -> CodedTable:
+        """Read the file, in up to ``workers`` pieces (see :class:`_Pieces`)."""
+        with _Pieces(fh, self.inject_keys, workers) as pieces:
+            blocks = _blocks(fh, pieces.end)
+            first = next(blocks, b"")
+            end = first.find(b"\n") + 1 or len(first)
+            if _plain(first[:end]):
+                self.read_csv([first[:end]])  # the header: one line, so one record
+                first = first[end:]
+            # the header is read unless it is in the first block, which is then not plain
+            self.read_blocks(itertools.chain([first] if first else [], blocks), fh, pieces)
+            for start, piece in pieces:
+                if piece is None:  # read that piece, and the rest of the file, here
+                    pieces.stop()
+                    fh.seek(start)
+                    self.read_blocks(_blocks(fh), fh, pieces)
+                    break
+                self.take_piece(piece)
         if not self.header_seen:
             raise CliParseError("empty file: expected header ID,QUAL,Strength", 1)
         return self.table(np.concatenate(self.strengths),
                           np.concatenate(self.keys) if self.inject_keys else None)
+
+    def read_blocks(self, blocks: Iterator[bytes], fh, pieces: _Pieces) -> None:
+        """Split each block; from the first that does not split, :mod:`csv` reads the
+        rest of the file, and the pieces are stopped."""
+        for block in blocks:
+            if not (_plain(block) and self.read_split(block)):
+                pieces.stop()
+                self.read_csv(itertools.chain([block], blocks, _blocks(fh)))
+                return
 
     def read_csv(self, blocks: Iterable[bytes]) -> None:
         """Read the rest of the file with :mod:`csv`."""
@@ -318,6 +336,17 @@ class _CsvReader:
         if error is not None:
             self.fail(error)
 
+    def take_piece(self, piece: _CsvReader) -> None:
+        """Take the rows another reader split from the bytes that follow, its names
+        coded into this reader's, so codes stay first-seen over the file."""
+        groups = code_ids(list(piece.groups), self.groups)  # the piece's codes to this reader's
+        labels = code_ids(list(piece.labels), self.labels)
+        self.group_codes += [groups[codes] for codes in piece.group_codes]
+        self.label_codes += [labels[codes] for codes in piece.label_codes]
+        self.strengths += piece.strengths
+        self.keys += piece.keys
+        self.rows += piece.rows
+
     def fail(self, error: CliParseError) -> NoReturn:
         """Raise the first repeated row read so far, else ``error``."""
         self.table(np.zeros(self.rows))  # only the codes are checked
@@ -341,7 +370,99 @@ class _CsvReader:
             raise CliParseError(f"duplicate row ({gid},{label})", self.line(dup)) from None
 
 
-def read_table(path: str, inject_keys: bool = False) -> CodedTable:
+class _Pieces:
+    """The byte ranges of a file after its first, each read by a forked child.
+
+    With ``n = min(workers, size // _BLOCK_BYTES)`` of 2 or more, the file
+    is cut at line starts into n ranges of about equal size, and ``end`` is
+    where the first one ends; otherwise there is one range and no child.
+    Each child splits its range's blocks as :meth:`_CsvReader.read_split`
+    does, into a reader of its own, and sends that reader back.  A child
+    that meets a block it cannot split, or any error, sends nothing; the
+    parent then reads that range and the rest of the file itself, so every
+    message comes from the one sequential path.  Leaving the context kills
+    and reaps each child not yet read.
+    """
+
+    def __init__(self, fh, inject_keys: bool, workers: int) -> None:
+        self.children: list[tuple[int, int, BinaryIO]] = []  # (start, pid, pipe) in file order
+        self.end: int | None = None
+        size = os.fstat(fh.fileno()).st_size
+        n = min(workers, size // _BLOCK_BYTES)
+        if n < 2 or not hasattr(os, "fork"):
+            return
+        cuts: list[int] = []
+        for i in range(1, n):
+            fh.seek(size * i // n - 1)
+            fh.readline()
+            if fh.tell() < size and (not cuts or fh.tell() > cuts[-1]):
+                cuts.append(fh.tell())
+        fh.seek(0)
+        try:
+            for start, end in zip(cuts, cuts[1:] + [None]):
+                self.children.append((start, *_fork_piece(fh.name, start, end, inject_keys)))
+        except BaseException:
+            self.stop()
+            raise
+        self.end = cuts[0] if cuts else None
+
+    def __enter__(self) -> _Pieces:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def __iter__(self) -> Iterator[tuple[int, _CsvReader | None]]:
+        """Each child's start and reader, None if it failed, in file order; each is reaped
+        once read."""
+        import pickle
+
+        while self.children:
+            start, pid, pipe = self.children.pop(0)
+            try:
+                with pipe:
+                    payload = pipe.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            yield start, pickle.loads(payload) if status == 0 else None
+
+    def stop(self) -> None:
+        """Kill and reap each child not yet read."""
+        if self.children:
+            import signal
+        while self.children:
+            _, pid, pipe = self.children.pop()
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_piece(path: str, start: int, end: int | None,
+                inject_keys: bool) -> tuple[int, BinaryIO]:
+    """Fork a child that splits bytes [start, end) of the file; its pid and the pipe it
+    writes its pickled reader to, or nothing if a block does not split."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns: whatever happens, it exits here
+        try:
+            os.close(read_fd)
+            reader = _CsvReader(inject_keys)
+            with open(path, "rb") as fh:  # its own offset, not the parent's
+                fh.seek(start)
+                if all(_plain(block) and reader.read_split(block)
+                       for block in _blocks(fh, end)):
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(reader, pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedTable:
     """Parse an input CSV into a :class:`CodedTable`, enforcing the header and row uniqueness.
 
     The file is read in blocks of whole lines and each block is coded as
@@ -354,15 +475,20 @@ def read_table(path: str, inject_keys: bool = False) -> CodedTable:
     are those csv.reader reads, and a rejected file gets the same message:
     exit 2 names the line of the first error in file order, invalid UTF-8
     and fields over ``csv.field_size_limit()`` included.
+
+    With ``workers`` above 1, a file of two blocks or more is read in up to
+    that many pieces at once, in forked processes (see :class:`_Pieces`),
+    and their codes are merged in file order, so the table, and every
+    message, is the one a single process reads.
     """
     with open(path, "rb") as fh:
-        return _CsvReader(inject_keys).read(fh)
+        return _CsvReader(inject_keys).read(fh, workers)
 
 
 def cmd_sample(args) -> int:
     spec = _model_from_args(args)
     try:
-        table = read_table(args.input, inject_keys=args.inject_keys)
+        table = read_table(args.input, inject_keys=args.inject_keys, workers=args.threads)
     except (OSError, CliParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -533,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="winner per group of a CSV table")
     add_common(p_sample)
     p_sample.add_argument("--threads", type=_count, default=1,
-                          help="accepted and ignored: each group is raced in one pass")
+                          help="read the CSV in up to N pieces at once, in forked processes; "
+                               "the output is the same for any N")
     p_sample.add_argument("--replicates", type=_count, default=1,
                           help="race the table n times; ids are digested once for all of them")
     p_sample.add_argument("input", help="CSV with header ID,QUAL,Strength")

@@ -550,3 +550,56 @@ def test_readme_command_lines_parse():
                 build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README line does not parse: {text!r}")
+
+
+def _piece_table_lines():
+    """Unique rows filling a little over three read blocks, so `--threads 2` reads the file
+    in two pieces and `--threads 3` in three."""
+    rng = np.random.default_rng(15)
+    lines, size = ["ID,QUAL,Strength"], 0
+    while size < 3 * cli._BLOCK_BYTES + 4096:  # room for a shorter row in place of one
+        i = len(lines) - 1
+        lines.append(f"g{i // 20:05d},q{i % 20:02d},{rng.random()!r}")
+        size += len(lines[-1]) + 1
+    return lines
+
+
+def _with_row(lines, at, row):
+    return lines[:at] + [row] + lines[at + 1:]
+
+
+_PIECE_CASES = {  # a row replaced before the first cut, or after the last one
+    "bad-strength-before-cut": (lambda lines: _with_row(lines, 10, "g00000,q09,x"), 2),
+    "bad-strength-after-cut": (lambda lines: _with_row(lines, -10, "gz,q00,x"), 2),
+    "repeat-across-cut": (lambda lines: _with_row(lines, -10, lines[5]), 2),
+    "quoted-field-after-cut": (lambda lines: _with_row(lines, -10, '"gz,1",q00,1.0'), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_PIECE_CASES))
+def test_sample_in_pieces_matches_one_process(tmp_path, case):
+    """Every piece count gives the bytes, stderr and exit code of `--threads 1`, and no
+    forked reader outlives the command: communicate() returns within its timeout."""
+    edit, exit_code = _PIECE_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(edit(_piece_table_lines())) + "\n", encoding="utf-8")
+    runs = []
+    for threads in (1, 2, 3):
+        proc = subprocess.run([sys.executable, "-m", "keyrace", "sample", "--threads",
+                               str(threads), str(path)], capture_output=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0][0] == exit_code, runs[0][2]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_sample_in_pieces_to_a_closed_pipe(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(_piece_table_lines()) + "\n", encoding="utf-8")
+    runs = []
+    for threads in (1, 2):
+        command = (f"set -o pipefail; {shlex.quote(sys.executable)} -m keyrace sample "
+                   f"--replicates 3 --threads {threads} {shlex.quote(str(path))} | head -1")
+        proc = subprocess.run(["bash", "-c", command], capture_output=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0][0] == 0 and runs[0][1].count(b"\n") == 1 and runs[0][2] == b""
+    assert runs[1] == runs[0]

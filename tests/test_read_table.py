@@ -1,6 +1,8 @@
 """read_table against the row-by-row csv.reader loop it replaced."""
 
 import csv
+import functools
+import os
 import re
 from contextlib import contextmanager
 from unittest import mock
@@ -110,6 +112,11 @@ def _outcome(read, path, inject_keys):
     return "accepted", group_ids, labels, bits(strengths), bits(keys)
 
 
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):  # every forked reader has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextmanager
 def _field_limit(limit):
     old = csv.field_size_limit(limit)
@@ -181,7 +188,7 @@ def test_read_table_matches_csv_reader_loop(tmp_path_factory, file, data):
     path = tmp_path_factory.mktemp("t") / "t.csv"
     path.write_bytes(raw)
     if data is None:
-        block, batch, limit = 1 << 20, 1 << 14, csv.field_size_limit()
+        block, batch, limit, workers = 1 << 20, 1 << 14, csv.field_size_limit(), 1
     else:
         # a block of at least `block` bytes runs on to a line end; also aim at line ends +-1
         line_ends = [i + 1 for i, b in enumerate(raw) if b == 10] or [1]
@@ -191,10 +198,62 @@ def test_read_table_matches_csv_reader_loop(tmp_path_factory, file, data):
         ))
         batch = data.draw(st.integers(1, 5))
         limit = data.draw(st.sampled_from([8, 9, 131072]))  # the header needs 8
+        workers = data.draw(st.sampled_from([1, 2, 3]))
+    _assert_reads_as_oracle(str(path), inject, block, batch, limit, workers)
+
+
+def _assert_reads_as_oracle(path, inject, block, batch, limit, workers):
     with _field_limit(limit), mock.patch.object(cli, "_BLOCK_BYTES", max(1, block)), \
             mock.patch.object(cli, "_CSV_BATCH", batch):
-        assert _outcome(read_table, str(path), inject) == _outcome(oracle_read_table, str(path),
-                                                                    inject)
+        outcome = _outcome(functools.partial(read_table, workers=workers), path, inject)
+        assert outcome == _outcome(oracle_read_table, path, inject)
+    _assert_no_children()
+
+
+_FAULTS = ["g1,l0,x", "g1,l0,1,inf", '"g1",l0,1', "g1,l0,1,2,extra", "g1", "", "g1,\rl0,1",
+           "g1,\x00,1", "g1,l0,1" + "0" * 20]
+
+
+@st.composite
+def _split_files(draw):
+    """Unquoted rows that split, each (ID, QUAL) once, with up to three faults anywhere,
+    and the block size, workers, field limit and csv batch to read them with."""
+    inject = draw(st.booleans())
+    groups, labels = ([s for s in ids if "\x00" not in s] for ids in (_GROUPS, _LABELS))
+    rows = draw(st.lists(st.tuples(st.sampled_from(groups), st.sampled_from(labels),
+                                   st.sampled_from(_FINITE), st.sampled_from(_FINITE)),
+                         min_size=1, max_size=40, unique_by=lambda r: r[:2]))
+    lines = [",".join(r[: 3 + inject]) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        fault = draw(st.one_of(st.sampled_from(_FAULTS), st.sampled_from(lines)))  # or a repeat
+        lines.insert(at, fault)
+    text = "".join(line + "\n" for line in ["ID,QUAL,Strength" + ",KEY" * inject] + lines)
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return (data, inject, draw(st.integers(1, max(1, len(data) // 2))),
+            draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([12, 131072, 131072])),
+            draw(st.integers(1, 5)))
+
+
+_ROWS = b"ID,QUAL,Strength\ng1,a,1\ng1,b,2\ng2,a,1\n"  # the first cut is after g1,a,1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_split_files())
+@example((_ROWS + b'"g3",a,1\n', False, 8, 2, 131072, 5))  # a quote after the cut
+@example((_ROWS + b"g3,a\r,1\n", False, 8, 2, 131072, 5))  # a CR after the cut
+@example((_ROWS + b"g3,\xff,1\n", False, 8, 2, 131072, 5))  # invalid UTF-8 after the cut
+# a repeat and a bad Strength, both in the middle piece of three
+@example((_ROWS + b"g1,b,3\ng3,b,x\ng4,a,1\ng5,a,1\ng6,a,1\n", False, 8, 3, 131072, 5))
+def test_pieces_read_as_the_csv_reader_loop(tmp_path_factory, file):
+    """Files read in 2 or 3 forked pieces, faults in any of them, give the oracle's outcome."""
+    raw, inject, block, workers, limit, batch = file
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    path.write_bytes(raw)
+    _assert_reads_as_oracle(str(path), inject, block, batch, limit, workers)
 
 
 _CSV_READER = csv.reader
@@ -248,3 +307,90 @@ def test_a_bad_field_leaves_every_batch_one_length(tmp_path, raw, inject, messag
         columns.append(reader.keys)
     lengths = [[len(batch) for batch in column] for column in columns]
     assert lengths == [lengths[0]] * len(columns), lengths
+
+
+_ROWS_8 = b"g1,a,1\ng1,b,2\ng1,c,2\ng1,d,1\ng2,a,1\ng2,b,1\ng2,c,3\ng2,d,1\n"
+_PIECE_FILES = {  # read with blocks of 8 bytes in 3 pieces of about 25 bytes
+    "clean": b"ID,QUAL,Strength\n" + _ROWS_8,
+    "bad-strength-before-cut": b"ID,QUAL,Strength\n" + _ROWS_8.replace(b"g1,a,1", b"g1,a,x"),
+    "bad-strength-after-cut": b"ID,QUAL,Strength\n" + _ROWS_8.replace(b"g2,d,1", b"g2,d,x"),
+    "repeat-across-cut": b"ID,QUAL,Strength\n" + _ROWS_8.replace(b"g2,d,1", b"g1,a,3"),
+    "quote-after-cut": b"ID,QUAL,Strength\n" + _ROWS_8.replace(b"g2,d,1", b'"g2",d,1'),
+    "quote-before-cut": b"ID,QUAL,Strength\n" + _ROWS_8.replace(b"g1,a,1", b'"g1",a,1'),
+}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of children forked so far in this test, as a one-item list."""
+    count, fork = [0], os.fork
+
+    def counting_fork():
+        pid = fork()
+        count[0] += pid != 0
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+@pytest.mark.parametrize("case", list(_PIECE_FILES))
+def test_forked_readers_are_reaped_however_the_read_ends(tmp_path, forks, case):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PIECE_FILES[case])
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8):
+        outcome = _outcome(functools.partial(read_table, workers=3), str(path), False)
+    assert forks[0] == 2
+    _assert_no_children()
+    assert outcome == _outcome(oracle_read_table, str(path), False)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, BrokenPipeError])
+def test_forked_readers_are_reaped_when_the_parent_is_interrupted(tmp_path, forks, error):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PIECE_FILES["clean"])
+    parent, read_split = os.getpid(), cli._CsvReader.read_split
+
+    def interrupted(self, block):
+        if os.getpid() == parent:
+            raise error
+        return read_split(self, block)
+
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8), \
+            mock.patch.object(cli._CsvReader, "read_split", interrupted), pytest.raises(error):
+        read_table(str(path), workers=3)
+    assert forks[0] == 2
+    _assert_no_children()
+
+
+def test_without_fork_the_file_is_read_in_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PIECE_FILES["clean"])
+    monkeypatch.delattr(os, "fork")
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8):
+        assert (_outcome(functools.partial(read_table, workers=4), str(path), False)
+                == _outcome(read_table, str(path), False))
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("raw", [b"ID,QUAL,Strength\n", _PIECE_FILES["clean"]],
+                         ids=["header-only", "one-block"])
+def test_a_file_of_one_block_is_read_in_one_process(tmp_path, monkeypatch, raw):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    with mock.patch.object(cli, "_BLOCK_BYTES", len(raw)):
+        assert (_outcome(functools.partial(read_table, workers=4), str(path), False)
+                == _outcome(read_table, str(path), False))
+
+
+def test_threads_0_reads_in_one_process(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PIECE_FILES["clean"])
+    monkeypatch.setattr(os, "fork", _no_fork)
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8):
+        assert cli.main(["sample", "--threads", "0", str(path)]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
