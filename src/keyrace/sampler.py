@@ -39,6 +39,9 @@ the partitioning.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -84,8 +87,15 @@ _U64_MULT_2 = np.uint64(_MIX_MULT_2)
 _U64_30 = np.uint64(30)
 _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
+_U64_11 = np.uint64(11)
 _UNIT = 2.0**-53
-_RACE_BLOCK = 1 << 15  # replicates per block of replicate_winners; its arrays stay in L2
+# Replicates per block of replicate_winners.  The key step's temporaries are
+# 2^14 float64, 128 KiB each, which glibc's malloc keeps reusing from the
+# heap.  At 2^15 it hands freed 256 KiB ones back to the kernel and maps
+# them again for the next label, and every page mapped again is a minor
+# fault: with every step allocating, 32.6k faults in a 1M x 16 call against
+# ~600 at 2^14.  The hash states and uniforms go to per-worker buffers.
+_RACE_BLOCK = 1 << 14
 
 
 def _mix64(x: int) -> int:
@@ -99,13 +109,17 @@ def _mix64(x: int) -> int:
     return x
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place on a caller's own uint64 array (wraps mod 2^64)."""
-    x ^= x >> _U64_30
+def _mix64_array(x: np.ndarray, shifted: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a caller's own uint64 array (wraps mod 2^64).
+
+    Each shift goes to ``shifted`` (a uint64 array of x's shape) when it
+    is given, else to a temporary.
+    """
+    x ^= np.right_shift(x, _U64_30, out=shifted)
     x *= _U64_MULT_1
-    x ^= x >> _U64_27
+    x ^= np.right_shift(x, _U64_27, out=shifted)
     x *= _U64_MULT_2
-    x ^= x >> _U64_31
+    x ^= np.right_shift(x, _U64_31, out=shifted)
     return x
 
 
@@ -160,30 +174,43 @@ def _string_digests(strings: Sequence[str]) -> np.ndarray:
     return out
 
 
-def _to_unit(h):
+def _to_unit(h, out=None):
     # (h >> 11) keeps 53 bits; +0.5 centers inside the half-open cells, so
     # the result lies in [2^-54, 1 - 2^-54] and log(u), log(-log(u)) stay finite.
-    return ((h >> 11) + 0.5) * _UNIT
+    if out is None:
+        return ((h >> 11) + 0.5) * _UNIT
+    # the same steps on a uint64 array into a float64 ``out``, shifting h in place
+    h >>= _U64_11
+    return np.multiply(np.add(h, 0.5, out=out), _UNIT, out=out)
 
 
-def _absorb(seed, replicate, version, group_digest, label_digests):
+def _absorb(seed, replicate, version, group_digest, label_digests, out=None):
     """Final hash states of one absorption chain, one per label digest.
 
     The chain absorbs seed, replicate, version, group digest and label
     digest, in that order.  Each part is a Python int or a uint64 array,
     and arrays broadcast.  The label-independent prefix is absorbed once
-    and shared by every entry of ``label_digests``.
+    and shared by every entry of ``label_digests``.  With ``out``, three
+    uint64 arrays of the states' shape, no array is allocated: the prefix
+    is kept in ``out[0]``, each label's state is written to ``out[1]``, so
+    a yielded state lasts until the next is asked for, and the mix shifts
+    into ``out[2]``.
     """
+    prefix, state, shifted = (None, None, None) if out is None else out
 
-    def absorb(h, part):  # h ^ part is a new array, so the in-place mix never writes to part
-        x = h ^ (part if isinstance(part, np.ndarray) else int(part) & _MASK)
-        return _mix64_array(x) if isinstance(x, np.ndarray) else _mix64(x)
+    def absorb(h, part, into):
+        if not isinstance(part, np.ndarray):
+            part = int(part) & _MASK
+        if isinstance(h, np.ndarray) or isinstance(part, np.ndarray):
+            # the xor is a new array or ``into``, so the in-place mix never writes to part
+            return _mix64_array(np.bitwise_xor(h, part, out=into), shifted)
+        return _mix64(h ^ part)
 
     h = 0  # absorbing the seed into 0 gives _mix64(seed), the chain's first state
     for part in (seed, replicate, version, group_digest):
-        h = absorb(h, part)
+        h = absorb(h, part, prefix)
     for label_digest in label_digests:
-        yield absorb(h, label_digest)
+        yield absorb(h, label_digest, state)
 
 
 def _uniform(seed, replicate, version, group_digest, label_digest):
@@ -634,6 +661,52 @@ def sample_codes(table: CodedTable, spec: ModelSpec, ctx: SeedContext,
             for columns in _race_columns(table, spec, ctx, n_replicates))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _deal(work, items: Sequence, scratch) -> None:
+    """Call ``work(item, buffers)`` for every item, dealt round-robin to the usable CPUs.
+
+    The calling thread is one worker and each other worker a thread that
+    runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too.  Each worker makes its own
+    ``buffers = scratch()`` and passes them to every item it runs.  Every
+    thread is joined before this returns or raises.  A worker stops at its
+    first exception, and the exception of the earliest item is re-raised:
+    the one a single worker would have raised.
+    """
+    n_workers = min(_usable_cpus(), len(items))
+    failures: list[tuple[int, BaseException]] = []
+
+    def run(first: int) -> None:
+        i = first
+        try:
+            buffers = scratch()
+            for i in range(first, len(items), n_workers):
+                work(items[i], buffers)
+        except BaseException as exc:  # re-raised by the calling thread
+            failures.append((i, exc))
+
+    started = []
+    try:
+        for k in range(1, n_workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            thread.start()
+            started.append(thread)
+        if n_workers:
+            run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
 def replicate_winners(
     spec: ModelSpec,
     labels: Sequence[str],
@@ -651,9 +724,17 @@ def replicate_winners(
     length raises ``ValueError``, a label that is not a ``str`` raises
     ``TypeError`` and a bad strength :class:`FamilyDomainError`.  A
     negative ``n_replicates`` raises ``ValueError`` first.
-    Replicates are raced in blocks of a fixed size, each label's keys
-    folded into the block's running best, so working memory beside the
-    result is O(block) whatever labels times replicates is.
+
+    Replicates are raced in blocks of 2^14, each label's keys folded into
+    the block's running best.  The hash states and uniforms go to buffers
+    each worker makes once, and at that size the key step's temporaries
+    are reused from the heap, so a block causes no page faults.  The
+    blocks are dealt round-robin to one worker per CPU in the process's
+    affinity mask (at most one per block; restrict them with ``taskset``):
+    the calling thread and one thread per other worker, each writing only
+    its own blocks' winners.  So working memory beside the result is
+    O(workers x block) whatever labels times replicates is, and the
+    winners are identical at any worker count.
     """
     _check_n_replicates(n_replicates)
     n = len(labels)
@@ -670,11 +751,22 @@ def replicate_winners(
                               if spec.orientation is Orientation.MAX
                               else (np.less, np.minimum, np.inf))
     winners = np.full(n_replicates, label_order[0], dtype=np.intp)
-    for start in range(0, n_replicates, _RACE_BLOCK):
-        reps = np.arange(start, min(start + _RACE_BLOCK, n_replicates), dtype=np.uint64)
-        win, best = winners[start : start + reps.size], np.full(reps.size, worst)
-        for i, h in zip(label_order, _absorb(seed, reps, 0, group_digest, label_digests)):
-            order_keys = _order_keys(spec, s[i], _to_unit(h))
+    block = min(_RACE_BLOCK, n_replicates)
+    offsets = np.arange(block, dtype=np.uint64)
+
+    def scratch():  # one worker's label states, prefixes, shifts, uniforms and best keys
+        return (*np.empty((3, block), np.uint64), *np.empty((2, block)))
+
+    def race(start: int, buffers) -> None:
+        state, prefix, shifted, u, best = (a[: min(block, n_replicates - start)] for a in buffers)
+        win = winners[start : start + best.size]
+        best.fill(worst)
+        reps = np.add(offsets[: best.size], start, out=state)  # absorbed before any label
+        chain = _absorb(seed, reps, 0, group_digest, label_digests, out=(prefix, state, shifted))
+        for i, h in zip(label_order, chain):
+            order_keys = _order_keys(spec, s[i], _to_unit(h, out=u))
             np.putmask(win, better(order_keys, best), i)
             extreme(best, order_keys, out=best)
+
+    _deal(race, range(0, n_replicates, _RACE_BLOCK), scratch)
     return winners

@@ -1,7 +1,12 @@
 """Derived randomness, key assignment, and the associative winner reduction."""
 
 import itertools
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -613,19 +618,82 @@ def _one_group_races(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(_one_group_races(), _IDS, st.integers(0, 2**64 - 1), st.integers(1, 7),
-       st.integers(0, 3), st.integers(0, 6))
-@example((ModelSpec(Family.CANONICAL), ["b", "", "a"], np.full(3, 5e-324)), "g", 1, 4, 2, 0)
-@example((ModelSpec(Family.EXPMIN), ["z", "y"], np.full(2, 5e-324)), "g", 2, 3, 0, 2)
-@example((ModelSpec(Family.FRECHET2, scale_c=1000.0), ["q", "p", "r"], np.ones(3)), "", 3, 7, 3, 5)
-@example((ModelSpec(Family.NEGEXP, scale_c=1000.0), ["q", "p"], -np.ones(2)), "g", 4, 5, 2, 1)
-def test_blocked_race_matches_key_matrix(race, group_id, seed, block, n_blocks, extra):
-    """replicate_winners equals the matrix race for R below, at and across block edges."""
+       st.integers(0, 3), st.integers(0, 6), st.integers(1, 3))
+@example((ModelSpec(Family.CANONICAL), ["b", "", "a"], np.full(3, 5e-324)), "g", 1, 4, 2, 0, 2)
+@example((ModelSpec(Family.EXPMIN), ["z", "y"], np.full(2, 5e-324)), "g", 2, 3, 0, 2, 1)
+@example((ModelSpec(Family.FRECHET2, scale_c=1000.0), ["q", "p", "r"], np.ones(3)), "", 3, 7, 3, 5, 3)
+@example((ModelSpec(Family.NEGEXP, scale_c=1000.0), ["q", "p"], -np.ones(2)), "g", 4, 5, 2, 1, 2)
+def test_blocked_race_matches_key_matrix(race, group_id, seed, block, n_blocks, extra, workers):
+    """replicate_winners equals the matrix race for R below, at and across block
+    edges, at any worker count."""
     spec, labels, strengths = race
     n_replicates = n_blocks * block + extra % block
-    with mock.patch.object(sampler, "_RACE_BLOCK", block):
+    with mock.patch.object(sampler, "_RACE_BLOCK", block), \
+            mock.patch.object(sampler, "_usable_cpus", lambda: workers):
         got = replicate_winners(spec, labels, strengths, seed, n_replicates, group_id=group_id)
     expected = _key_matrix_winners(spec, labels, strengths, seed, n_replicates, group_id)
     np.testing.assert_array_equal(got, expected)
+
+
+def _tiny_race_outcome(workers, spec, strengths):
+    """Winners or (error type, message) of a 5-block race at a patched worker count."""
+    threads = threading.active_count()
+    with mock.patch.object(sampler, "_RACE_BLOCK", 4), \
+            mock.patch.object(sampler, "_usable_cpus", lambda: workers):
+        try:
+            return replicate_winners(spec, ["b", "a", "c"], strengths, 5, 20).tolist()
+        except Exception as exc:
+            return type(exc), str(exc)
+        finally:
+            assert threading.active_count() == threads
+
+
+def test_worker_threads_keep_the_callers_floating_point_state():
+    """A bare thread would ignore np.errstate; every worker runs in the caller's context."""
+    spec, tiny = ModelSpec(Family.CANONICAL), np.full(3, 5e-324)  # log(u) / 5e-324 overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise"):
+            raised = [_tiny_race_outcome(w, spec, tiny) for w in (1, 2)]
+        with np.errstate(over="ignore"):
+            quiet = [_tiny_race_outcome(w, spec, tiny) for w in (1, 2)]
+    assert raised[0] == raised[1]
+    assert raised[0][0] is FloatingPointError and "overflow" in raised[0][1]
+    assert quiet[0] == quiet[1] == [1] * 20  # every key is -inf: the smallest label, "a"
+
+
+def test_a_worker_threads_exception_reaches_the_caller():
+    spec, strengths = ModelSpec(Family.CANONICAL), np.array([1.0, 2.0, 3.0])
+    real = sampler._order_keys
+
+    def fails_off_the_calling_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise KeyError("worker block")
+        return real(*args)
+
+    expected = _tiny_race_outcome(1, spec, strengths)
+    with mock.patch.object(sampler, "_order_keys", fails_off_the_calling_thread):
+        assert _tiny_race_outcome(2, spec, strengths) == (KeyError, "'worker block'")
+        assert _tiny_race_outcome(1, spec, strengths) == expected
+
+
+def test_more_workers_than_cpus_with_fast_thread_switches_race_every_block():
+    spec = ModelSpec(Family.GUMBEL1)
+    labels, strengths = [f"l{i}" for i in range(5)], np.linspace(-1.0, 1.0, 5)
+    workers, interval = sampler._usable_cpus() + 2, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(sampler, "_RACE_BLOCK", 3), \
+                mock.patch.object(sampler, "_usable_cpus", lambda: workers):
+            got = replicate_winners(spec, labels, strengths, 9, 301)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(got, _key_matrix_winners(spec, labels, strengths, 9, 301, "g"))
+
+
+def _race_replicates_per_worker(n_blocks):
+    """A replicate count that gives every worker ``n_blocks`` blocks."""
+    return n_blocks * sampler._usable_cpus() * sampler._RACE_BLOCK
 
 
 def test_replicate_winners_memory_is_bounded_by_the_block():
@@ -640,8 +708,37 @@ def test_replicate_winners_memory_is_bounded_by_the_block():
         finally:
             tracemalloc.stop()
 
-    block = sampler._RACE_BLOCK
-    assert peak(4 * block) <= 2 * peak(block)
+    assert peak(_race_replicates_per_worker(4)) <= 2 * peak(_race_replicates_per_worker(1))
+
+
+_FAULTS_OF_ONE_CALL = """
+import resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from keyrace import Family, ModelSpec, replicate_winners
+labels, strengths = [f"l{i:02d}" for i in range(16)], np.linspace(0.5, 2.0, 16)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+replicate_winners(ModelSpec(Family.CANONICAL), labels, strengths, 1, int(sys.argv[2]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_replicate_winners_faults_grow_only_by_the_result():
+    """A block causes no page faults, so more blocks add only the winners' own pages."""
+    import resource
+
+    def faults(n_replicates):  # in a fresh process, as the first call of a run
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS_OF_ONE_CALL,
+             str(Path(sampler.__file__).parents[1]), str(n_replicates)],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        return int(proc.stdout)
+
+    few, many = _race_replicates_per_worker(2), _race_replicates_per_worker(8)
+    result_pages = (many - few) * np.dtype(np.intp).itemsize // resource.getpagesize()
+    assert faults(many) - faults(few) <= result_pages + 256
 
 
 def test_in_place_mix_leaves_callers_arrays_alone():
