@@ -12,8 +12,14 @@ update    apply a line-oriented stream of ``UPSERT id,qual,strength`` /
           a row: quoted fields may hold commas and quotes, spaces are
           kept, fields beyond the ones the verb reads are ignored, and a
           Strength that is not a number warns ``bad Strength value``
-validate  run the correctness battery (or per-group checks on an input
-          file) and print ``CRITERION <name> PASS|FAIL p=<value>`` lines
+validate  run the correctness battery, or with ``--input`` one chi-square
+          criterion per group of a table read and checked as ``sample``
+          reads and checks it, and print the results alike: a
+          ``CRITERION <name> PASS|FAIL p=<value>`` line each, a
+          ``detail:`` line under each FAIL, then ``N/M criteria passed``.
+          Every result is computed before the first is printed, so a bad
+          strength (named as ``sample`` names it) or a group the
+          chi-square cannot test exits 3 with no ``CRITERION`` line
 bench     run the battery's random upsert/delete stream on a dynamic
           table and count its updates and comparisons by case
 
@@ -64,7 +70,7 @@ from typing import BinaryIO, Iterable, Iterator, NoReturn
 import numpy as np
 
 from . import sampler
-from .families import Family, FamilyDomainError, ModelSpec, strength_to_alpha
+from .families import Family, FamilyDomainError, ModelSpec
 from .sampler import (
     CodedTable,
     SeedContext,
@@ -564,41 +570,6 @@ def cmd_update(args) -> int:
     return EXIT_STREAM if warned else EXIT_OK
 
 
-def _validate_input_file(args, spec: ModelSpec) -> int:
-    """Chi-square each group of an input table, raced under its own id, against its strengths."""
-    from . import stats, validation
-
-    try:
-        table = read_table(args.input)
-    except (OSError, CliParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    groups: dict[str, list[int]] = {}
-    for i, gid in enumerate(table.group_ids):
-        groups.setdefault(gid, []).append(i)
-    all_labels = table.labels
-    replicates = validation.QUICK_REPLICATES if args.quick else validation.REPLICATES
-    failures = 0
-    for gid in sorted(groups):
-        idx = groups[gid]
-        strengths = table.strengths[idx]
-        alphas = strength_to_alpha(spec, strengths)  # a bad strength: FamilyDomainError, exit 3
-        winners = sampler.replicate_winners(spec, [all_labels[i] for i in idx], strengths,
-                                            args.seed, replicates, group_id=gid)
-        try:
-            report = stats.chi_square_gof(np.bincount(winners, minlength=len(idx)),
-                                          alphas / alphas.sum())
-        except ValueError as err:  # an expected count too small for the chi-square
-            print(f"error: group {gid!r}: {err}", file=sys.stderr)
-            return EXIT_DOMAIN
-        ok = not report.reject_at(validation.SIGNIFICANCE)
-        failures += 0 if ok else 1
-        print(
-            f"CRITERION group-{gid} {'PASS' if ok else 'FAIL'} p={report.p_value:.6g}"
-        )
-    return EXIT_OK if failures == 0 else EXIT_VALIDATION
-
-
 def cmd_validate(args) -> int:
     from . import validation
 
@@ -606,8 +577,18 @@ def cmd_validate(args) -> int:
     if args.quick:
         print("WARNING: reduced-power run (--quick); sample sizes are cut down")
     if args.input:
-        return _validate_input_file(args, spec)
-    results = validation.run_battery(base_seed=args.seed, quick=args.quick)
+        try:
+            table = read_table(args.input)
+        except (OSError, CliParseError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_PARSE
+        try:
+            results = validation.check_input_groups(table, spec, args.seed, args.quick)
+        except ValueError as err:  # a bad strength, or a group the chi-square cannot test
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_DOMAIN
+    else:
+        results = validation.run_battery(base_seed=args.seed, quick=args.quick)
     failures = 0
     for res in results:
         p = f"{res.p_value:.6g}" if res.p_value is not None else "NA"

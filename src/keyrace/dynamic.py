@@ -42,7 +42,7 @@ from .sampler import (
     Row,
     SeedContext,
     _beats,
-    _check_order_key,
+    _check_candidate,
     _fold,
     _string_digest,
     _uniform,
@@ -206,12 +206,15 @@ class DynamicTable:
         """Load rows whose keys were produced elsewhere (no redraw).
 
         Versions are recorded as 0; later upserts of the same rows redraw
-        from version 1 as usual.  A NaN order key raises
-        :class:`FamilyDomainError` before any row of the batch is stored.
+        from version 1 as usual.  Before any row of the batch is stored, a
+        NaN order key raises :class:`FamilyDomainError` and a
+        ``(group_id, label)`` the batch repeats raises ``ValueError``, as
+        the merges do; a row already in the table is replaced.
         """
         keyed = list(keyed)
+        seen: set[tuple[str, str]] = set()
         for kr in keyed:
-            _check_order_key(kr.order_key, kr.row.group_id, kr.row.label)
+            _check_candidate(seen, kr.row.group_id, kr.row.label, kr.order_key)
         for kr in keyed:
             gid, label = kr.row.group_id, kr.row.label
             group = self._rows.setdefault(gid, {})

@@ -238,6 +238,10 @@ def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     return codes, list(index)
 
 
+def _duplicate_row(group_id: str, label: str) -> ValueError:
+    return ValueError(f"duplicate row (group_id={group_id!r}, label={label!r})")
+
+
 def first_duplicate(group_codes: np.ndarray, label_codes: np.ndarray,
                     n_labels: int) -> int | None:
     """Index of the first row whose (group, label) codes an earlier row has, else None."""
@@ -300,7 +304,7 @@ class CodedTable:
                 raise ValueError("a table's codes must index its names")
         dup = first_duplicate(self.group_codes, self.label_codes, len(self.label_names))
         if dup is not None:
-            raise ValueError("duplicate row (group_id={!r}, label={!r})".format(*self.row(dup)))
+            raise _duplicate_row(*self.row(dup))
         not_str = [s for names in (self.group_names, self.label_names) for s in names
                    if not isinstance(s, str)]
         if not_str:
@@ -514,12 +518,23 @@ def _winner_map(table: CodedTable, columns: _RaceColumns) -> dict[str, GroupWinn
     }
 
 
-def _check_order_key(order_key: float, group_id: str, label: str) -> None:
-    """Raise :class:`FamilyDomainError` on a NaN order key, which no total order can rank."""
+def _check_candidate(seen: set[tuple[str, str]], group_id: str, label: str,
+                     order_key: float) -> None:
+    """Add a merge candidate's ``(group_id, label)`` to ``seen``, once it is checked.
+
+    A NaN order key, which no total order can rank, raises
+    :class:`FamilyDomainError`; then a pair already in ``seen`` raises
+    ``ValueError`` as :class:`CodedTable` does, since a row counted twice
+    is no partition of a table.
+    """
     if order_key != order_key:
         raise FamilyDomainError(
             f"order key must not be NaN (group_id={group_id!r}, label={label!r})"
         )
+    pair = group_id, label
+    if pair in seen:
+        raise _duplicate_row(*pair)
+    seen.add(pair)
 
 
 def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[str, GroupWinner]:
@@ -527,12 +542,14 @@ def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[s
 
     A NaN order key raises :class:`FamilyDomainError`, so the merge is a
     total order and its result does not depend on the candidates' order;
-    ±inf are ordinary extremes.
+    ±inf are ordinary extremes.  A second candidate of one
+    ``(group_id, label)`` raises ``ValueError``.
     """
     merged: dict[str, GroupWinner] = {}
+    seen: set[tuple[str, str]] = set()
     for cand in candidates:
         gid = cand.group_id
-        _check_order_key(cand.order_key, gid, cand.label)
+        _check_candidate(seen, gid, cand.label, cand.order_key)
         inc = merged.get(gid)
         if inc is None:
             merged[gid] = cand
@@ -578,7 +595,8 @@ def reduce_winners(
     The pairwise merge (better order_key, label tie-break, counts added)
     is associative and commutative, so the result is independent of input
     order and of any partitioning into sub-reductions.  A NaN order key
-    raises :class:`FamilyDomainError` naming its ``(group_id, label)``.
+    raises :class:`FamilyDomainError` naming its ``(group_id, label)``, and
+    a repeated ``(group_id, label)`` raises ``ValueError`` naming it.
     """
     return _fold(
         (GroupWinner(kr.row.group_id, kr.row.label, kr.key, 1, kr.order_key) for kr in keyed),
@@ -589,7 +607,11 @@ def reduce_winners(
 def merge_winner_maps(
     maps: Iterable[Mapping[str, GroupWinner]], orientation: Orientation
 ) -> dict[str, GroupWinner]:
-    """Merge partial winner maps from disjoint row partitions."""
+    """Merge partial winner maps from disjoint row partitions.
+
+    Two maps whose winners of one group share a label hold one row twice,
+    so they raise ``ValueError`` naming it, as :func:`reduce_winners` does.
+    """
     return _fold((w for partial in maps for w in partial.values()), orientation)
 
 

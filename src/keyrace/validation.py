@@ -1,10 +1,13 @@
 """Named correctness criteria for the whole library.
 
 Each criterion is a deterministic function of a base seed that returns a
-:class:`CriterionResult`; ``run_battery`` executes the standard set.  The
-CLI ``validate`` subcommand prints one ``CRITERION <name> PASS|FAIL``
-line per result, and the acceptance test suite asserts on the same
-functions, so there is exactly one implementation of every check.
+:class:`CriterionResult`; ``run_battery`` executes the standard set, and
+``check_input_groups`` makes one criterion per group of a user's table,
+its strengths checked first as the sampler checks them.  The CLI
+``validate`` subcommand prints either list through one loop, one
+``CRITERION <name> PASS|FAIL`` line per result, and the acceptance test
+suite asserts on the same functions, so there is exactly one
+implementation of every check.
 
 Statistical criteria run at significance 1e-3 with sample sizes chosen so
 that a correct implementation fails with negligible probability; where a
@@ -26,6 +29,7 @@ from .families import (
     Family,
     ModelSpec,
     Orientation,
+    _check_strengths,
     alpha_to_strength,
     key_canonical,
     key_expmin,
@@ -33,8 +37,10 @@ from .families import (
     key_gumbel1,
     key_negexp,
     log_key_canonical,
+    strength_to_alpha,
 )
 from .sampler import (
+    CodedTable,
     KeyedRow,
     Row,
     SeedContext,
@@ -45,10 +51,14 @@ from .sampler import (
     sample_arrays,
 )
 
-__all__ = ["CriterionResult", "run_battery", "WORKED_EXAMPLE_ROWS", "WORKED_EXAMPLE_WINNERS"]
+__all__ = ["CriterionResult", "run_battery", "check_input_groups", "WORKED_EXAMPLE_ROWS",
+           "WORKED_EXAMPLE_WINNERS"]
 
 SIGNIFICANCE = 1e-3
 REPLICATES, QUICK_REPLICATES = 60_000, 10_000  # per choice experiment
+STREAM_GROUPS = 50  # groups of the dynamic tables' random update stream
+CHECK_EVERY = 100  # steps between dynamic-vs-scratch comparisons
+SHARD_ROWS = 20_000  # rows drawn (repeats then dropped) for shard-invariance
 
 # Four-group quality table with precomputed competition keys; the winners
 # are fully determined by the keys, which makes it the canned fixture for
@@ -316,19 +326,20 @@ def _random_stream_strength(rng: np.random.Generator, spec: ModelSpec) -> float:
     return spec.strength_sign * float(np.exp(rng.normal(0.0, 1.0)))
 
 
-def _update_stream(table: DynamicTable, rng: np.random.Generator, steps: int,
-                   n_groups: int = 50) -> Iterator[ChangeReport]:
+def _update_stream(table: DynamicTable, rng: np.random.Generator,
+                   steps: int) -> Iterator[ChangeReport]:
     """Apply ``steps`` random operations to ``table``, yielding each one's report.
 
     While a row is live, 30% of the steps delete one; the rest upsert a row
-    of ``n_groups`` groups x 40 labels with a strength in the family's domain.
+    of ``STREAM_GROUPS`` groups x 40 labels with a strength in the family's
+    domain.
     """
     live: list[tuple[str, str]] = []  # the live rows, kept sorted
     for _ in range(steps):
         if live and rng.random() < 0.3:
             report = table.delete(*live.pop(rng.integers(len(live))))
         else:
-            row = f"g{rng.integers(n_groups):03d}", f"q{rng.integers(40):02d}"
+            row = f"g{rng.integers(STREAM_GROUPS):03d}", f"q{rng.integers(40):02d}"
             report = table.upsert(*row, _random_stream_strength(rng, table.spec))
             at = bisect.bisect_left(live, row)
             if live[at:at + 1] != [row]:
@@ -339,20 +350,19 @@ def _update_stream(table: DynamicTable, rng: np.random.Generator, steps: int,
 def check_dynamic_vs_scratch(
     base_seed: int,
     steps: int = 10_000,
-    n_groups: int = 50,
     families: tuple[Family, ...] = ALL_FAMILIES,
-    check_every: int = 100,
 ) -> list[CriterionResult]:
     """After any upsert/delete stream, stored winners equal the from-scratch
-    reduction of the surviving rows, exactly."""
+    reduction of the surviving rows, exactly, at every ``CHECK_EVERY``-th
+    step and the last."""
     results = []
     for fam_index, family in enumerate(families):
         spec = model_for(family)
         table = DynamicTable(spec, SeedContext(seed=base_seed))
         rng = np.random.default_rng(base_seed + 1009 * fam_index)
         mismatches = 0
-        for step, _ in enumerate(_update_stream(table, rng, steps, n_groups)):
-            if step % check_every == check_every - 1 or step == steps - 1:
+        for step, _ in enumerate(_update_stream(table, rng, steps)):
+            if step % CHECK_EVERY == CHECK_EVERY - 1 or step == steps - 1:
                 scratch = reduce_winners(table.snapshot_keyed_rows(), spec.orientation)
                 if scratch != table.winners():
                     mismatches += 1
@@ -405,11 +415,11 @@ def check_alias_vs_race(base_seed: int, n: int = 60_000) -> list[CriterionResult
     ]
 
 
-def check_shard_invariance(base_seed: int, n_rows: int = 20_000) -> CriterionResult:
+def check_shard_invariance(base_seed: int) -> CriterionResult:
     """The winner maps of 2, 4 and 8 contiguous slices merge to the whole table's map."""
     rng = np.random.default_rng(base_seed + 17)
-    groups = [f"g{rng.integers(500):03d}" for _ in range(n_rows)]
-    labels = [f"q{rng.integers(50):02d}" for _ in range(n_rows)]
+    groups = [f"g{rng.integers(500):03d}" for _ in range(SHARD_ROWS)]
+    labels = [f"q{rng.integers(50):02d}" for _ in range(SHARD_ROWS)]
     # duplicate (group,label) pairs would break the uniqueness contract
     seen = set()
     uniq_groups, uniq_labels, strengths = [], [], []
@@ -475,4 +485,40 @@ def run_battery(base_seed: int = 0, quick: bool = False) -> list[CriterionResult
     results += check_alias_vs_race(base_seed, replicates)
     results.append(check_shard_invariance(base_seed))
     results += check_stat_kernels()
+    return results
+
+
+def check_input_groups(table: CodedTable, spec: ModelSpec, seed: int,
+                       quick: bool) -> list[CriterionResult]:
+    """One criterion per group of ``table``, in group id order: the group,
+    raced under its own id, wins by its strengths' weights (chi-square).
+
+    The strengths are checked as the sampler checks a table, so a bad one
+    raises its :class:`FamilyDomainError` before any group is raced.  A
+    group the chi-square cannot test (one row, or an expected count below
+    5) raises ``ValueError`` naming the group.
+    """
+    _check_strengths(spec, table.strengths, table.row)
+    replicates = QUICK_REPLICATES if quick else REPLICATES
+    names = table.group_names
+    order = np.argsort(table.group_codes, kind="stable")  # each group's rows in table order
+    starts = np.searchsorted(table.group_codes[order], np.arange(len(names) + 1))
+    results = []
+    for g in sorted(np.unique(table.group_codes).tolist(), key=names.__getitem__):
+        gid, rows = names[g], order[starts[g]:starts[g + 1]]
+        labels = list(map(table.label_names.__getitem__, table.label_codes[rows].tolist()))
+        strengths = table.strengths[rows]
+        alphas = strength_to_alpha(spec, strengths)
+        winners = replicate_winners(spec, labels, strengths, seed, replicates, group_id=gid)
+        try:
+            report = stats.chi_square_gof(np.bincount(winners, minlength=rows.size),
+                                          alphas / alphas.sum())
+        except ValueError as err:
+            raise ValueError(f"group {gid!r}: {err}") from None
+        results.append(CriterionResult(
+            f"group-{gid}",
+            not report.reject_at(SIGNIFICANCE),
+            f"chi-square {report.statistic:.5g} on {report.df} df over {replicates} races",
+            p_value=report.p_value,
+        ))
     return results

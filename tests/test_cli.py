@@ -466,6 +466,7 @@ class TestValidate:
         assert result.returncode == 0, result.stdout
         assert "CRITERION group-g1 PASS" in result.stdout
         assert "CRITERION group-g2 PASS" in result.stdout
+        assert result.stdout.endswith("\n2/2 criteria passed\n")
 
     def test_input_file_groups_race_under_their_own_ids(self, tmp_path, capsys):
         path = tmp_path / "twins.csv"
@@ -482,6 +483,21 @@ class TestValidate:
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith("error: group 'g1': smallest expected count")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("later_group, message", [
+        ("g2,a,-1.0", "error: canonical: strength is the weight itself and must be positive, "
+                      "got -1.0 (group_id='g2', label='a')\n"),
+        ("g2,a,1e-9", "error: group 'g2': smallest expected count 1e-05 < 5; "
+                      "use more samples or merge outcomes\n"),
+    ], ids=["bad-strength", "too-small-expected-count"])
+    def test_a_later_group_error_comes_before_any_criterion(self, tmp_path, later_group,
+                                                            message):
+        # g2 is listed first but checked second, by id; g1 would pass
+        path = tmp_path / "later.csv"
+        path.write_text(f"ID,QUAL,Strength\n{later_group}\ng2,b,1.0\ng1,a,1.0\ng1,b,2.0\n")
+        result = run_cli("validate", "--quick", "--input", str(path))
+        assert (result.returncode, result.stderr) == (3, message)
+        assert "CRITERION" not in result.stdout
 
 
 class TestBench:

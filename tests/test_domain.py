@@ -119,6 +119,7 @@ def test_cli_entry_points_agree_on_the_strength_domain(tmp_path, capsys, family,
     assert update[0] == 4 and update[1].startswith("warning: line 2: ")
     for _, stderr in (sample, validate, update):
         assert message in stderr
+    assert validate[1] == sample[1]  # both name the row: (group_id='g1', label='a')
 
 
 _SHAPE_VALUES = [0.5, 1.0, 2.0, 3.7]

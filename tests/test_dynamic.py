@@ -161,6 +161,15 @@ class TestWinnerLookup:
         table.ingest_keyed(keyed)
         assert list(table.winners()) == list(table.groups()) == [kr.row.group_id for kr in keyed]
 
+    def test_ingest_replaces_a_stored_row(self):
+        # a batch may not repeat a row, but may replace one a batch before it stored
+        table = _table()
+        table.ingest_keyed([KeyedRow(Row("g", "a", 1.0), 0.5, 2.0),
+                            KeyedRow(Row("g", "b", 1.0), 0.5, 1.0)])
+        table.ingest_keyed([KeyedRow(Row("g", "a", 1.0), 0.5, 0.0)])
+        assert len(table) == 2
+        assert (table.winner("g").label, table.winner("g").key) == ("b", 1.0)
+
 
 class TestCostAccounting:
     def test_case_ii_costs_one_comparison(self):

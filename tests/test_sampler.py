@@ -219,7 +219,7 @@ class TestReduceWinners:
             table = DynamicTable(ModelSpec(family), SeedContext(0))
             try:
                 table.ingest_keyed(rows)
-            except FamilyDomainError:
+            except ValueError:
                 assert len(table) == 0  # the batch is checked before any row is stored
                 raise
             return table.winners()
@@ -228,6 +228,10 @@ class TestReduceWinners:
         best = "c" if orientation is Orientation.MAX else "b"
         for perm in itertools.permutations(ranked + [keyed("d", float("nan"))]):
             with pytest.raises(FamilyDomainError, match=r"NaN \(group_id='g', label='d'\)"):
+                merged(list(perm))
+        # a row counted twice is no partition: every merge refuses it, as a table does
+        for perm in itertools.permutations(ranked + [keyed("a", 2.0)]):
+            with pytest.raises(ValueError, match=r"duplicate row \(group_id='g', label='a'\)"):
                 merged(list(perm))
         for perm in itertools.permutations(ranked):
             assert merged(list(perm))["g"].label == best
