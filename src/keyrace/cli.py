@@ -17,9 +17,13 @@ validate  run the correctness battery, or with ``--input`` one chi-square
           reads and checks it, and print the results alike: a
           ``CRITERION <name> PASS|FAIL p=<value>`` line each, a
           ``detail:`` line under each FAIL, then ``N/M criteria passed``.
+          A group's least likely labels are pooled until every cell
+          expects at least 5 wins; a group left with one cell passes with
+          ``p=NA``.  Each group is tested at 1e-3 over the number of
+          groups, so the whole table is tested at the battery's level.
           Every result is computed before the first is printed, so a bad
-          strength (named as ``sample`` names it) or a group the
-          chi-square cannot test exits 3 with no ``CRITERION`` line
+          strength (named as ``sample`` names it) exits 3 with no
+          ``CRITERION`` line
 bench     run the battery's random upsert/delete stream on a dynamic
           table and count its updates and comparisons by case
 
@@ -44,10 +48,10 @@ name in one scan of all the names joined, and quotes name by name only if
 it finds one.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
 races it n times.  ``sample --threads N`` reads a file of two or more
-blocks in up to N pieces at once: the first itself and each other in a
-forked process.  It merges their codes in file order, so the table, the
-output and every error message are the same for any N; the race itself
-is one pass.
+blocks in up to N pieces at once, at most one per usable CPU: the first
+itself and each other in a forked process.  It merges their codes in
+file order, so the table, the output and every error message are the
+same for any N; the race itself is one pass.
 ``--quick`` belongs to ``validate``.  Every count option takes an int >= 0.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
@@ -379,9 +383,11 @@ class _CsvReader:
 class _Pieces:
     """The byte ranges of a file after its first, each read by a forked child.
 
-    With ``n = min(workers, size // _BLOCK_BYTES)`` of 2 or more, the file
-    is cut at line starts into n ranges of about equal size, and ``end`` is
-    where the first one ends; otherwise there is one range and no child.
+    With ``n = min(workers, usable CPUs, size // _BLOCK_BYTES)`` of 2 or
+    more, the file is cut at line starts into n ranges of about equal size,
+    and ``end`` is where the first one ends; otherwise there is one range
+    and no child.  The CPUs are those :func:`~keyrace.sampler.replicate_winners`
+    deals its blocks to: a piece beyond them would only wait for a CPU.
     Each child splits its range's blocks as :meth:`_CsvReader.read_split`
     does, into a reader of its own, and sends that reader back.  A child
     that meets a block it cannot split, or any error, sends nothing; the
@@ -394,7 +400,7 @@ class _Pieces:
         self.children: list[tuple[int, int, BinaryIO]] = []  # (start, pid, pipe) in file order
         self.end: int | None = None
         size = os.fstat(fh.fileno()).st_size
-        n = min(workers, size // _BLOCK_BYTES)
+        n = min(workers, sampler._usable_cpus(), size // _BLOCK_BYTES)
         if n < 2 or not hasattr(os, "fork"):
             return
         cuts: list[int] = []
@@ -483,9 +489,10 @@ def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedT
     and fields over ``csv.field_size_limit()`` included.
 
     With ``workers`` above 1, a file of two blocks or more is read in up to
-    that many pieces at once, in forked processes (see :class:`_Pieces`),
-    and their codes are merged in file order, so the table, and every
-    message, is the one a single process reads.
+    that many pieces at once, at most one per usable CPU, in forked
+    processes (see :class:`_Pieces`), and their codes are merged in file
+    order, so the table, and every message, is the one a single process
+    reads.
     """
     with open(path, "rb") as fh:
         return _CsvReader(inject_keys).read(fh, workers)
@@ -584,7 +591,7 @@ def cmd_validate(args) -> int:
             return EXIT_PARSE
         try:
             results = validation.check_input_groups(table, spec, args.seed, args.quick)
-        except ValueError as err:  # a bad strength, or a group the chi-square cannot test
+        except ValueError as err:  # a bad strength
             print(f"error: {err}", file=sys.stderr)
             return EXIT_DOMAIN
     else:

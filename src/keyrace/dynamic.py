@@ -2,9 +2,9 @@
 
 The static sampler recomputes every group from scratch.  When the row set
 drifts over time, almost all of that work is avoidable: each row is
-stored with its key, so beside the rows we keep only each group's winning
-label, and an update touches more than one stored value only when it
-*has* to.
+stored as the :class:`~keyrace.sampler.KeyedRow` it was keyed into, so
+beside the rows we keep only each group's winning label, and an update
+touches more than one stored value only when it *has* to.
 
 For an upsert of ``(group, label, strength)`` whose freshly drawn key is
 ``k`` and whose group currently has winner ``w``:
@@ -16,7 +16,9 @@ For an upsert of ``(group, label, strength)`` whose freshly drawn key is
 * ``label == w.label`` and ``k`` loses    -> the stored maximum is stale;
   re-scan that one group.
 
-Deletes re-scan only when they remove the winner itself.  Every public
+Rows keyed elsewhere are loaded with :meth:`DynamicTable.ingest_keyed`,
+which settles each one by the same four cases.  Deletes re-scan only
+when they remove the winner itself.  Every public
 operation returns a :class:`ChangeReport` saying which case fired, whether
 a re-scan happened and how many comparator evaluations were spent, so the
 incremental-cost behaviour is testable.
@@ -42,10 +44,9 @@ from .sampler import (
     Row,
     SeedContext,
     _beats,
-    _check_candidate,
-    _fold,
     _string_digest,
     _uniform,
+    reduce_winners,
 )
 
 __all__ = ["DynamicTable", "ChangeReport", "UpdateCase", "RowNotFoundError"]
@@ -86,14 +87,6 @@ class ChangeReport:
     winner: GroupWinner | None
 
 
-@dataclass
-class _RowState:
-    strength: float
-    uniform: float
-    key: float
-    order_key: float
-
-
 class DynamicTable:
     """Rows plus always-consistent per-group winners.
 
@@ -106,7 +99,7 @@ class DynamicTable:
     def __init__(self, spec: ModelSpec, ctx: SeedContext) -> None:
         self.spec = spec
         self.ctx = ctx
-        self._rows: dict[str, dict[str, _RowState]] = {}
+        self._rows: dict[str, dict[str, KeyedRow]] = {}
         # each group's winning label; its key and the group's size are read from the rows
         self._best: dict[str, str] = {}
         # survives deletion so a re-inserted row never replays an old draw
@@ -132,16 +125,33 @@ class DynamicTable:
 
     def snapshot_keyed_rows(self) -> list[KeyedRow]:
         """Current rows with their stored keys, for scratch re-reduction."""
-        return [KeyedRow(Row(gid, label, st.strength), st.uniform, st.key, st.order_key)
-                for gid, rows in self._rows.items() for label, st in rows.items()]
+        return [kr for rows in self._rows.values() for kr in rows.values()]
 
     def _rescan(self, group_id: str) -> int:
-        """Settle a group's winning label by folding all its rows; returns the comparisons."""
+        """Settle a group's winning label by reducing all its rows; returns the comparisons."""
         rows = self._rows[group_id]
-        candidates = (GroupWinner(group_id, label, st.key, 1, st.order_key)
-                      for label, st in rows.items())
-        self._best[group_id] = _fold(candidates, self.spec.orientation)[group_id].label
+        self._best[group_id] = reduce_winners(rows.values(), self.spec.orientation)[group_id].label
         return len(rows) - 1
+
+    def _settle(self, kr: KeyedRow) -> UpdateCase:
+        """Store a keyed row and return its upsert case, the winning label settled in
+        every case but ``WINNER_RESCAN``, which leaves the group to :meth:`_rescan`."""
+        group_id, label = kr.row.group_id, kr.row.label
+        group = self._rows.setdefault(group_id, {})
+        best = self._best.get(group_id)
+        # read before the new row is stored: the incumbent may be this very row
+        incumbent = None if best is None else group[best]
+        group[label] = kr
+        if incumbent is None or _beats(kr.order_key, label, incumbent.order_key, best,
+                                       self.spec.orientation):
+            self._best[group_id] = label
+            return UpdateCase.WINNER_IMPROVED if label == best else UpdateCase.NEW_WINNER
+        if label != best:
+            # losing key, winner untouched
+            return UpdateCase.LOSES_TO_WINNER
+        # the winner row itself was re-keyed downwards: its stored maximum
+        # is stale and only a scan of this group can settle the new winner
+        return UpdateCase.WINNER_RESCAN
 
     def _report(self, operation: str, group_id: str, label: str, case: UpdateCase,
                 comparisons: int) -> ChangeReport:
@@ -166,25 +176,9 @@ class DynamicTable:
         version = self._versions.get((group_id, label), -1) + 1
         self._versions[(group_id, label)] = version
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
-        key, order_key = _row_keys(self.spec, s, u)
-        group = self._rows.setdefault(group_id, {})
-        best = self._best.get(group_id)
-        # read before the new row is stored: the incumbent may be this very row
-        incumbent = None if best is None else group[best]
-        group[label] = _RowState(strength, u, key, order_key)
-        if incumbent is None or _beats(order_key, label, incumbent.order_key, best,
-                                       self.spec.orientation):
-            case = UpdateCase.WINNER_IMPROVED if label == best else UpdateCase.NEW_WINNER
-            self._best[group_id] = label
-        elif label != best:
-            # losing key, winner untouched
-            case = UpdateCase.LOSES_TO_WINNER
-        else:
-            # the winner row itself was re-keyed downwards: its stored maximum
-            # is stale and only a scan of this group can settle the new winner
-            case = UpdateCase.WINNER_RESCAN
-        # a new group's first row is compared with nothing
-        return self._report("upsert", group_id, label, case, 0 if incumbent is None else 1)
+        kr = KeyedRow(Row(group_id, label, strength), u, *_row_keys(self.spec, s, u))
+        compared = int(group_id in self._best)  # a new group's first row is compared with nothing
+        return self._report("upsert", group_id, label, self._settle(kr), compared)
 
     def delete(self, group_id: str, label: str) -> ChangeReport:
         """Remove one row; re-scan only if it held the group's winner."""
@@ -205,20 +199,18 @@ class DynamicTable:
     def ingest_keyed(self, keyed: Iterable[KeyedRow]) -> None:
         """Load rows whose keys were produced elsewhere (no redraw).
 
-        Versions are recorded as 0; later upserts of the same rows redraw
-        from version 1 as usual.  Before any row of the batch is stored, a
-        NaN order key raises :class:`FamilyDomainError` and a
-        ``(group_id, label)`` the batch repeats raises ``ValueError``, as
-        the merges do; a row already in the table is replaced.
+        Each row is stored and settled as an upsert of its key would be,
+        so a group is re-scanned only when the batch re-keys its winner
+        downwards.  Versions are recorded as 0; later upserts of the same
+        rows redraw from version 1 as usual.  Before any row of the batch
+        is stored, it is reduced as :func:`~keyrace.sampler.reduce_winners`
+        reduces it, so a NaN order key raises :class:`FamilyDomainError`
+        and a ``(group_id, label)`` the batch repeats raises ``ValueError``;
+        a row already in the table is replaced.
         """
         keyed = list(keyed)
-        seen: set[tuple[str, str]] = set()
+        reduce_winners(keyed, self.spec.orientation)
         for kr in keyed:
-            _check_candidate(seen, kr.row.group_id, kr.row.label, kr.order_key)
-        for kr in keyed:
-            gid, label = kr.row.group_id, kr.row.label
-            group = self._rows.setdefault(gid, {})
-            group[label] = _RowState(kr.row.strength, kr.uniform, kr.key, kr.order_key)
-            self._versions.setdefault((gid, label), 0)
-        for gid in dict.fromkeys(kr.row.group_id for kr in keyed):  # first-seen, not hash, order
-            self._rescan(gid)
+            if self._settle(kr) is UpdateCase.WINNER_RESCAN:
+                self._rescan(kr.row.group_id)
+            self._versions.setdefault((kr.row.group_id, kr.row.label), 0)

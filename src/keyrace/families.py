@@ -287,8 +287,9 @@ def first_invalid_strength(spec: ModelSpec, strengths: np.ndarray) -> int | None
     """Index of the first strength outside the family's domain, else None."""
     s = _as_float_array(strengths)
     ok = np.logical_and.reduce([passes(s) for passes, _, _ in _LAWS[spec.family].rules])
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else None
+    if ok.all():  # the usual case, answered by one reduction and no search
+        return None
+    return int(np.flatnonzero(~ok)[0])
 
 
 def _check_strengths(spec: ModelSpec, strengths,

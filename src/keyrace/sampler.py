@@ -518,38 +518,25 @@ def _winner_map(table: CodedTable, columns: _RaceColumns) -> dict[str, GroupWinn
     }
 
 
-def _check_candidate(seen: set[tuple[str, str]], group_id: str, label: str,
-                     order_key: float) -> None:
-    """Add a merge candidate's ``(group_id, label)`` to ``seen``, once it is checked.
-
-    A NaN order key, which no total order can rank, raises
-    :class:`FamilyDomainError`; then a pair already in ``seen`` raises
-    ``ValueError`` as :class:`CodedTable` does, since a row counted twice
-    is no partition of a table.
-    """
-    if order_key != order_key:
-        raise FamilyDomainError(
-            f"order key must not be NaN (group_id={group_id!r}, label={label!r})"
-        )
-    pair = group_id, label
-    if pair in seen:
-        raise _duplicate_row(*pair)
-    seen.add(pair)
-
-
 def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[str, GroupWinner]:
     """Pairwise merge per group: better order_key, label tie-break, counts added.
 
     A NaN order key raises :class:`FamilyDomainError`, so the merge is a
     total order and its result does not depend on the candidates' order;
-    ±inf are ordinary extremes.  A second candidate of one
-    ``(group_id, label)`` raises ``ValueError``.
+    ±inf are ordinary extremes.  Then a second candidate of one
+    ``(group_id, label)`` raises ``ValueError`` as :class:`CodedTable`
+    does, since a row counted twice is no partition of a table.
     """
     merged: dict[str, GroupWinner] = {}
     seen: set[tuple[str, str]] = set()
     for cand in candidates:
-        gid = cand.group_id
-        _check_candidate(seen, gid, cand.label, cand.order_key)
+        gid, pair = cand.group_id, (cand.group_id, cand.label)
+        if cand.order_key != cand.order_key:
+            raise FamilyDomainError("order key must not be NaN (group_id={!r}, label={!r})"
+                                    .format(*pair))
+        if pair in seen:
+            raise _duplicate_row(*pair)
+        seen.add(pair)
         inc = merged.get(gid)
         if inc is None:
             merged[gid] = cand

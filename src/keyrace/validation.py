@@ -12,7 +12,11 @@ implementation of every check.
 Statistical criteria run at significance 1e-3 with sample sizes chosen so
 that a correct implementation fails with negligible probability; where a
 criterion repeats over 20 seeds, a single rejection is tolerated (the
-expected false-positive count under the null is 0.02).
+expected false-positive count under the null is 0.02).  A user's table
+is tested at the same level as a whole: each of its groups at 1e-3 over
+the number of groups (Bonferroni), its least likely labels pooled into
+one cell until every cell expects at least 5 wins (Cochran's rule), and
+a group left with one cell passes with no p-value.
 """
 
 from __future__ import annotations
@@ -488,37 +492,64 @@ def run_battery(base_seed: int = 0, quick: bool = False) -> list[CriterionResult
     return results
 
 
+def _cells(probs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cochran's rule for ``n`` draws of outcomes of probabilities ``probs``: the cell of
+    each outcome, and each cell's probability.
+
+    The least likely outcomes are pooled into cell 0, smallest expected
+    count first, until every cell expects at least 5; each other outcome
+    is a cell of its own.  With nothing to pool, the cells are the
+    outcomes, in order.
+    """
+    if (n * probs).min() >= stats._MIN_EXPECTED:
+        return np.arange(probs.size), probs
+    order = np.argsort(probs, kind="stable")
+    pooled = np.cumsum(probs[order])
+    # pool the k least likely outcomes: the first k whose pool and the next outcome reach 5
+    enough = (n * pooled >= stats._MIN_EXPECTED) & np.append(
+        n * probs[order[1:]] >= stats._MIN_EXPECTED, True)
+    k = int(np.argmax(enough)) + 1
+    cells = np.empty(probs.size, dtype=np.intp)
+    cells[order] = np.maximum(np.arange(1 - k, probs.size - k + 1), 0)
+    return cells, np.append(pooled[k - 1], probs[order[k:]])
+
+
 def check_input_groups(table: CodedTable, spec: ModelSpec, seed: int,
                        quick: bool) -> list[CriterionResult]:
     """One criterion per group of ``table``, in group id order: the group,
     raced under its own id, wins by its strengths' weights (chi-square).
 
     The strengths are checked as the sampler checks a table, so a bad one
-    raises its :class:`FamilyDomainError` before any group is raced.  A
-    group the chi-square cannot test (one row, or an expected count below
-    5) raises ``ValueError`` naming the group.
+    raises its :class:`FamilyDomainError` before any group is raced.  Each
+    group's outcomes are pooled by Cochran's rule (:func:`_cells`), and a
+    group left with one cell passes with no p-value.  Each group is tested
+    at ``SIGNIFICANCE`` over the number of groups (Bonferroni), so a
+    correct sampler fails a table with probability at most ``SIGNIFICANCE``.
     """
     _check_strengths(spec, table.strengths, table.row)
     replicates = QUICK_REPLICATES if quick else REPLICATES
     names = table.group_names
     order = np.argsort(table.group_codes, kind="stable")  # each group's rows in table order
     starts = np.searchsorted(table.group_codes[order], np.arange(len(names) + 1))
+    groups = sorted(np.unique(table.group_codes).tolist(), key=names.__getitem__)
+    level = SIGNIFICANCE / max(len(groups), 1)
     results = []
-    for g in sorted(np.unique(table.group_codes).tolist(), key=names.__getitem__):
+    for g in groups:
         gid, rows = names[g], order[starts[g]:starts[g + 1]]
-        labels = list(map(table.label_names.__getitem__, table.label_codes[rows].tolist()))
         strengths = table.strengths[rows]
         alphas = strength_to_alpha(spec, strengths)
+        cells, probs = _cells(alphas / alphas.sum(), replicates)
+        if probs.size == 1:
+            results.append(CriterionResult(f"group-{gid}", True, "one cell: nothing to test"))
+            continue
+        labels = list(map(table.label_names.__getitem__, table.label_codes[rows].tolist()))
         winners = replicate_winners(spec, labels, strengths, seed, replicates, group_id=gid)
-        try:
-            report = stats.chi_square_gof(np.bincount(winners, minlength=rows.size),
-                                          alphas / alphas.sum())
-        except ValueError as err:
-            raise ValueError(f"group {gid!r}: {err}") from None
+        report = stats.chi_square_gof(np.bincount(cells[winners], minlength=probs.size), probs)
         results.append(CriterionResult(
             f"group-{gid}",
-            not report.reject_at(SIGNIFICANCE),
-            f"chi-square {report.statistic:.5g} on {report.df} df over {replicates} races",
+            not report.reject_at(level),
+            f"chi-square {report.statistic:.5g} on {report.df} df over {replicates} races, "
+            f"per-group level {SIGNIFICANCE:g}/{len(groups)} = {level:.3g}",
             p_value=report.p_value,
         ))
     return results

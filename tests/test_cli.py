@@ -17,9 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_worked_example_csv
-from keyrace import cli
+from keyrace import cli, validation
 from keyrace.families import Family, ModelSpec
-from keyrace.sampler import KeyedRow, Row, SeedContext, assign_keys, reduce_winners
+from keyrace.sampler import (
+    CodedTable,
+    KeyedRow,
+    Row,
+    SeedContext,
+    assign_keys,
+    reduce_winners,
+)
 
 EXPECTED_WORKED_OUTPUT = "#1,RED\n#2,WHITE\n#3,WHITE\n#4,YELLOW\n"
 
@@ -475,21 +482,49 @@ class TestValidate:
         p_values = re.findall(r"CRITERION group-g[12] PASS p=(\S+)", capsys.readouterr().out)
         assert len(p_values) == 2 and p_values[0] != p_values[1]
 
-    def test_input_file_too_few_expected_counts_is_a_domain_error(self, tmp_path):
-        # weight 1e-9 gives label a an expected count far below 5
-        path = tmp_path / "tiny.csv"
-        path.write_text("ID,QUAL,Strength\ng1,a,1e-9\ng1,b,1.0\n")
-        result = run_cli("validate", "--quick", "--input", str(path))
-        assert result.returncode == 3, result.stderr
-        assert result.stderr.startswith("error: group 'g1': smallest expected count")
-        assert "Traceback" not in result.stderr
+    @pytest.mark.parametrize("rows, one_cell", [
+        ("g1,a,1.0\ng2,a,1.0\ng2,b,2.0\n", "g1"),
+        # weight 1e-9 gives label a an expected count far below 5, pooled with b's
+        ("g1,a,1e-9\ng1,b,1.0\n", "g1"),
+        ("g2,a,1e-9\ng2,b,1.0\ng1,a,1.0\ng1,b,2.0\n", "g2"),
+    ], ids=["one-row-group", "tiny-weight", "later-group-tiny-weight"])
+    def test_input_group_of_one_cell_passes_with_no_p_value(self, tmp_path, capsys, rows,
+                                                            one_cell):
+        path = tmp_path / "t.csv"
+        path.write_text("ID,QUAL,Strength\n" + rows)
+        assert cli.main(["validate", "--quick", "--input", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"CRITERION group-{one_cell} PASS p=NA" in out
+        n = len({row.split(",")[0] for row in rows.splitlines()})
+        assert out[-1] == f"{n}/{n} criteria passed"
+
+    def test_input_labels_pooled_into_cells_of_five_expected_wins(self):
+        # a and b expect ~1e-5 wins each, so they are pooled with c: two cells, one df
+        table = CodedTable.from_ids(["g"] * 4, ["a", "b", "c", "d"], [1e-9, 1e-9, 1.0, 1.0])
+        (result,) = validation.check_input_groups(table, ModelSpec(Family.CANONICAL), 0, True)
+        assert result.name == "group-g" and result.p_value is not None
+        assert " on 1 df " in result.detail
+
+    def test_input_groups_are_tested_at_the_battery_level(self, tmp_path, capsys):
+        # g0482's p lies between 1e-3 / 2 groups and 1e-3, so only a test of the whole
+        # table at 1e-3 passes it; g1239 fails at either level
+        path = tmp_path / "two.csv"
+        path.write_text("ID,QUAL,Strength\n"
+                        + "".join(f"{g},{q},{s}\n" for g in ("g0482", "g1239")
+                                  for q, s in (("a", 1), ("b", 2), ("c", 3))))
+        assert cli.main(["validate", "--quick", "--input", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "CRITERION group-g0482 PASS p=0.000929699",
+            "CRITERION group-g1239 FAIL p=1.8034e-05",
+            "  detail: chi-square 21.846 on 2 df over 10000 races, "
+            "per-group level 0.001/2 = 0.0005",
+            "1/2 criteria passed",
+        ]
 
     @pytest.mark.parametrize("later_group, message", [
         ("g2,a,-1.0", "error: canonical: strength is the weight itself and must be positive, "
                       "got -1.0 (group_id='g2', label='a')\n"),
-        ("g2,a,1e-9", "error: group 'g2': smallest expected count 1e-05 < 5; "
-                      "use more samples or merge outcomes\n"),
-    ], ids=["bad-strength", "too-small-expected-count"])
+    ], ids=["bad-strength"])
     def test_a_later_group_error_comes_before_any_criterion(self, tmp_path, later_group,
                                                             message):
         # g2 is listed first but checked second, by id; g1 would pass
@@ -566,6 +601,14 @@ def test_readme_command_lines_parse():
                 build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README line does not parse: {text!r}")
+
+
+def test_readme_python_block_runs(capsys):
+    """README's library example runs against the API as it is."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out in ("red\n", "blue\n")
 
 
 def _piece_table_lines():

@@ -171,6 +171,28 @@ class TestWinnerLookup:
         assert (table.winner("g").label, table.winner("g").key) == ("b", 1.0)
 
 
+def test_ingest_rescans_only_a_group_whose_winner_it_rekeys_downwards(monkeypatch):
+    rescanned, rescan = [], DynamicTable._rescan
+    monkeypatch.setattr(DynamicTable, "_rescan",
+                        lambda self, group_id: rescanned.append(group_id) or rescan(self, group_id))
+
+    def ingest(table, rows):
+        table.ingest_keyed([KeyedRow(Row(g, label, 1.0), 0.5, key) for g, label, key in rows])
+
+    table = _table()
+    ingest(table, [("a", "x", 2.0), ("a", "y", 1.0), ("b", "x", 2.0), ("c", "x", 2.0),
+                   ("d", "x", 2.0)])
+    assert rescanned == []
+    ingest(table, [("a", "x", 0.0),     # a's winner re-keyed below y: the one re-scan
+                   ("b", "y", 3.0),     # a new winner
+                   ("c", "x", 4.0),     # the winner re-keyed upwards
+                   ("d", "y", 1.0),     # loses to the winner
+                   ("e", "x", 1.0)])    # a new group
+    assert rescanned == ["a"]
+    assert {g: w.label for g, w in table.winners().items()} == {
+        "a": "y", "b": "y", "c": "x", "d": "x", "e": "x"}
+
+
 class TestCostAccounting:
     def test_case_ii_costs_one_comparison(self):
         table = _table()
@@ -263,18 +285,27 @@ def test_upsert_replay_equals_sample_arrays(table, seed, replicate):
 
 @st.composite
 def _streams(draw):
-    """Upserts, re-upserts and deletes over a few rows, for every family.
+    """Upserts, re-upserts, deletes and ingested batches over a few rows, for every family.
 
-    scale_c = 1000 makes some frechet2 and negexp keys overflow to +-inf.
+    scale_c = 1000 makes some frechet2 and negexp keys overflow to +-inf; an
+    ingested row's order key is +-inf or any finite value.
     """
     spec = ModelSpec(draw(st.sampled_from(list(Family))),
                      scale_c=draw(st.sampled_from([0.5, 1.0, 2.0, 1000.0])))
     signs = st.sampled_from([spec.strength_sign] if spec.strength_sign else [1.0, -1.0])
+    strengths = st.builds(lambda sign, m: sign * m, signs, st.floats(0.1, 5.0))
     rows = st.tuples(st.sampled_from(["g0", "g1"]), st.sampled_from(["a", "b", "c", "d"]))
+    order_keys = st.one_of(st.sampled_from([float("inf"), float("-inf")]),
+                           st.floats(-50.0, 50.0))
+    keyed = st.builds(lambda row, s, u, k: KeyedRow(Row(*row, s), u, k), rows, strengths,
+                      st.floats(0.01, 0.99), order_keys)
     op = st.one_of(
-        st.tuples(st.just("upsert"), rows, st.builds(lambda sign, m: sign * m, signs,
-                                                     st.floats(0.1, 5.0))),
+        st.tuples(st.just("upsert"), rows, strengths),
         st.tuples(st.just("delete"), rows, st.none()),
+        st.tuples(st.just("ingest"), st.lists(keyed, min_size=1, max_size=3,
+                                              unique_by=lambda kr: (kr.row.group_id,
+                                                                    kr.row.label)),
+                  st.none()),
     )
     return spec, draw(st.lists(op, min_size=1, max_size=60))
 
@@ -306,10 +337,17 @@ def _expected_report(table, operation, group_id, label, before):
 @given(_streams(), st.integers(0, 2**64 - 1))
 def test_every_report_matches_the_oracle(stream, seed):
     """Each report's case, re-scan, cost and winner follow from the winner
-    before the operation and the rows after it."""
+    before the operation and the rows after it; after every operation,
+    ingested batches included, the winners are the scratch reduction's."""
     spec, ops = stream
     table = DynamicTable(spec, SeedContext(seed))
-    for operation, (group_id, label), strength in ops:
+    for operation, target, strength in ops:
+        if operation == "ingest":
+            table.ingest_keyed(target)
+            assert table.winners() == reduce_winners(table.snapshot_keyed_rows(),
+                                                     spec.orientation)
+            continue
+        group_id, label = target
         live = {(kr.row.group_id, kr.row.label) for kr in table.snapshot_keyed_rows()}
         if operation == "delete" and (group_id, label) not in live:
             with pytest.raises(RowNotFoundError):

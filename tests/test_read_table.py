@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keyrace import cli
+from keyrace import cli, sampler
 from keyrace.cli import CliParseError, read_table
 from keyrace.sampler import CodedTable
 
@@ -203,8 +203,10 @@ def test_read_table_matches_csv_reader_loop(tmp_path_factory, file, data):
 
 
 def _assert_reads_as_oracle(path, inject, block, batch, limit, workers):
+    # as many usable CPUs as workers, so a read forks what it draws on any host
     with _field_limit(limit), mock.patch.object(cli, "_BLOCK_BYTES", max(1, block)), \
-            mock.patch.object(cli, "_CSV_BATCH", batch):
+            mock.patch.object(cli, "_CSV_BATCH", batch), \
+            mock.patch.object(sampler, "_usable_cpus", lambda: workers):
         outcome = _outcome(functools.partial(read_table, workers=workers), path, inject)
         assert outcome == _outcome(oracle_read_table, path, inject)
     _assert_no_children()
@@ -322,8 +324,12 @@ _PIECE_FILES = {  # read with blocks of 8 bytes in 3 pieces of about 25 bytes
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The number of children forked so far in this test, as a one-item list."""
+    """The number of children forked so far in this test, as a one-item list.
+
+    Three CPUs are usable, so a read of three pieces forks two children on any host.
+    """
     count, fork = [0], os.fork
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
 
     def counting_fork():
         pid = fork()
@@ -383,6 +389,16 @@ def test_a_file_of_one_block_is_read_in_one_process(tmp_path, monkeypatch, raw):
     path.write_bytes(raw)
     monkeypatch.setattr(os, "fork", _no_fork)
     with mock.patch.object(cli, "_BLOCK_BYTES", len(raw)):
+        assert (_outcome(functools.partial(read_table, workers=4), str(path), False)
+                == _outcome(read_table, str(path), False))
+
+
+def test_one_usable_cpu_reads_in_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PIECE_FILES["clean"])
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8):
         assert (_outcome(functools.partial(read_table, workers=4), str(path), False)
                 == _outcome(read_table, str(path), False))
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyrace.families import Family, ModelSpec
 from keyrace.sampler import replicate_uniforms
@@ -21,7 +23,7 @@ from keyrace.stats import (
     regularized_gamma_q,
     run_choice_experiment,
 )
-from keyrace.validation import GAMMAQ_REFERENCE
+from keyrace.validation import GAMMAQ_REFERENCE, _cells
 
 # Kolmogorov survival function 2*sum (-1)^(k-1) exp(-2 k^2 x^2), frozen
 KOLMOGOROV_REFERENCE = [
@@ -182,3 +184,24 @@ class TestChoiceExperiment:
         strengths = alpha_to_strength(spec, weights)
         report = run_choice_experiment(spec, strengths, replicates=60_000, seed=8)
         assert not report.reject_at(1e-3), report
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=12),
+       st.sampled_from([10_000, 60_000]))
+def test_cells_pool_the_least_likely_outcomes(weights, n):
+    """Cochran's rule: the least likely outcomes share cell 0, the fewest that leave every
+    cell expecting 5 or more, and every other outcome is a cell of its own."""
+    probs = np.asarray(weights) / sum(weights)
+    cells, cell_probs = _cells(probs, n)
+    np.testing.assert_allclose(np.bincount(cells, weights=probs), cell_probs, rtol=1e-12)
+    if (n * probs).min() >= 5:
+        assert cells.tolist() == list(range(probs.size)) and cell_probs is probs
+        return
+    pooled = cells == 0
+    assert np.bincount(cells).tolist() == [pooled.sum()] + [1] * (cell_probs.size - 1)
+    assert probs[pooled].max() <= probs[~pooled].min(initial=1.0)
+    assert cell_probs.size == 1 or (n * cell_probs).min() >= 5
+    # one outcome fewer in the pool would leave a cell expecting less than 5
+    smaller = np.sort(probs[pooled])[:-1]
+    assert n * smaller.sum() < 5 or n * probs[pooled].max() < 5
