@@ -224,7 +224,10 @@ class _Law:
     ``key`` and ``order_key`` are kernels ``(strength, c, u) -> key`` with
     no argument checks, for strengths in the domain and uniforms in (0, 1).
     They use their operands as given; a single row is keyed through
-    :func:`_row_keys`.
+    :func:`_row_keys`.  ``order_key`` also takes ``out=None``: a float64
+    array of the keys' shape, ``u`` itself allowed, that every step writes
+    into, so that keying makes no array.  Without it each step makes a
+    new array, and the keys have the same bits either way.
     """
 
     strength_sign: float  # the sign every strength must have; 0.0: any finite strength
@@ -247,23 +250,57 @@ def _weight(spec, x):
     return x.astype(np.float64)
 
 
+def _pow(x, e):
+    """``x ** e``, in place when ``x`` is an array.
+
+    ``**=`` takes numpy's scalar-exponent fast paths (sqrt, reciprocal,
+    square and the like) exactly as ``**`` does.
+    """
+    x **= e
+    return x
+
+
+# The order-key kernels.  Each step writes into ``out``; with ``out=None``
+# each makes a new array (or a scalar, for a 0-d ``u``) as plain operators
+# would, so the first in-place step only ever writes to an array made here.
+def _canonical_order(s, c, u, out=None):  # log(u) / s
+    return np.divide(np.log(u, out=out), s, out=out)
+
+
+def _gumbel1(s, c, u, out=None):  # s - c*log(-log(u))
+    x = np.log(np.negative(np.log(u, out=out), out=out), out=out)
+    return np.subtract(s, np.multiply(c, x, out=out), out=out)
+
+
+def _frechet2(s, c, u, out=None):  # s * (-log(u))**(-c)
+    return np.multiply(s, _pow(np.negative(np.log(u, out=out), out=out), -c), out=out)
+
+
+def _negexp(s, c, u, out=None):  # s * (-log(u))**c
+    return np.multiply(s, _pow(np.negative(np.log(u, out=out), out=out), c), out=out)
+
+
+def _expmin(s, c, u, out=None):  # -log(u) / s
+    return np.divide(np.negative(np.log(u, out=out), out=out), s, out=out)
+
+
 _LAWS = {
     Family.CANONICAL: _Law(
         strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
-        key=lambda s, c, u: u ** (1.0 / s), order_key=lambda s, c, u: np.log(u) / s,
+        key=lambda s, c, u: u ** (1.0 / s), order_key=_canonical_order,
     ),
     Family.GUMBEL1: _Law(
         strength_sign=0.0, rules=(_FINITE,),
         to_alpha=lambda spec, s: np.exp((s - spec.offset_d) / spec.scale_c),
         from_alpha=lambda spec, a: spec.scale_c * np.log(a) + spec.offset_d,
-        key=lambda s, c, u: s - c * np.log(-np.log(u)),
+        key=_gumbel1,
     ),
     Family.FRECHET2: _Law(
         strength_sign=1.0,
         rules=(_FINITE, _MASS, (lambda s: s > 0.0, FamilyDomainError, _SIGN_OF_D)),
         to_alpha=lambda spec, s: (s / spec.offset_d) ** (1.0 / spec.scale_c),
         from_alpha=lambda spec, a: spec.offset_d * a ** spec.scale_c,
-        key=lambda s, c, u: s * (-np.log(u)) ** (-c),
+        key=_frechet2,
         offset_d=1.0,
         offset_rule=(lambda d: d > 0, "frechet2 records positive strengths: offset_d must be > 0"),
     ),
@@ -272,13 +309,13 @@ _LAWS = {
         rules=(_FINITE, _MASS, (lambda s: s < 0.0, FamilyDomainError, _SIGN_OF_D)),
         to_alpha=lambda spec, s: (s / spec.offset_d) ** (-1.0 / spec.scale_c),
         from_alpha=lambda spec, a: spec.offset_d * a ** (-spec.scale_c),
-        key=lambda s, c, u: s * (-np.log(u)) ** c,
+        key=_negexp,
         offset_d=-1.0,
         offset_rule=(lambda d: d < 0, "negexp records negative strengths: offset_d must be < 0"),
     ),
     Family.EXPMIN: _Law(
         strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
-        key=lambda s, c, u: -np.log(u) / s, orientation=Orientation.MIN, scale_positive=False,
+        key=_expmin, orientation=Orientation.MIN, scale_positive=False,
     ),
 }
 
@@ -313,9 +350,13 @@ def _check_strengths(spec: ModelSpec, strengths,
     raise error(message)
 
 
-def _order_keys(spec: ModelSpec, strengths, u):
-    """Order keys of checked strengths and uniforms in (0, 1), with no checks."""
-    return _LAWS[spec.family].order_key(strengths, np.asarray(spec.scale_c, np.float64), u)
+def _order_keys(spec: ModelSpec, strengths, u, out=None):
+    """Order keys of checked strengths and uniforms in (0, 1), with no checks.
+
+    With ``out`` (``u`` itself allowed) every step writes into it, as
+    :class:`_Law` describes.
+    """
+    return _LAWS[spec.family].order_key(strengths, np.asarray(spec.scale_c, np.float64), u, out)
 
 
 def _keys(spec: ModelSpec, strengths, u, order_keys=None):

@@ -89,13 +89,15 @@ _U64_27 = np.uint64(27)
 _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _UNIT = 2.0**-53
-# Replicates per block of replicate_winners.  The key step's temporaries are
-# 2^14 float64, 128 KiB each, which glibc's malloc keeps reusing from the
-# heap.  At 2^15 it hands freed 256 KiB ones back to the kernel and maps
-# them again for the next label, and every page mapped again is a minor
-# fault: with every step allocating, 32.6k faults in a 1M x 16 call against
-# ~600 at 2^14.  The hash states and uniforms go to per-worker buffers.
-_RACE_BLOCK = 1 << 14
+# Replicates per block of replicate_winners.  A block costs each label about
+# 17 short numpy calls, and worker threads hand the GIL over at every one,
+# so the larger the block, the fewer calls and handovers.  Warm medians of a
+# 1M x 16 canonical call at 1 and 2 workers on a 2-vCPU Xeon: 2^12 0.281 /
+# 0.472 s, 2^14 0.188 / 0.162 s, 2^15 0.173 / 0.111 s.  2^16 timed within
+# noise of 2^15, but it raised a fresh process's peak RSS by ~7% over 2^14
+# (2^15: ~1%).  The label loop makes no array: every step writes to
+# per-worker buffers, so a block causes no page faults.
+_RACE_BLOCK = 1 << 15
 
 
 def _mix64(x: int) -> int:
@@ -734,14 +736,16 @@ def replicate_winners(
     ``TypeError`` and a bad strength :class:`FamilyDomainError`.  A
     negative ``n_replicates`` raises ``ValueError`` first.
 
-    Replicates are raced in blocks of 2^14, each label's keys folded into
-    the block's running best.  The hash states and uniforms go to buffers
-    each worker makes once, and at that size the key step's temporaries
-    are reused from the heap, so a block causes no page faults.  The
-    blocks are dealt round-robin to one worker per CPU in the process's
-    affinity mask (at most one per block; restrict them with ``taskset``):
-    the calling thread and one thread per other worker, each writing only
-    its own blocks' winners.  So working memory beside the result is
+    Replicates are raced in blocks of 2^15, each label's keys folded into
+    the block's running best.  Every step of a label, hash, uniform, key
+    and comparison, writes to buffers each worker makes once, so the label
+    loop makes no array and a block causes no page faults.  A block
+    costs a label about 17 numpy calls, and worker threads hand the GIL
+    over at each, so a larger block means fewer handovers.  The blocks are
+    dealt round-robin to one worker per CPU in the process's affinity mask
+    (at most one per block; restrict them with ``taskset``): the calling
+    thread and one thread per other worker, each writing only its own
+    blocks' winners.  So working memory beside the result is
     O(workers x block) whatever labels times replicates is, and the
     winners are identical at any worker count.
     """
@@ -759,23 +763,25 @@ def replicate_winners(
     better, extreme, worst = ((np.greater, np.maximum, -np.inf)
                               if spec.orientation is Orientation.MAX
                               else (np.less, np.minimum, np.inf))
-    winners = np.full(n_replicates, label_order[0], dtype=np.intp)
+    # each replicate's slot holds its own number until its block is raced
+    winners = np.arange(n_replicates, dtype=np.intp)
     block = min(_RACE_BLOCK, n_replicates)
-    offsets = np.arange(block, dtype=np.uint64)
 
-    def scratch():  # one worker's label states, prefixes, shifts, uniforms and best keys
-        return (*np.empty((3, block), np.uint64), *np.empty((2, block)))
+    def scratch():  # one worker's label states, prefixes, shifts, keys, best keys and leads
+        return (*np.empty((3, block), np.uint64), *np.empty((2, block)), np.empty(block, bool))
 
     def race(start: int, buffers) -> None:
-        state, prefix, shifted, u, best = (a[: min(block, n_replicates - start)] for a in buffers)
+        state, prefix, shifted, u, best, lead = (
+            a[: min(block, n_replicates - start)] for a in buffers)
         win = winners[start : start + best.size]
+        state[...] = win  # the replicate numbers, absorbed before any label
+        chain = _absorb(seed, state, 0, group_digest, label_digests, out=(prefix, state, shifted))
+        win.fill(label_order[0])
         best.fill(worst)
-        reps = np.add(offsets[: best.size], start, out=state)  # absorbed before any label
-        chain = _absorb(seed, reps, 0, group_digest, label_digests, out=(prefix, state, shifted))
         for i, h in zip(label_order, chain):
-            order_keys = _order_keys(spec, s[i], _to_unit(h, out=u))
-            np.putmask(win, better(order_keys, best), i)
-            extreme(best, order_keys, out=best)
+            keys = _order_keys(spec, s[i], _to_unit(h, out=u), u)  # into u, as h is
+            np.putmask(win, better(keys, best, out=lead), i)
+            extreme(best, keys, out=best)
 
     _deal(race, range(0, n_replicates, _RACE_BLOCK), scratch)
     return winners

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyrace import stats
@@ -19,6 +19,7 @@ from keyrace.families import (
     FamilyDomainError,
     ModelSpec,
     Orientation,
+    _order_keys,
     alpha_to_strength,
     key_canonical,
     key_expmin,
@@ -246,6 +247,51 @@ def test_keys_strictly_monotone_in_uniform(u1, u2, alpha):
     assert key_frechet2(alpha, 0.7, lo) < key_frechet2(alpha, 0.7, hi)
     assert key_negexp(-alpha, 2.1, lo) < key_negexp(-alpha, 2.1, hi)
     assert key_expmin(alpha, lo) > key_expmin(alpha, hi)
+
+
+@st.composite
+def _order_key_calls(draw):
+    """A spec, strengths in its domain (one for all rows, or one per row) and uniforms.
+
+    0.5, 1 and 2 as ``scale_c`` are the exponents ±0.5, ±1 and 2 that
+    numpy's ``**`` computes by its fast paths.
+    """
+    spec = ModelSpec(draw(st.sampled_from(list(Family))),
+                     scale_c=draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3)))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                               min_size=1, max_size=20)))
+    size = draw(st.sampled_from([None, u.size]))  # None: one strength, as a numpy scalar
+    magnitude = st.floats(5e-324, 1e300) | st.just(5e-324)
+    if spec.family is Family.GUMBEL1:
+        strength = st.floats(-1e300, 1e300)
+    else:
+        strength = magnitude.map(lambda m: spec.strength_sign * m)
+    s = np.array(draw(st.lists(strength, min_size=size or 1, max_size=size or 1)))
+    return spec, s if size else s[0], u
+
+
+def _order_keys_outcome(spec, s, u, out=None):
+    """The order keys' bits, or the message of the overflow they raise."""
+    with np.errstate(over="raise"):
+        try:
+            keys = _order_keys(spec, s, u, out)
+        except FloatingPointError as exc:
+            return str(exc)
+    assert out is None or keys is out
+    return keys.view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_order_key_calls(), st.booleans())
+@example((ModelSpec(Family.CANONICAL), np.float64(5e-324), np.array([0.5])), False)
+@example((ModelSpec(Family.FRECHET2, scale_c=2.0), np.array([3.0, 5e-324]),
+          np.array([1e-300, 0.999])), True)
+def test_order_keys_into_out_have_the_same_bits(call, into_u):
+    """Keys written into ``out`` (a fresh array or ``u`` itself) equal the allocating kernel's."""
+    spec, s, u = call
+    expected = _order_keys_outcome(spec, s, u)
+    buf = u.copy()  # ``u`` itself, in a copy the kernel may overwrite
+    assert _order_keys_outcome(spec, s, buf, buf if into_u else np.empty_like(u)) == expected
 
 
 def test_log_key_matches_plain_argmax():

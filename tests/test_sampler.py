@@ -715,6 +715,26 @@ def test_replicate_winners_memory_is_bounded_by_the_block():
     assert peak(_race_replicates_per_worker(4)) <= 2 * peak(_race_replicates_per_worker(1))
 
 
+@pytest.mark.parametrize("family", list(Family))
+def test_replicate_winners_label_loop_allocates_no_block_array(family):
+    """Beside the winners, one worker's traced peak is its scratch and less than a block array."""
+    spec = ModelSpec(family)
+    labels = [f"l{i:02d}" for i in range(16)]
+    strengths = alpha_to_strength(spec, np.linspace(0.5, 2.0, 16))
+    block, n_replicates = sampler._RACE_BLOCK, 3 * sampler._RACE_BLOCK + 5
+    with mock.patch.object(sampler, "_usable_cpus", lambda: 1):
+        tracemalloc.start()
+        try:
+            replicate_winners(spec, labels, strengths, 1, n_replicates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    winners = n_replicates * np.dtype(np.intp).itemsize
+    scratch = (5 * 8 + 1) * block  # three uint64 and two float64 arrays, one bool
+    slack = 4 * block  # half of one float64 block array
+    assert peak <= winners + scratch + slack
+
+
 _FAULTS_OF_ONE_CALL = """
 import resource, sys
 import numpy as np
