@@ -48,8 +48,8 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(["DynamicTable", "ChangeReport", "UpdateCase", "RowNotFoundError"],
                     "dynamic"),
-    **dict.fromkeys(["WeightTable", "SearchStrategy", "build_weight_table", "sample_alias",
-                     "sample_inverse"], "baselines"),
+    **dict.fromkeys(["WeightTable", "build_weight_table", "sample_alias", "sample_inverse"],
+                    "baselines"),
     **dict.fromkeys(["GofReport", "chi_square_gof", "chi_square_two_sample", "ks_one_sample",
                      "ks_two_sample", "regularized_gamma_q", "run_choice_experiment"],
                     "stats"),
@@ -103,7 +103,6 @@ __all__ = [
     "UpdateCase",
     "RowNotFoundError",
     "WeightTable",
-    "SearchStrategy",
     "build_weight_table",
     "sample_alias",
     "sample_inverse",

@@ -7,8 +7,7 @@ comparison targets for benchmarks.
 
 * Alias method (Walker's table with the Kronmal-Peterson / Vose build):
   O(n) construction, two comparisons per draw.
-* Inverse CDF over the cumulative table: linear scan O(n) or bisection
-  O(log n) per draw; both strategies return identical labels.
+* Inverse CDF over the cumulative table: bisection, O(log n) per draw.
 
 Guide tables and exact rational look-up tables are deliberately not
 implemented.  Neither is any form of in-place weight update: changing one
@@ -19,14 +18,12 @@ dynamic key-race table exists to remove.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "WeightTable",
-    "SearchStrategy",
     "build_weight_table",
     "sample_alias",
     "sample_alias_indices",
@@ -36,11 +33,6 @@ __all__ = [
 ]
 
 _RECON_TOL = 2.0**-40
-
-
-class SearchStrategy(str, Enum):
-    LINEAR = "linear"
-    BISECTION = "bisection"
 
 
 @dataclass(frozen=True)
@@ -134,16 +126,9 @@ def sample_alias_indices(table: WeightTable, u1: np.ndarray, u2: np.ndarray) -> 
     return np.where(keep, cells, table.alias_index[cells])
 
 
-def sample_inverse(
-    table: WeightTable, u: float, strategy: SearchStrategy = SearchStrategy.BISECTION
-) -> str:
-    """Smallest label index i with cumulative[i] > u."""
+def sample_inverse(table: WeightTable, u: float) -> str:
+    """Label of the smallest index i with cumulative[i] > u, found by bisection."""
     cum = table.cumulative
-    if strategy is SearchStrategy.LINEAR:
-        for i in range(table.size):
-            if cum[i] > u:
-                return table.labels[i]
-        return table.labels[table.size - 1]
     lo, hi = 0, table.size - 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -24,9 +24,9 @@ is columnar: per group that has a row, in group-code order, the winning
 label code, key, order key and row count.  The CLI writes those columns
 as they are; :func:`sample_codes`, :func:`sample_replicates` and
 :func:`sample_arrays` are thin adapters that turn each replicate's
-columns into a map from group id to :class:`GroupWinner`.  The pairwise
-fold behind :func:`reduce_winners` and :func:`merge_winner_maps` is the
-reference that the columnar race is tested against.
+columns into a map from group id to :class:`GroupWinner`.  Every table
+and every merge reduces through :func:`_winners`; :func:`_beats` settles
+one row in ``DynamicTable`` and is the tests' oracle.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
@@ -420,14 +420,24 @@ def _prepare(table: CodedTable, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray
     return _string_digests(table.group_names), _string_digests(table.label_names)
 
 
-def _winners(adj: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
-             label_names: Sequence[str]) -> np.ndarray:
-    """Position of the winner of each segment ``adj[starts[i]:starts[i + 1]]``.
+def _segments(group_codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, ...]:
+    """Rows' stable order by group code, their sorted codes and where each code's run starts."""
+    # a stable sort has one result; narrowed to the fewest bytes that hold
+    # every group code, codes of 8 or 16 bits are sorted by radix
+    order = np.argsort(group_codes.astype(np.min_scalar_type(n_groups - 1)), kind="stable")
+    group_codes = group_codes[order]
+    return order, group_codes, np.flatnonzero(np.diff(group_codes, prepend=-1))
 
-    The winner holds the segment's largest ``adj``; among exact ties
-    (-0.0 equals 0.0) it has the smallest label in Python str order, as
-    in :func:`_beats`.  Labels are compared only in segments that tie.
+
+def _winners(order_keys: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
+             label_names: Sequence[str], orientation: Orientation) -> np.ndarray:
+    """Position of the winner of each segment ``order_keys[starts[i]:starts[i + 1]]``.
+
+    The winner holds the segment's best order key under ``orientation``; among
+    exact ties (-0.0 equals 0.0) it has the smallest label in Python str order,
+    as in :func:`_beats`.  Labels are compared only in segments that tie.
     """
+    adj = order_keys if orientation is Orientation.MAX else -order_keys
     lengths = np.diff(starts, append=len(adj))
     top = np.flatnonzero(adj == np.repeat(np.maximum.reduceat(adj, starts), lengths))
     if top.size == starts.size:  # no ties: one top position per segment
@@ -471,14 +481,9 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
     each group's winner with :func:`_winners`.  A group named in
     ``table.group_names`` with no row has no segment, so no winner.
     """
-    # a stable sort has one result; narrowed to the fewest bytes that hold
-    # every group code, codes of 8 or 16 bits are sorted by radix
-    narrow = np.min_scalar_type(len(table.group_names) - 1)
-    order = np.argsort(table.group_codes.astype(narrow), kind="stable")
-    group_codes, label_codes = table.group_codes[order], table.label_codes[order]
-    strengths = table.strengths[order]
+    order, group_codes, starts = _segments(table.group_codes, len(table.group_names))
+    label_codes, strengths = table.label_codes[order], table.strengths[order]
     injected_keys = None if table.keys is None else table.keys[order]
-    starts = np.flatnonzero(np.diff(group_codes, prepend=-1))
     segment_groups = group_codes[starts]
     row_counts = np.bincount(group_codes, minlength=len(table.group_names))[segment_groups]
     for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
@@ -488,8 +493,7 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
             order_keys = _order_keys(spec, strengths, uniforms)
         else:
             order_keys = injected_keys
-        adj = order_keys if spec.orientation is Orientation.MAX else -order_keys
-        win = _winners(adj, label_codes, starts, table.label_names)
+        win = _winners(order_keys, label_codes, starts, table.label_names, spec.orientation)
         win_order_keys = order_keys[win]
         keys = (
             win_order_keys
@@ -520,34 +524,32 @@ def _winner_map(table: CodedTable, columns: _RaceColumns) -> dict[str, GroupWinn
     }
 
 
-def _fold(candidates: Iterable[GroupWinner], orientation: Orientation) -> dict[str, GroupWinner]:
-    """Pairwise merge per group: better order_key, label tie-break, counts added.
+def _fold(candidates: list[tuple], orientation: Orientation) -> dict[str, GroupWinner]:
+    """Per-group winners of ``(group_id, label, key, row_count, order_key)`` candidates,
+    reduced by :func:`_winners` as a table's rows are, counts added.
 
-    A NaN order key raises :class:`FamilyDomainError`, so the merge is a
-    total order and its result does not depend on the candidates' order;
-    ±inf are ordinary extremes.  Then a second candidate of one
-    ``(group_id, label)`` raises ``ValueError`` as :class:`CodedTable`
-    does, since a row counted twice is no partition of a table.
+    A NaN order key raises :class:`FamilyDomainError` (±inf are ordinary extremes), a
+    repeated ``(group_id, label)`` ``ValueError`` as :class:`CodedTable` does; of several
+    faults, the first candidate's is raised, its NaN first.
     """
-    merged: dict[str, GroupWinner] = {}
-    seen: set[tuple[str, str]] = set()
-    for cand in candidates:
-        gid, pair = cand.group_id, (cand.group_id, cand.label)
-        if cand.order_key != cand.order_key:
-            raise FamilyDomainError("order key must not be NaN (group_id={!r}, label={!r})"
-                                    .format(*pair))
-        if pair in seen:
-            raise _duplicate_row(*pair)
-        seen.add(pair)
-        inc = merged.get(gid)
-        if inc is None:
-            merged[gid] = cand
-            continue
-        won = _beats(cand.order_key, cand.label, inc.order_key, inc.label, orientation)
-        best = cand if won else inc
-        count = inc.row_count + cand.row_count
-        merged[gid] = GroupWinner(gid, best.label, best.key, count, best.order_key)
-    return merged
+    group_ids, labels, keys, row_counts, order_keys = zip(*candidates) if candidates else [()] * 5
+    group_codes, group_names = _factorize(group_ids)
+    label_codes, label_names = _factorize(labels)
+    adj = np.asarray(order_keys, dtype=np.float64)
+    nan = np.flatnonzero(np.isnan(adj))
+    # a (group_id, label) pair can repeat only where a label does
+    dup = None if len(label_names) == len(labels) else first_duplicate(
+        group_codes, label_codes, len(label_names))
+    if nan.size and (dup is None or nan[0] <= dup):
+        raise FamilyDomainError("order key must not be NaN (group_id={!r}, label={!r})"
+                                .format(group_ids[nan[0]], labels[nan[0]]))
+    if dup is not None:
+        raise _duplicate_row(group_ids[dup], labels[dup])
+    order, _, starts = _segments(group_codes, len(group_names))
+    win = order[_winners(adj[order], label_codes[order], starts, label_names, orientation)]
+    counts = np.add.reduceat(np.asarray(row_counts, dtype=np.int64)[order], starts)
+    return {gid: GroupWinner(gid, labels[i], keys[i], count, order_keys[i])
+            for gid, i, count in zip(group_names, win.tolist(), counts.tolist())}
 
 
 def assign_keys(
@@ -579,18 +581,16 @@ def assign_keys(
 def reduce_winners(
     keyed: Iterable[KeyedRow], orientation: Orientation
 ) -> dict[str, GroupWinner]:
-    """Fold keyed rows into one winner per group.
+    """Reduce keyed rows to one winner per group.
 
-    The pairwise merge (better order_key, label tie-break, counts added)
-    is associative and commutative, so the result is independent of input
-    order and of any partitioning into sub-reductions.  A NaN order key
-    raises :class:`FamilyDomainError` naming its ``(group_id, label)``, and
-    a repeated ``(group_id, label)`` raises ``ValueError`` naming it.
+    The best order_key wins, the smallest label on exact ties, and counts
+    are added, so the result is independent of input order and of any
+    partitioning into sub-reductions.  A NaN order key raises
+    :class:`FamilyDomainError` naming its ``(group_id, label)``, and a
+    repeated ``(group_id, label)`` raises ``ValueError`` naming it.
     """
-    return _fold(
-        (GroupWinner(kr.row.group_id, kr.row.label, kr.key, 1, kr.order_key) for kr in keyed),
-        orientation,
-    )
+    return _fold([(kr.row.group_id, kr.row.label, kr.key, 1, kr.order_key) for kr in keyed],
+                 orientation)
 
 
 def merge_winner_maps(
@@ -601,7 +601,8 @@ def merge_winner_maps(
     Two maps whose winners of one group share a label hold one row twice,
     so they raise ``ValueError`` naming it, as :func:`reduce_winners` does.
     """
-    return _fold((w for partial in maps for w in partial.values()), orientation)
+    return _fold([(w.group_id, w.label, w.key, w.row_count, w.order_key)
+                  for partial in maps for w in partial.values()], orientation)
 
 
 def sample(

@@ -48,6 +48,7 @@ from .sampler import (
     KeyedRow,
     Row,
     SeedContext,
+    _segments,
     merge_winner_maps,
     reduce_winners,
     replicate_uniforms,
@@ -483,7 +484,7 @@ def run_battery(base_seed: int = 0, quick: bool = False) -> list[CriterionResult
     results += check_choice_probabilities(base_seed, n_seeds, replicates)
     results.append(check_softmax_identity(base_seed, n_seeds, replicates))
     results += check_max_stability(base_seed, ks_n)
-    results += check_representation_law(base_seed, max(rep_n, 1000))
+    results += check_representation_law(base_seed, rep_n)
     results.append(check_canonical_equivalence(base_seed, instances))
     results += check_dynamic_vs_scratch(base_seed, steps)
     results += check_alias_vs_race(base_seed, replicates)
@@ -528,14 +529,12 @@ def check_input_groups(table: CodedTable, spec: ModelSpec, seed: int,
     """
     _check_strengths(spec, table.strengths, table.row)
     replicates = QUICK_REPLICATES if quick else REPLICATES
-    names = table.group_names
-    order = np.argsort(table.group_codes, kind="stable")  # each group's rows in table order
-    starts = np.searchsorted(table.group_codes[order], np.arange(len(names) + 1))
-    groups = sorted(np.unique(table.group_codes).tolist(), key=names.__getitem__)
-    level = SIGNIFICANCE / max(len(groups), 1)
+    order, group_codes, starts = _segments(table.group_codes, len(table.group_names))
+    runs = dict(zip(map(table.group_names.__getitem__, group_codes[starts].tolist()),
+                    np.split(order, starts[1:])))  # each group's rows, in table order
+    level = SIGNIFICANCE / max(len(runs), 1)
     results = []
-    for g in groups:
-        gid, rows = names[g], order[starts[g]:starts[g + 1]]
+    for gid, rows in sorted(runs.items()):
         strengths = table.strengths[rows]
         alphas = strength_to_alpha(spec, strengths)
         cells, probs = _cells(alphas / alphas.sum(), replicates)
@@ -549,7 +548,7 @@ def check_input_groups(table: CodedTable, spec: ModelSpec, seed: int,
             f"group-{gid}",
             not report.reject_at(level),
             f"chi-square {report.statistic:.5g} on {report.df} df over {replicates} races, "
-            f"per-group level {SIGNIFICANCE:g}/{len(groups)} = {level:.3g}",
+            f"per-group level {SIGNIFICANCE:g}/{len(runs)} = {level:.3g}",
             p_value=report.p_value,
         ))
     return results

@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import write_worked_example_csv
 from keyrace import validation
 from keyrace.families import Orientation
 from keyrace.sampler import reduce_winners
+from worked_example import write_worked_example_csv
 
 BASE_SEED = 0
 

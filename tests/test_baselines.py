@@ -5,7 +5,6 @@ import pytest
 
 from keyrace import stats
 from keyrace.baselines import (
-    SearchStrategy,
     alias_reconstruction,
     build_weight_table,
     sample_alias,
@@ -96,25 +95,12 @@ class TestAliasSampling:
 class TestInverseSampling:
     def test_below_first_cumulative(self):
         table = build_weight_table(["a", "b", "c"], [1.0, 2.0, 3.0])
-        assert sample_inverse(table, 0.01, SearchStrategy.LINEAR) == "a"
-        assert sample_inverse(table, 0.01, SearchStrategy.BISECTION) == "a"
+        assert sample_inverse(table, 0.01) == "a"
 
     def test_one_two_three_at_point_four(self):
         # cumulative (1/6, 1/2, 1): u = 0.4 lands in the second cell
         table = build_weight_table(["a", "b", "c"], [1.0, 2.0, 3.0])
         assert sample_inverse(table, 0.4) == "b"
-
-    def test_linear_equals_bisection(self):
-        rng = np.random.default_rng(4)
-        for trial in range(20):
-            size = int(rng.integers(1, 60))
-            table = build_weight_table(
-                [f"l{i}" for i in range(size)], rng.uniform(0.1, 5.0, size=size)
-            )
-            for u in rng.random(50):
-                assert sample_inverse(table, u, SearchStrategy.LINEAR) == sample_inverse(
-                    table, u, SearchStrategy.BISECTION
-                )
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(5)

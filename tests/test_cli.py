@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_worked_example_csv
 from keyrace import cli, validation
 from keyrace.families import Family, ModelSpec
 from keyrace.sampler import (
@@ -25,8 +24,9 @@ from keyrace.sampler import (
     Row,
     SeedContext,
     assign_keys,
-    reduce_winners,
 )
+from row_fold import fold_rows
+from worked_example import write_worked_example_csv
 
 EXPECTED_WORKED_OUTPUT = "#1,RED\n#2,WHITE\n#3,WHITE\n#4,YELLOW\n"
 
@@ -221,7 +221,7 @@ def _cli_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(_cli_tables(), st.integers(0, 2**32), st.integers(1, 4), st.booleans())
 def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, with_key):
-    """``sample`` bytes equal each replicate's ``reduce_winners`` fold, sorted and
+    """``sample`` bytes equal each replicate's row-by-row ``fold_rows``, sorted and
     written as csv.writer writes them, and csv.reader reads back the winners."""
     spec, rows, keys = table
     expected, winner_records = [], []
@@ -230,7 +230,7 @@ def test_sample_output_matches_the_fold_reference(table, seed, n_replicates, wit
             keyed = assign_keys(rows, spec, SeedContext(seed, r))
         else:  # injected keys stand in for every replicate's
             keyed = [KeyedRow(row, 0.5, k) for row, k in zip(rows, keys)]
-        winners = reduce_winners(keyed, spec.orientation)
+        winners = fold_rows(keyed, spec.orientation)
         for gid in sorted(winners):
             w = winners[gid]
             record = ([str(r)] if n_replicates > 1 else []) + [gid, w.label]

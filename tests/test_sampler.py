@@ -33,7 +33,6 @@ from keyrace.sampler import (
     Row,
     SeedContext,
     _absorb,
-    _beats,
     _mix64,
     _mix64_array,
     _string_digest,
@@ -53,6 +52,7 @@ from keyrace.sampler import (
     sample_replicates,
 )
 from keyrace.validation import WORKED_EXAMPLE_ROWS, WORKED_EXAMPLE_WINNERS
+from row_fold import fold_rows
 
 
 class TestDerivedUniforms:
@@ -169,6 +169,12 @@ class TestReduceWinners:
         ]
         assert reduce_winners(keyed, Orientation.MAX)["g"].label == "alpha"
         assert reduce_winners(keyed, Orientation.MIN)["g"].label == "alpha"
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_empty_input(self, orientation):
+        assert reduce_winners([], orientation) == {}
+        assert merge_winner_maps([], orientation) == {}
+        assert merge_winner_maps([{}, {}], orientation) == {}
 
     def test_min_orientation(self):
         keyed = [
@@ -543,19 +549,13 @@ def test_columnar_core_matches_scalar_reference(table, seed):
     """sample_arrays equals a row-by-row fold of derive_uniform and _beats."""
     groups, labels, strengths, spec = table
     ctx = SeedContext(seed, seed % 5)
-    expected: dict[str, GroupWinner] = {}
+    keyed = []
     for g, l, s in zip(groups, labels, strengths):
         u = derive_uniform(ctx, g, l)
         key, order_key = float(generate_key(spec, s, u)), float(generate_order_key(spec, s, u))
-        inc = expected.get(g)
-        if inc is None:
-            expected[g] = GroupWinner(g, l, key, 1, order_key)
-        elif _beats(order_key, l, inc.order_key, inc.label, spec.orientation):
-            expected[g] = GroupWinner(g, l, key, inc.row_count + 1, order_key)
-        else:
-            expected[g] = GroupWinner(g, inc.label, inc.key, inc.row_count + 1, inc.order_key)
+        keyed.append(KeyedRow(Row(g, l, s), u, key, order_key))
     got = sample_arrays(groups, labels, strengths, spec, ctx)
-    assert got == expected
+    assert got == fold_rows(keyed, spec.orientation)
 
 
 @settings(max_examples=50, deadline=None)
@@ -568,7 +568,7 @@ def test_columnar_label_tie_breaks_match_fold(table, data, shards):
     keyed = [KeyedRow(Row(g, l, s), 0.5, k) for g, l, s, k in zip(groups, labels, strengths, keys)]
     got = _merged_slices(shards, groups, labels, strengths, spec, SeedContext(0),
                          injected_keys=keys)
-    assert got == reduce_winners(keyed, spec.orientation)
+    assert got == fold_rows(keyed, spec.orientation)
 
 
 @settings(max_examples=30, deadline=None)
@@ -820,30 +820,53 @@ def test_sample_replicates_matches_sample_arrays(table, seed, first, n, shards, 
     assert got == expected
 
 
+def _exact(winners):
+    """Winners with their keys as reprs, so -0.0 and 0.0 differ."""
+    return {g: (w.label, repr(w.key), repr(w.order_key), w.row_count)
+            for g, w in winners.items()}
+
+
 @settings(max_examples=60, deadline=None)
 @given(_tables(), st.data(), st.integers(1, 6), st.integers(1, 3))
 def test_segmented_reduce_matches_fold_on_signed_zero_ties(table, data, shards, n):
     """Keys from {-1, -0.0, 0.0, 1} force ties in which -0.0 equals 0.0.
 
-    Every replicate's winners equal the _beats fold of reduce_winners,
-    down to the sign of a zero key and the row counts.
+    Every replicate's winners equal fold_rows, the _beats fold, down to
+    the sign of a zero key and the row counts.
     """
     groups, labels, strengths, spec = table
     keys = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
                               min_size=len(groups), max_size=len(groups)))
     keyed = [KeyedRow(Row(g, l, s), 0.5, k) for g, l, s, k in zip(groups, labels, strengths, keys)]
-
-    def exact(winners):
-        return {g: (w.label, repr(w.key), repr(w.order_key), w.row_count)
-                for g, w in winners.items()}
-
-    expected = exact(reduce_winners(keyed, spec.orientation))
+    expected = _exact(fold_rows(keyed, spec.orientation))
     got = list(sample_replicates(groups, labels, strengths, spec, SeedContext(0), n,
                                  injected_keys=keys))
-    assert [exact(winners) for winners in got] == [expected] * n
+    assert [_exact(winners) for winners in got] == [expected] * n
     merged = _merged_slices(shards, groups, labels, strengths, spec, SeedContext(0),
                             injected_keys=keys)
-    assert exact(merged) == expected
+    assert _exact(merged) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "a", "é"]), _IDS), max_size=30, unique=True),
+       st.data(), st.sampled_from(list(Orientation)))
+def test_object_merges_match_row_fold(pairs, data, orientation):
+    """reduce_winners, and merge_winner_maps of a random partition's maps,
+    equal fold_rows exactly on keys from {-inf, -1, -0.0, 0.0, 1, inf}.
+
+    Three group ids share the rows, so the partial maps' winners carry
+    row counts above 1.
+    """
+    n = len(pairs)
+    keys = data.draw(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]),
+                              min_size=n, max_size=n))
+    keyed = [KeyedRow(Row(g, l, 1.0), 0.5, k) for (g, l), k in zip(pairs, keys)]
+    expected = _exact(fold_rows(keyed, orientation))
+    assert _exact(reduce_winners(keyed, orientation)) == expected
+    parts = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    maps = [fold_rows([kr for kr, p in zip(keyed, parts) if p == part], orientation)
+            for part in range(4)]
+    assert _exact(merge_winner_maps(maps, orientation)) == expected
 
 
 def _code_ids_three_pass(strings, index):
@@ -886,10 +909,10 @@ def test_group_sort_across_code_widths_matches_fold(n_groups):
     keys = -np.arange(len(group_ids), dtype=np.float64)
     spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(n_groups)
     rows = [Row(g, l, s) for g, l, s in zip(group_ids, labels, strengths.tolist())]
-    expected = reduce_winners(assign_keys(rows, spec, ctx), spec.orientation)
+    expected = fold_rows(assign_keys(rows, spec, ctx), spec.orientation)
     assert len(expected) == n_groups
     assert sample_arrays(group_ids, labels, strengths, spec, ctx) == expected
     keyed = [KeyedRow(row, 0.5, k) for row, k in zip(rows, keys.tolist())]
-    expected = reduce_winners(keyed, spec.orientation)
+    expected = fold_rows(keyed, spec.orientation)
     assert {w.label for w in expected.values()} == {"q0"}
     assert sample_arrays(group_ids, labels, strengths, spec, ctx, injected_keys=keys) == expected
