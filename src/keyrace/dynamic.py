@@ -16,12 +16,14 @@ For an upsert of ``(group, label, strength)`` whose freshly drawn key is
 * ``label == w.label`` and ``k`` loses    -> the stored maximum is stale;
   re-scan that one group.
 
-Rows keyed elsewhere are loaded with :meth:`DynamicTable.ingest_keyed`,
-which settles each one by the same four cases.  Deletes re-scan only
-when they remove the winner itself.  Every public
-operation returns a :class:`ChangeReport` saying which case fired, whether
-a re-scan happened and how many comparator evaluations were spent, so the
-incremental-cost behaviour is testable.
+Deletes re-scan only when they remove the winner itself.  Settling and
+re-scanning both compare with the sampler's one-row comparator
+:func:`~keyrace.sampler._beats`: a re-scan is one pass over the group's
+rows, and nothing here runs the columnar reduction that
+:func:`~keyrace.sampler.reduce_winners` and the from-scratch check use.
+Every public operation returns a :class:`ChangeReport` saying which case
+fired, whether a re-scan happened and how many comparator evaluations
+were spent, so the incremental-cost behaviour is testable.
 
 Each upsert bumps the row's version counter and derives a *fresh* uniform
 from ``(seed, replicate, version, group, label)``: repeating an update is
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .families import ModelSpec, _check_strengths, _row_keys
 from .sampler import (
@@ -46,7 +48,6 @@ from .sampler import (
     _beats,
     _string_digest,
     _uniform,
-    reduce_winners,
 )
 
 __all__ = ["DynamicTable", "ChangeReport", "UpdateCase", "RowNotFoundError"]
@@ -75,7 +76,7 @@ class ChangeReport:
     """What one upsert/delete did and what it cost.
 
     ``comparisons`` counts comparator evaluations: the check against the
-    stored winner plus, on a re-scan, the fold over the group's rows.
+    stored winner plus, on a re-scan, one per row of the group after its first.
     """
 
     operation: str
@@ -128,30 +129,17 @@ class DynamicTable:
         return [kr for rows in self._rows.values() for kr in rows.values()]
 
     def _rescan(self, group_id: str) -> int:
-        """Settle a group's winning label by reducing all its rows; returns the comparisons."""
+        """Settle a group's winning label in one :func:`_beats` pass over its rows;
+        returns the comparisons."""
         rows = self._rows[group_id]
-        self._best[group_id] = reduce_winners(rows.values(), self.spec.orientation)[group_id].label
+        labels = iter(rows)
+        best = next(labels)
+        for label in labels:
+            if _beats(rows[label].order_key, label, rows[best].order_key, best,
+                      self.spec.orientation):
+                best = label
+        self._best[group_id] = best
         return len(rows) - 1
-
-    def _settle(self, kr: KeyedRow) -> UpdateCase:
-        """Store a keyed row and return its upsert case, the winning label settled in
-        every case but ``WINNER_RESCAN``, which leaves the group to :meth:`_rescan`."""
-        group_id, label = kr.row.group_id, kr.row.label
-        group = self._rows.setdefault(group_id, {})
-        best = self._best.get(group_id)
-        # read before the new row is stored: the incumbent may be this very row
-        incumbent = None if best is None else group[best]
-        group[label] = kr
-        if incumbent is None or _beats(kr.order_key, label, incumbent.order_key, best,
-                                       self.spec.orientation):
-            self._best[group_id] = label
-            return UpdateCase.WINNER_IMPROVED if label == best else UpdateCase.NEW_WINNER
-        if label != best:
-            # losing key, winner untouched
-            return UpdateCase.LOSES_TO_WINNER
-        # the winner row itself was re-keyed downwards: its stored maximum
-        # is stale and only a scan of this group can settle the new winner
-        return UpdateCase.WINNER_RESCAN
 
     def _report(self, operation: str, group_id: str, label: str, case: UpdateCase,
                 comparisons: int) -> ChangeReport:
@@ -177,8 +165,24 @@ class DynamicTable:
         self._versions[(group_id, label)] = version
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
         kr = KeyedRow(Row(group_id, label, strength), u, *_row_keys(self.spec, s, u))
-        compared = int(group_id in self._best)  # a new group's first row is compared with nothing
-        return self._report("upsert", group_id, label, self._settle(kr), compared)
+        group = self._rows.setdefault(group_id, {})
+        best = self._best.get(group_id)
+        # read before the new row is stored: the incumbent may be this very row
+        incumbent = None if best is None else group[best]
+        group[label] = kr
+        if incumbent is None or _beats(kr.order_key, label, incumbent.order_key, best,
+                                       self.spec.orientation):
+            self._best[group_id] = label
+            case = UpdateCase.WINNER_IMPROVED if label == best else UpdateCase.NEW_WINNER
+        elif label != best:
+            # losing key, winner untouched
+            case = UpdateCase.LOSES_TO_WINNER
+        else:
+            # the winner row itself was re-keyed downwards: its stored maximum
+            # is stale and only a scan of this group can settle the new winner
+            case = UpdateCase.WINNER_RESCAN
+        # a new group's first row is compared with nothing
+        return self._report("upsert", group_id, label, case, int(incumbent is not None))
 
     def delete(self, group_id: str, label: str) -> ChangeReport:
         """Remove one row; re-scan only if it held the group's winner."""
@@ -195,22 +199,3 @@ class DynamicTable:
         else:
             case = UpdateCase.DELETE_RESCAN
         return self._report("delete", group_id, label, case, 1)  # 1: the check against the winner
-
-    def ingest_keyed(self, keyed: Iterable[KeyedRow]) -> None:
-        """Load rows whose keys were produced elsewhere (no redraw).
-
-        Each row is stored and settled as an upsert of its key would be,
-        so a group is re-scanned only when the batch re-keys its winner
-        downwards.  Versions are recorded as 0; later upserts of the same
-        rows redraw from version 1 as usual.  Before any row of the batch
-        is stored, it is reduced as :func:`~keyrace.sampler.reduce_winners`
-        reduces it, so a NaN order key raises :class:`FamilyDomainError`
-        and a ``(group_id, label)`` the batch repeats raises ``ValueError``;
-        a row already in the table is replaced.
-        """
-        keyed = list(keyed)
-        reduce_winners(keyed, self.spec.orientation)
-        for kr in keyed:
-            if self._settle(kr) is UpdateCase.WINNER_RESCAN:
-                self._rescan(kr.row.group_id)
-            self._versions.setdefault((kr.row.group_id, kr.row.label), 0)

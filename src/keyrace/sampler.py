@@ -26,7 +26,8 @@ as they are; :func:`sample_codes`, :func:`sample_replicates` and
 :func:`sample_arrays` are thin adapters that turn each replicate's
 columns into a map from group id to :class:`GroupWinner`.  Every table
 and every merge reduces through :func:`_winners`; :func:`_beats` settles
-one row in ``DynamicTable`` and is the tests' oracle.
+each upsert in ``DynamicTable`` and re-scans its groups, and is the
+tests' oracle.
 
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
@@ -426,7 +427,7 @@ def _segments(group_codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, ...]:
     # every group code, codes of 8 or 16 bits are sorted by radix
     order = np.argsort(group_codes.astype(np.min_scalar_type(n_groups - 1)), kind="stable")
     group_codes = group_codes[order]
-    return order, group_codes, np.flatnonzero(np.diff(group_codes, prepend=-1))
+    return order, group_codes, np.flatnonzero(np.diff(group_codes, prepend=[-1]))
 
 
 def _winners(order_keys: np.ndarray, label_codes: np.ndarray, starts: np.ndarray,
@@ -438,13 +439,13 @@ def _winners(order_keys: np.ndarray, label_codes: np.ndarray, starts: np.ndarray
     as in :func:`_beats`.  Labels are compared only in segments that tie.
     """
     adj = order_keys if orientation is Orientation.MAX else -order_keys
-    lengths = np.diff(starts, append=len(adj))
+    lengths = np.diff(starts, append=[len(adj)])
     top = np.flatnonzero(adj == np.repeat(np.maximum.reduceat(adj, starts), lengths))
     if top.size == starts.size:  # no ties: one top position per segment
         return top
     seg = np.repeat(np.arange(starts.size), lengths)[top]
-    first = np.flatnonzero(np.diff(seg, prepend=-1))  # each segment's first top position
-    counts = np.diff(first, append=top.size)
+    first = np.flatnonzero(np.diff(seg, prepend=[-1]))  # each segment's first top position
+    counts = np.diff(first, append=[top.size])
     winners = top[first]
     tied = counts > 1
     cand = top[np.repeat(tied, counts)]

@@ -207,7 +207,7 @@ class TestReduceWinners:
             perm = rng.permutation(len(keyed))
             assert reduce_winners([keyed[i] for i in perm], Orientation.MAX) == expected
 
-    @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps", "ingest_keyed"])
+    @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps"])
     @pytest.mark.parametrize("orientation", list(Orientation))
     def test_merge_is_a_total_order(self, merge, orientation):
         # NaN compares false both ways, so it would win or lose by input
@@ -218,17 +218,8 @@ class TestReduceWinners:
         def merged(rows):
             if merge == "reduce_winners":
                 return reduce_winners(rows, orientation)
-            if merge == "merge_winner_maps":
-                maps = [reduce_winners([kr], orientation) for kr in rows]
-                return merge_winner_maps(maps, orientation)
-            family = Family.GUMBEL1 if orientation is Orientation.MAX else Family.EXPMIN
-            table = DynamicTable(ModelSpec(family), SeedContext(0))
-            try:
-                table.ingest_keyed(rows)
-            except ValueError:
-                assert len(table) == 0  # the batch is checked before any row is stored
-                raise
-            return table.winners()
+            maps = [reduce_winners([kr], orientation) for kr in rows]
+            return merge_winner_maps(maps, orientation)
 
         ranked = [keyed("c", float("inf")), keyed("a", 1.0), keyed("b", float("-inf"))]
         best = "c" if orientation is Orientation.MAX else "b"
