@@ -40,9 +40,9 @@ the partitioning.
 
 from __future__ import annotations
 
-import contextvars
+import mmap
 import os
-import threading
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -91,14 +91,20 @@ _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _UNIT = 2.0**-53
 # Replicates per block of replicate_winners.  A block costs each label about
-# 17 short numpy calls, and worker threads hand the GIL over at every one,
-# so the larger the block, the fewer calls and handovers.  Warm medians of a
-# 1M x 16 canonical call at 1 and 2 workers on a 2-vCPU Xeon: 2^12 0.281 /
-# 0.472 s, 2^14 0.188 / 0.162 s, 2^15 0.173 / 0.111 s.  2^16 timed within
+# 20 short numpy calls, so the larger the block, the fewer calls.  Warm medians
+# of a 1M x 16 canonical call at 1 and 2 worker threads on a 2-vCPU Xeon: 2^12
+# 0.281 / 0.472 s, 2^14 0.188 / 0.162 s, 2^15 0.173 / 0.111 s; with worker
+# processes, 2^14 timed within noise of 2^15 and 2^13 slower.  2^16 timed within
 # noise of 2^15, but it raised a fresh process's peak RSS by ~7% over 2^14
-# (2^15: ~1%).  The label loop makes no array: every step writes to
-# per-worker buffers, so a block causes no page faults.
+# (2^15: ~1%).  The label loop makes no array: every step writes to per-worker
+# buffers, so a block causes no page faults.
 _RACE_BLOCK = 1 << 15
+# Labels x replicates per worker of replicate_winners, below which a forked
+# worker costs more than it saves.  Racing 2^20 draws in two processes rather
+# than one saved ~10% on a 2-vCPU Xeon (warm medians, 13-17 of 21 pairs won)
+# and 786k lost, so a worker gets at least twice the crossover: with the
+# host's second vCPU often busy, a fork must pay off by a margin.
+_FORK_DRAWS = 1 << 20
 
 
 def _mix64(x: int) -> int:
@@ -182,9 +188,13 @@ def _to_unit(h, out=None):
     # the result lies in [2^-54, 1 - 2^-54] and log(u), log(-log(u)) stay finite.
     if out is None:
         return ((h >> 11) + 0.5) * _UNIT
-    # the same steps on a uint64 array into a float64 ``out``, shifting h in place
+    # the same steps on a uint64 array into a float64 ``out``, shifting h in place;
+    # casting into ``out`` before adding spares numpy's 64 KiB cast buffer
     h >>= _U64_11
-    return np.multiply(np.add(h, 0.5, out=out), _UNIT, out=out)
+    out[...] = h
+    out += 0.5
+    out *= _UNIT
+    return out
 
 
 def _absorb(seed, replicate, version, group_digest, label_digests, out=None):
@@ -278,12 +288,12 @@ class CodedTable:
     Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
     strengths[i])``, with distinct names, as :func:`code_ids` makes them.
     ``keys``, when given, are injected keys that stand in for generated
-    ones.  Building a table with a code that indexes no name raises
-    ``ValueError``, as does one that repeats a pair, naming the first
-    repeat; then one with a name that is not a ``str`` raises
-    ``TypeError``, and one with a non-finite injected key raises
-    :class:`FamilyDomainError` naming its ``(group_id, label)``, so a
-    table once built is never checked again.
+    ones.  Building a table with a column that is not 1-D or of another
+    length, or with a code that indexes no name, raises ``ValueError``, as
+    does one that repeats a pair, naming the first repeat; then one with a
+    name that is not a ``str`` raises ``TypeError``, and one with a
+    non-finite injected key raises :class:`FamilyDomainError` naming its
+    ``(group_id, label)``, so a table once built is never checked again.
     """
 
     group_codes: np.ndarray
@@ -299,6 +309,8 @@ class CodedTable:
             columns["keys"] = np.float64
         for name, dtype in columns.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if any(getattr(self, name).ndim != 1 for name in columns):
+            raise ValueError("a table's columns must be 1-D")
         if len({len(getattr(self, name)) for name in columns}) > 1:
             raise ValueError("a table's columns must all have one length")
         for codes, names in ((self.group_codes, self.group_names),
@@ -682,42 +694,65 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _deal(work, items: Sequence, scratch) -> None:
-    """Call ``work(item, buffers)`` for every item, dealt round-robin to the usable CPUs.
+def _deal(work, items: Sequence, scratch, n_workers: int) -> None:
+    """Call ``work(item, buffers)`` for every item, dealt round-robin to ``n_workers`` processes.
 
-    The calling thread is one worker and each other worker a thread that
-    runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds there too.  Each worker makes its own
-    ``buffers = scratch()`` and passes them to every item it runs.  Every
-    thread is joined before this returns or raises.  A worker stops at its
-    first exception, and the exception of the earliest item is re-raised:
-    the one a single worker would have raised.
+    Each worker makes its own ``buffers = scratch()`` and passes them to
+    every item it runs.  The calling process runs items 0, n, 2n, ... and
+    each other worker is a forked child (:func:`_deal_to_children`), so
+    ``work`` must leave its results in memory shared with the caller.  If
+    any worker fails, the caller runs every item again, in order, so what
+    it raises or warns is what a single worker raises or warns.
     """
-    n_workers = min(_usable_cpus(), len(items))
-    failures: list[tuple[int, BaseException]] = []
+    if n_workers < 2 or not _deal_to_children(work, items, scratch, n_workers):
+        _run(work, items, scratch)
 
-    def run(first: int) -> None:
-        i = first
-        try:
-            buffers = scratch()
-            for i in range(first, len(items), n_workers):
-                work(items[i], buffers)
-        except BaseException as exc:  # re-raised by the calling thread
-            failures.append((i, exc))
 
-    started = []
+def _run(work, items: Sequence, scratch) -> None:
+    buffers = scratch()
+    for item in items:
+        work(item, buffers)
+
+
+def _deal_to_children(work, items: Sequence, scratch, n_workers: int) -> bool:
+    """Run items 0, n, 2n, ... here and fork a child for each other share; True if all ran.
+
+    A worker fails at its first exception or warning (both are errors here
+    and in the children), and a child that fails exits non-zero.  Then, or
+    if a fork fails, the children left are killed and False is returned.
+    Every child is reaped before this returns or raises.
+    """
+    children: list[int] = []
     try:
-        for k in range(1, n_workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
-            thread.start()
-            started.append(thread)
-        if n_workers:
-            run(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                for k in range(1, n_workers):
+                    pid = os.fork()
+                    if pid == 0:  # the child never returns: whatever happens, it exits here
+                        try:
+                            _run(work, items[k::n_workers], scratch)
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    children.append(pid)
+                _run(work, items[::n_workers], scratch)
+            except Exception:  # raised again, as one worker raises it, by the caller's run
+                return False
+        while children:
+            status = os.waitpid(children[-1], 0)[1]
+            children.pop()
+            if status:
+                return False
+        return True
     finally:
-        for thread in started:
-            thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        if children:  # left by a failure or an exception
+            import signal  # here: at the top it would add ~1 ms to importing keyrace
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        while children:
+            os.waitpid(children[-1], 0)
+            children.pop()
 
 
 def replicate_winners(
@@ -733,21 +768,26 @@ def replicate_winners(
     Equivalent to running :func:`sample` once per ``SeedContext(seed, r)``
     and recording the winner; replicates are independent because every
     uniform is derived per (replicate, group, label).  The rows are checked
-    as every table is: a repeated label or a ``strengths`` of another
-    length raises ``ValueError``, a label that is not a ``str`` raises
-    ``TypeError`` and a bad strength :class:`FamilyDomainError`.  A
-    negative ``n_replicates`` raises ``ValueError`` first.
+    as every table is: a repeated label or a ``strengths`` that is not
+    1-D or of another length raises ``ValueError``, a label that is not a
+    ``str`` raises ``TypeError`` and a bad strength
+    :class:`FamilyDomainError`.  A negative ``n_replicates`` raises
+    ``ValueError`` first.
 
     Replicates are raced in blocks of 2^15, each label's keys folded into
-    the block's running best.  Every step of a label, hash, uniform, key
-    and comparison, writes to buffers each worker makes once, so the label
-    loop makes no array and a block causes no page faults.  A block
-    costs a label about 17 numpy calls, and worker threads hand the GIL
-    over at each, so a larger block means fewer handovers.  The blocks are
-    dealt round-robin to one worker per CPU in the process's affinity mask
-    (at most one per block; restrict them with ``taskset``): the calling
-    thread and one thread per other worker, each writing only its own
-    blocks' winners.  So working memory beside the result is
+    the block's running best and its leads into a running maximum of the
+    leader's position in label order.  Every step of a label, hash,
+    uniform, key and comparison, writes to buffers each worker makes once,
+    so the label loop makes no array and a block causes no page faults.
+    The blocks are dealt round-robin to one worker per CPU in the
+    process's affinity mask (restrict them with ``taskset``), at most one
+    per block and one per 2^20 labels x replicates, below which a fork
+    costs more than it saves.  The calling process is one worker and,
+    where the platform has ``os.fork``, each other worker is a forked
+    child that writes its blocks' winners to the shared mapping that is
+    returned.  A block computes its own replicate numbers, so if any
+    worker fails the caller races every block again and raises what a
+    single worker raises.  Working memory beside the result is
     O(workers x block) whatever labels times replicates is, and the
     winners are identical at any worker count.
     """
@@ -757,33 +797,50 @@ def replicate_winners(
         raise ValueError("need at least one label")
     table = CodedTable.from_ids([group_id] * n, labels, strengths)
     (group_digest,), label_digests = _prepare(table, spec)
-    s = table.strengths
     # ties break toward the smallest label: labels race in sorted order and
-    # only a strictly better key takes the lead
-    label_order = sorted(range(n), key=lambda i: labels[i])
-    label_digests = label_digests[label_order]
+    # only a strictly better key takes the lead.  A replicate's leader is kept
+    # as its position in that order, in the fewest bytes that hold one; a new
+    # leader's position is above every earlier one's, so the running maximum
+    # of lead x position is the last leader, kept with no branch
+    order = np.array(sorted(range(n), key=lambda i: labels[i]), dtype=np.intp)
+    label_digests, s = label_digests[order], table.strengths[order]
+    position = np.min_scalar_type(n - 1)
     better, extreme, worst = ((np.greater, np.maximum, -np.inf)
                               if spec.orientation is Orientation.MAX
                               else (np.less, np.minimum, np.inf))
-    # each replicate's slot holds its own number until its block is raced
-    winners = np.arange(n_replicates, dtype=np.intp)
+    blocks = range(0, n_replicates, _RACE_BLOCK)
+    n_workers = min(_usable_cpus(), len(blocks), n * n_replicates // _FORK_DRAWS)
+    if n_workers > 1 and hasattr(os, "fork"):  # an anonymous mapping the children share
+        winners = np.frombuffer(mmap.mmap(-1, n_replicates * np.dtype(np.intp).itemsize),
+                                dtype=np.intp)
+    else:
+        n_workers, winners = 1, np.empty(n_replicates, dtype=np.intp)
     block = min(_RACE_BLOCK, n_replicates)
 
-    def scratch():  # one worker's label states, prefixes, shifts, keys, best keys and leads
-        return (*np.empty((3, block), np.uint64), *np.empty((2, block)), np.empty(block, bool))
+    def scratch():  # a worker's states, prefixes, shifts, keys, bests, leads, jumps, leaders
+        return (*np.empty((3, block), np.uint64), *np.empty((2, block)), np.empty(block, bool),
+                *np.empty((2, block), position))
 
     def race(start: int, buffers) -> None:
-        state, prefix, shifted, u, best, lead = (
-            a[: min(block, n_replicates - start)] for a in buffers)
-        win = winners[start : start + best.size]
-        state[...] = win  # the replicate numbers, absorbed before any label
+        size = min(block, n_replicates - start)
+        state, prefix, shifted, u, best, lead, jump, leader = (a[:size] for a in buffers)
+        state.fill(1)  # the replicate numbers start, start + 1, ..., made in place
+        state[0] = start
+        np.add.accumulate(state, out=state)
         chain = _absorb(seed, state, 0, group_digest, label_digests, out=(prefix, state, shifted))
-        win.fill(label_order[0])
         best.fill(worst)
-        for i, h in zip(label_order, chain):
-            keys = _order_keys(spec, s[i], _to_unit(h, out=u), u)  # into u, as h is
-            np.putmask(win, better(keys, best, out=lead), i)
+        leader.fill(0)
+        for j, h in enumerate(chain):
+            keys = _order_keys(spec, s[j], _to_unit(h, out=u), u)  # into u, as h is
+            np.copyto(jump, better(keys, best, out=lead))
+            np.multiply(jump, j, out=jump)
+            np.maximum(leader, jump, out=leader)
             extreme(best, keys, out=best)
+        win = winners[start : start + size]
+        np.copyto(win, leader)
+        # positions to label indices, in place: take reads each index before it
+        # writes its slot in any mode but "raise", which copies; none is out of range
+        np.take(order, win, out=win, mode="wrap")
 
-    _deal(race, range(0, n_replicates, _RACE_BLOCK), scratch)
+    _deal(race, blocks, scratch, n_workers)
     return winners

@@ -322,24 +322,6 @@ _PIECE_FILES = {  # read with blocks of 8 bytes in 3 pieces of about 25 bytes
 }
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of children forked so far in this test, as a one-item list.
-
-    Three CPUs are usable, so a read of three pieces forks two children on any host.
-    """
-    count, fork = [0], os.fork
-    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
-
-    def counting_fork():
-        pid = fork()
-        count[0] += pid != 0
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
-
-
 @pytest.mark.parametrize("case", list(_PIECE_FILES))
 def test_forked_readers_are_reaped_however_the_read_ends(tmp_path, forks, case):
     path = tmp_path / "t.csv"

@@ -1,9 +1,9 @@
 """Derived randomness, key assignment, and the associative winner reduction."""
 
 import itertools
+import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -424,13 +424,24 @@ class TestInputContracts:
             sample_arrays(["g", "g"], ["a", "b"], np.ones(n_strengths),
                           ModelSpec(Family.GUMBEL1), SeedContext(0))
 
+    def test_two_dimensional_columns_rejected(self):
+        # used to fail inside numpy: operands could not be broadcast together
+        with pytest.raises(ValueError, match="1-D"):
+            sample_arrays(["g", "g", "h"], ["a", "b", "a"], [[0.1], [0.2], [0.3]],
+                          ModelSpec(Family.GUMBEL1), SeedContext(0))
+
     @pytest.mark.parametrize("labels, strengths, message", [
         # a repeated label used to give the first one every win
         (["a", "a"], [1.0, 2.0], r"duplicate row \(group_id='g', label='a'\)"),
         # an extra strength used to be ignored, a missing one to raise IndexError
         (["a", "b"], [1.0, 2.0, 3.0], "one length"),
         (["a", "b", "c"], [1.0, 2.0], "one length"),
-    ], ids=["repeated-label", "extra-strength", "missing-strength"])
+        # a 2-D strength column used to pass the length check, then to fail
+        # inside numpy, or, of shape (n, 1), to race without a word
+        (["a", "b"], [[1.0, 2.0], [3.0, 4.0]], "1-D"),
+        (["a", "b"], [[1.0], [2.0]], "1-D"),
+    ], ids=["repeated-label", "extra-strength", "missing-strength", "square-strengths",
+            "column-strengths"])
     def test_replicate_winners_follows_the_table_contract(self, labels, strengths, message):
         with pytest.raises(ValueError, match=message):
             replicate_winners(ModelSpec(Family.CANONICAL), labels, strengths, 0, 10)
@@ -620,31 +631,50 @@ def _one_group_races(draw):
 @example((ModelSpec(Family.NEGEXP, scale_c=1000.0), ["q", "p"], -np.ones(2)), "g", 4, 5, 2, 1, 2)
 def test_blocked_race_matches_key_matrix(race, group_id, seed, block, n_blocks, extra, workers):
     """replicate_winners equals the matrix race for R below, at and across block
-    edges, at any worker count."""
+    edges, at any worker count, every worker but the caller forked."""
     spec, labels, strengths = race
     n_replicates = n_blocks * block + extra % block
     with mock.patch.object(sampler, "_RACE_BLOCK", block), \
+            mock.patch.object(sampler, "_FORK_DRAWS", 1), \
             mock.patch.object(sampler, "_usable_cpus", lambda: workers):
         got = replicate_winners(spec, labels, strengths, seed, n_replicates, group_id=group_id)
     expected = _key_matrix_winners(spec, labels, strengths, seed, n_replicates, group_id)
     np.testing.assert_array_equal(got, expected)
 
 
+def test_race_of_more_labels_than_a_byte_holds_matches_key_matrix():
+    """Past 256 labels a leader's position in label order takes two bytes."""
+    spec = ModelSpec(Family.GUMBEL1)
+    labels, strengths = [f"l{i}" for i in range(300)][::-1], np.linspace(-1.0, 1.0, 300)
+    with mock.patch.object(sampler, "_RACE_BLOCK", 64):
+        got = replicate_winners(spec, labels, strengths, 4, 1000)
+    np.testing.assert_array_equal(got, _key_matrix_winners(spec, labels, strengths, 4, 1000, "g"))
+    rank = {label: r for r, label in enumerate(sorted(labels))}
+    assert max(rank[labels[w]] for w in got.tolist()) >= 256
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):  # every forked worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _tiny_race_outcome(workers, spec, strengths):
-    """Winners or (error type, message) of a 5-block race at a patched worker count."""
-    threads = threading.active_count()
+    """Winners or (error type, message) of a 5-block race at a patched worker count,
+    every worker but the caller forked."""
     with mock.patch.object(sampler, "_RACE_BLOCK", 4), \
+            mock.patch.object(sampler, "_FORK_DRAWS", 1), \
             mock.patch.object(sampler, "_usable_cpus", lambda: workers):
         try:
             return replicate_winners(spec, ["b", "a", "c"], strengths, 5, 20).tolist()
         except Exception as exc:
             return type(exc), str(exc)
         finally:
-            assert threading.active_count() == threads
+            _assert_no_children()
 
 
-def test_worker_threads_keep_the_callers_floating_point_state():
-    """A bare thread would ignore np.errstate; every worker runs in the caller's context."""
+def test_worker_processes_keep_the_callers_floating_point_state():
+    """A forked child keeps the caller's np.errstate, and the error of a block is the
+    caller's at any worker count."""
     spec, tiny = ModelSpec(Family.CANONICAL), np.full(3, 5e-324)  # log(u) / 5e-324 overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -657,33 +687,107 @@ def test_worker_threads_keep_the_callers_floating_point_state():
     assert quiet[0] == quiet[1] == [1] * 20  # every key is -inf: the smallest label, "a"
 
 
-def test_a_worker_threads_exception_reaches_the_caller():
-    spec, strengths = ModelSpec(Family.CANONICAL), np.array([1.0, 2.0, 3.0])
-    real = sampler._order_keys
+def test_a_forked_race_warns_as_one_worker_does(forks):
+    """A warning fails its worker, so the caller races every block and the warnings
+    reach the caller's filters."""
+    spec, tiny = ModelSpec(Family.CANONICAL), np.full(3, 5e-324)  # log(u) / 5e-324 overflows
 
-    def fails_off_the_calling_thread(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise KeyError("worker block")
+    def recorded(workers):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+            warnings.simplefilter("always")
+            outcome = _tiny_race_outcome(workers, spec, tiny)
+        return outcome, [(w.category, str(w.message)) for w in caught]
+
+    one, three = recorded(1), recorded(3)
+    assert one == three and len(one[1]) == 15  # an overflow per label and block
+    assert forks[0] == 2
+
+
+def test_a_failed_child_makes_the_caller_race_every_block(forks):
+    spec, strengths = ModelSpec(Family.CANONICAL), np.array([1.0, 2.0, 3.0])
+    real, caller = sampler._order_keys, os.getpid()
+
+    def fails_in_a_child(*args):
+        if os.getpid() != caller:
+            raise KeyError("child block")
         return real(*args)
 
     expected = _tiny_race_outcome(1, spec, strengths)
-    with mock.patch.object(sampler, "_order_keys", fails_off_the_calling_thread):
-        assert _tiny_race_outcome(2, spec, strengths) == (KeyError, "'worker block'")
-        assert _tiny_race_outcome(1, spec, strengths) == expected
+    with mock.patch.object(sampler, "_order_keys", fails_in_a_child):
+        assert _tiny_race_outcome(3, spec, strengths) == expected
+    assert forks[0] == 2
 
 
-def test_more_workers_than_cpus_with_fast_thread_switches_race_every_block():
+def test_more_workers_than_cpus_race_every_block():
     spec = ModelSpec(Family.GUMBEL1)
     labels, strengths = [f"l{i}" for i in range(5)], np.linspace(-1.0, 1.0, 5)
-    workers, interval = sampler._usable_cpus() + 2, sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(sampler, "_RACE_BLOCK", 3), \
-                mock.patch.object(sampler, "_usable_cpus", lambda: workers):
-            got = replicate_winners(spec, labels, strengths, 9, 301)
-    finally:
-        sys.setswitchinterval(interval)
+    workers = sampler._usable_cpus() + 2
+    with mock.patch.object(sampler, "_RACE_BLOCK", 3), \
+            mock.patch.object(sampler, "_FORK_DRAWS", 1), \
+            mock.patch.object(sampler, "_usable_cpus", lambda: workers):
+        got = replicate_winners(spec, labels, strengths, 9, 301)
     np.testing.assert_array_equal(got, _key_matrix_winners(spec, labels, strengths, 9, 301, "g"))
+
+
+# 5 labels x 301 replicates, in 101 blocks of 3 when _RACE_BLOCK is patched
+_SMALL_RACE = (ModelSpec(Family.GUMBEL1), [f"l{i}" for i in range(5)],
+               np.linspace(-1.0, 1.0, 5), 9, 301)
+
+
+def _small_race_in_blocks():
+    """replicate_winners of _SMALL_RACE with a worker per block and per draw allowed."""
+    with mock.patch.object(sampler, "_RACE_BLOCK", 3), \
+            mock.patch.object(sampler, "_FORK_DRAWS", 1):
+        return replicate_winners(*_SMALL_RACE)
+
+
+def test_forked_workers_are_reaped_when_the_race_returns(forks):
+    got = _small_race_in_blocks()
+    assert forks[0] == 2
+    _assert_no_children()
+    assert got.dtype == np.intp and got.flags.writeable
+    np.testing.assert_array_equal(got, _key_matrix_winners(*_SMALL_RACE, "g"))
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_forked_workers_are_reaped_when_the_callers_block_raises(forks, error):
+    real, caller = sampler._order_keys, os.getpid()
+
+    def fails_in_the_caller(*args):
+        if os.getpid() == caller:
+            raise error("caller block")
+        return real(*args)
+
+    with mock.patch.object(sampler, "_order_keys", fails_in_the_caller), \
+            pytest.raises(error, match="caller block"):
+        _small_race_in_blocks()
+    assert forks[0] == 2
+    _assert_no_children()
+
+
+def test_without_fork_the_race_runs_in_one_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
+    got = _small_race_in_blocks()
+    assert got.flags.owndata  # an array of its own, not a mapping shared with children
+    np.testing.assert_array_equal(got, _key_matrix_winners(*_SMALL_RACE, "g"))
+
+
+@pytest.mark.parametrize("n_labels, n_replicates, n_forks", [
+    (3, 60_000, 0),  # a validate call
+    (16, 2 * sampler._FORK_DRAWS // 16 - 1, 0),  # one draw short of two workers' worth
+    (16, 2 * sampler._FORK_DRAWS // 16, 1),
+    (16, 3 * sampler._FORK_DRAWS // 16, 2),
+])
+def test_workers_are_forked_only_for_enough_draws(forks, n_labels, n_replicates, n_forks):
+    labels, strengths = [f"l{i:02d}" for i in range(n_labels)], np.linspace(0.5, 2.0, n_labels)
+    got = replicate_winners(ModelSpec(Family.CANONICAL), labels, strengths, 3, n_replicates)
+    assert forks[0] == n_forks
+    _assert_no_children()
+    with mock.patch.object(sampler, "_usable_cpus", lambda: 1):
+        expected = replicate_winners(ModelSpec(Family.CANONICAL), labels, strengths, 3,
+                                     n_replicates)
+    np.testing.assert_array_equal(got, expected)
 
 
 def _race_replicates_per_worker(n_blocks):
@@ -732,9 +836,12 @@ import numpy as np
 sys.path.insert(0, sys.argv[1])
 from keyrace import Family, ModelSpec, replicate_winners
 labels, strengths = [f"l{i:02d}" for i in range(16)], np.linspace(0.5, 2.0, 16)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def faults():  # the caller's and its reaped worker processes'
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+before = faults()
 replicate_winners(ModelSpec(Family.CANONICAL), labels, strengths, 1, int(sys.argv[2]))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults() - before)
 """
 
 
