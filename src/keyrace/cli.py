@@ -49,8 +49,9 @@ it finds one.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
 races it n times.  ``sample --threads N`` reads a file of two or more
 blocks in up to N pieces at once, at most one per usable CPU: the first
-itself and each other in a forked process.  It merges their codes in
-file order, so the table, the output and every error message are the
+itself and each other in a :class:`~keyrace.sampler._Children` child,
+or itself if that child fails or cannot be forked.  It merges their codes
+in file order, so the table, the output and every error message are the
 same for any N; the race itself is one pass.
 ``--quick`` belongs to ``validate``.  Every count option takes an int >= 0.
 
@@ -64,12 +65,13 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import functools
 import io
 import itertools
 import os
 import sys
 from operator import add, itemgetter
-from typing import BinaryIO, Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -223,36 +225,41 @@ class _CsvReader:
         return row + 2 + bisect.bisect_right(self.blank_rows, row)
 
     def read(self, fh, workers: int = 1) -> CodedTable:
-        """Read the file, in up to ``workers`` pieces (see :class:`_Pieces`)."""
-        with _Pieces(fh, self.inject_keys, workers) as pieces:
-            blocks = _blocks(fh, pieces.end)
+        """Read the file, each range after the first in a forked child (see :func:`read_table`)."""
+        starts = _piece_starts(fh, workers)
+        with sampler._Children() as pieces:
+            for start, end in zip(starts, starts[1:] + [None]):
+                pieces.fork(functools.partial(_read_piece, fh.name, start, end, self.inject_keys))
+            blocks = _blocks(fh, starts[0] if starts else None)
             first = next(blocks, b"")
             end = first.find(b"\n") + 1 or len(first)
             if _plain(first[:end]):
                 self.read_csv([first[:end]])  # the header: one line, so one record
                 first = first[end:]
             # the header is read unless it is in the first block, which is then not plain
-            self.read_blocks(itertools.chain([first] if first else [], blocks), fh, pieces)
-            for start, piece in pieces:
-                if piece is None:  # read that piece, and the rest of the file, here
-                    pieces.stop()
-                    fh.seek(start)
-                    self.read_blocks(_blocks(fh), fh, pieces)
-                    break
-                self.take_piece(piece)
+            if not self.read_blocks(itertools.chain([first] if first else [], blocks), fh, pieces):
+                for start in starts:
+                    piece = pieces.join()
+                    if piece is None:  # read that piece, and the rest of the file, here
+                        pieces.stop()
+                        fh.seek(start)
+                        self.read_blocks(_blocks(fh), fh, pieces)
+                        break
+                    self.take_piece(piece)
         if not self.header_seen:
             raise CliParseError("empty file: expected header ID,QUAL,Strength", 1)
         return self.table(np.concatenate(self.strengths),
                           np.concatenate(self.keys) if self.inject_keys else None)
 
-    def read_blocks(self, blocks: Iterator[bytes], fh, pieces: _Pieces) -> None:
-        """Split each block; from the first that does not split, :mod:`csv` reads the
-        rest of the file, and the pieces are stopped."""
+    def read_blocks(self, blocks: Iterator[bytes], fh, pieces: sampler._Children) -> bool:
+        """Split each block; from the first that does not split, the pieces are stopped and
+        :mod:`csv` reads the rest of the file, and True is returned."""
         for block in blocks:
             if not (_plain(block) and self.read_split(block)):
                 pieces.stop()
                 self.read_csv(itertools.chain([block], blocks, _blocks(fh)))
-                return
+                return True
+        return False
 
     def read_csv(self, blocks: Iterable[bytes]) -> None:
         """Read the rest of the file with :mod:`csv`."""
@@ -380,98 +387,30 @@ class _CsvReader:
             raise CliParseError(f"duplicate row ({gid},{label})", self.line(dup)) from None
 
 
-class _Pieces:
-    """The byte ranges of a file after its first, each read by a forked child.
-
-    With ``n = min(workers, usable CPUs, size // _BLOCK_BYTES)`` of 2 or
-    more, the file is cut at line starts into n ranges of about equal size,
-    and ``end`` is where the first one ends; otherwise there is one range
-    and no child.  The CPUs are those :func:`~keyrace.sampler.replicate_winners`
-    deals its blocks to: a piece beyond them would only wait for a CPU.
-    Each child splits its range's blocks as :meth:`_CsvReader.read_split`
-    does, into a reader of its own, and sends that reader back.  A child
-    that meets a block it cannot split, or any error, sends nothing; the
-    parent then reads that range and the rest of the file itself, so every
-    message comes from the one sequential path.  Leaving the context kills
-    and reaps each child not yet read.
-    """
-
-    def __init__(self, fh, inject_keys: bool, workers: int) -> None:
-        self.children: list[tuple[int, int, BinaryIO]] = []  # (start, pid, pipe) in file order
-        self.end: int | None = None
-        size = os.fstat(fh.fileno()).st_size
-        n = min(workers, sampler._usable_cpus(), size // _BLOCK_BYTES)
-        if n < 2 or not hasattr(os, "fork"):
-            return
-        cuts: list[int] = []
-        for i in range(1, n):
-            fh.seek(size * i // n - 1)
-            fh.readline()
-            if fh.tell() < size and (not cuts or fh.tell() > cuts[-1]):
-                cuts.append(fh.tell())
-        fh.seek(0)
-        try:
-            for start, end in zip(cuts, cuts[1:] + [None]):
-                self.children.append((start, *_fork_piece(fh.name, start, end, inject_keys)))
-        except BaseException:
-            self.stop()
-            raise
-        self.end = cuts[0] if cuts else None
-
-    def __enter__(self) -> _Pieces:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def __iter__(self) -> Iterator[tuple[int, _CsvReader | None]]:
-        """Each child's start and reader, None if it failed, in file order; each is reaped
-        once read."""
-        import pickle
-
-        while self.children:
-            start, pid, pipe = self.children.pop(0)
-            try:
-                with pipe:
-                    payload = pipe.read()
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            yield start, pickle.loads(payload) if status == 0 else None
-
-    def stop(self) -> None:
-        """Kill and reap each child not yet read."""
-        if self.children:
-            import signal
-        while self.children:
-            _, pid, pipe = self.children.pop()
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+def _piece_starts(fh, workers: int) -> list[int]:
+    """Line starts that cut the file into up to ``workers`` ranges of about equal size, at
+    most one per usable CPU and one per block (see :func:`~keyrace.sampler._workers`)."""
+    size = os.fstat(fh.fileno()).st_size
+    n = sampler._workers(workers, size // _BLOCK_BYTES)
+    starts: list[int] = []
+    for i in range(1, n):
+        fh.seek(size * i // n - 1)
+        fh.readline()
+        if fh.tell() < size and (not starts or fh.tell() > starts[-1]):
+            starts.append(fh.tell())
+    fh.seek(0)
+    return starts
 
 
-def _fork_piece(path: str, start: int, end: int | None,
-                inject_keys: bool) -> tuple[int, BinaryIO]:
-    """Fork a child that splits bytes [start, end) of the file; its pid and the pipe it
-    writes its pickled reader to, or nothing if a block does not split."""
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns: whatever happens, it exits here
-        try:
-            os.close(read_fd)
-            reader = _CsvReader(inject_keys)
-            with open(path, "rb") as fh:  # its own offset, not the parent's
-                fh.seek(start)
-                if all(_plain(block) and reader.read_split(block)
-                       for block in _blocks(fh, end)):
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(reader, pipe, pickle.HIGHEST_PROTOCOL)
-                    os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+def _read_piece(path: str, start: int, end: int | None, inject_keys: bool) -> _CsvReader | None:
+    """A reader of bytes [start, end) of the file, each block split as
+    :meth:`_CsvReader.read_split` splits it; None if a block does not split."""
+    reader = _CsvReader(inject_keys)
+    with open(path, "rb") as fh:  # its own offset, not the parent's
+        fh.seek(start)
+        if all(_plain(block) and reader.read_split(block) for block in _blocks(fh, end)):
+            return reader
+    return None
 
 
 def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedTable:
@@ -488,10 +427,13 @@ def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedT
     exit 2 names the line of the first error in file order, invalid UTF-8
     and fields over ``csv.field_size_limit()`` included.
 
-    With ``workers`` above 1, a file of two blocks or more is read in up to
-    that many pieces at once, at most one per usable CPU, in forked
-    processes (see :class:`_Pieces`), and their codes are merged in file
-    order, so the table, and every message, is the one a single process
+    With ``workers`` above 1, a file of two blocks or more is cut at line
+    starts into up to that many pieces, at most one per usable CPU.  The
+    first is read here while each other is split in a forked child
+    (see :class:`~keyrace.sampler._Children`), and their codes are merged
+    in file order.  A piece that does not split, raises, or cannot be
+    forked is read here, with the rest of the file, by the one sequential
+    path, so the table, and every message, is the one a single process
     reads.
     """
     with open(path, "rb") as fh:

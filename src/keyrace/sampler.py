@@ -29,6 +29,13 @@ and every merge reduces through :func:`_winners`; :func:`_beats` settles
 each upsert in ``DynamicTable`` and re-scans its groups, and is the
 tests' oracle.
 
+Work that splits into independent parts, the blocks of
+:func:`replicate_winners` and the CSV pieces of ``sample --threads N``,
+runs in up to :func:`_workers` processes, each other than the caller
+forked through :class:`_Children`.  A child that fails, or cannot be
+forked, hands its work back: the caller does it, so the result and every
+error are one process's.
+
 Randomness is *derived*, not streamed.  The uniform of a row is a pure
 function of ``(seed, replicate, version, group_id, label)``, obtained by
 absorbing those values into a 64-bit state with the SplitMix64 finalizer
@@ -40,11 +47,13 @@ the partitioning.
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
+import pickle
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -694,65 +703,110 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(*bounds: int) -> int:
+    """Worker processes for work that splits ``min(bounds)`` ways: at most one per usable
+    CPU, as a process beyond them would only wait for one, and 1 without ``os.fork``."""
+    return min(_usable_cpus(), *bounds) if hasattr(os, "fork") else 1
+
+
+class _Children:
+    """Forked children that each run one call and send its result back down a pipe.
+
+    :meth:`join` returns the results in fork order.  A child whose pipe or
+    fork fails, whose call raises, or that is killed gives None, and the
+    caller then does that child's work itself.  Leaving the context kills
+    and reaps every child not yet joined, so no child outlives it.
+    """
+
+    def __init__(self) -> None:
+        self.children: list[tuple[int, BinaryIO] | None] = []  # (pid, pipe), None if unforked
+
+    def __enter__(self) -> _Children:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def fork(self, call) -> None:
+        """Start a child that runs ``call()``, pickles its result down the pipe and exits 0,
+        or exits 1 if anything raises."""
+        fds: tuple[int, ...] = ()
+        try:
+            fds = os.pipe()
+            pid = os.fork()
+        except OSError:  # out of descriptors, processes or memory: the caller does this work
+            for fd in fds:
+                os.close(fd)
+            self.children.append(None)
+            return
+        read_fd, write_fd = fds
+        if pid == 0:  # the child never returns: whatever happens, it exits here
+            try:
+                os.close(read_fd)
+                result = call()
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        self.children.append((pid, open(read_fd, "rb")))
+
+    def join(self):
+        """The earliest child's result, or None if it failed.  Its pipe is read to the end
+        before it is reaped, so a result larger than the pipe holds cannot stall it."""
+        if self.children[0] is None:  # never forked
+            return self.children.pop(0)
+        pid, pipe = self.children[0]
+        with pipe:
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        del self.children[0]  # reaped, so stop() leaves it alone
+        return pickle.loads(payload) if status == 0 else None
+
+    def stop(self) -> None:
+        """Kill and reap every child not yet joined."""
+        if any(self.children):
+            import signal  # here: at the top it would add ~1 ms to importing keyrace
+        while self.children:
+            if (child := self.children.pop()) is not None:
+                pid, pipe = child
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _deal(work, items: Sequence, scratch, n_workers: int) -> None:
     """Call ``work(item, buffers)`` for every item, dealt round-robin to ``n_workers`` processes.
 
     Each worker makes its own ``buffers = scratch()`` and passes them to
     every item it runs.  The calling process runs items 0, n, 2n, ... and
-    each other worker is a forked child (:func:`_deal_to_children`), so
-    ``work`` must leave its results in memory shared with the caller.  If
-    any worker fails, the caller runs every item again, in order, so what
-    it raises or warns is what a single worker raises or warns.
+    each other worker is a :class:`_Children` child, so ``work`` must
+    leave its results in memory shared with the caller.  A worker fails at
+    its first exception or warning, both errors while the workers run.  If
+    any fails, the caller runs every item again, in order, so what it
+    raises or warns is what a single worker raises or warns.
     """
-    if n_workers < 2 or not _deal_to_children(work, items, scratch, n_workers):
-        _run(work, items, scratch)
+    if n_workers > 1:
+        with warnings.catch_warnings(), _Children() as children:
+            warnings.simplefilter("error")
+            for k in range(1, n_workers):
+                children.fork(functools.partial(_run, work, items[k::n_workers], scratch))
+            try:
+                ran = _run(work, items[::n_workers], scratch)
+            except Exception:  # raised again, as one worker raises it, by the run below
+                ran = False
+            if ran and all(children.join() for _ in range(1, n_workers)):
+                return
+    _run(work, items, scratch)
 
 
-def _run(work, items: Sequence, scratch) -> None:
+def _run(work, items: Sequence, scratch) -> bool:
+    """Call ``work(item, buffers)`` for each item with one ``buffers = scratch()``; True."""
     buffers = scratch()
     for item in items:
         work(item, buffers)
-
-
-def _deal_to_children(work, items: Sequence, scratch, n_workers: int) -> bool:
-    """Run items 0, n, 2n, ... here and fork a child for each other share; True if all ran.
-
-    A worker fails at its first exception or warning (both are errors here
-    and in the children), and a child that fails exits non-zero.  Then, or
-    if a fork fails, the children left are killed and False is returned.
-    Every child is reaped before this returns or raises.
-    """
-    children: list[int] = []
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                for k in range(1, n_workers):
-                    pid = os.fork()
-                    if pid == 0:  # the child never returns: whatever happens, it exits here
-                        try:
-                            _run(work, items[k::n_workers], scratch)
-                            os._exit(0)
-                        finally:
-                            os._exit(1)
-                    children.append(pid)
-                _run(work, items[::n_workers], scratch)
-            except Exception:  # raised again, as one worker raises it, by the caller's run
-                return False
-        while children:
-            status = os.waitpid(children[-1], 0)[1]
-            children.pop()
-            if status:
-                return False
-        return True
-    finally:
-        if children:  # left by a failure or an exception
-            import signal  # here: at the top it would add ~1 ms to importing keyrace
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        while children:
-            os.waitpid(children[-1], 0)
-            children.pop()
+    return True
 
 
 def replicate_winners(
@@ -784,12 +838,13 @@ def replicate_winners(
     per block and one per 2^20 labels x replicates, below which a fork
     costs more than it saves.  The calling process is one worker and,
     where the platform has ``os.fork``, each other worker is a forked
-    child that writes its blocks' winners to the shared mapping that is
-    returned.  A block computes its own replicate numbers, so if any
-    worker fails the caller races every block again and raises what a
-    single worker raises.  Working memory beside the result is
-    O(workers x block) whatever labels times replicates is, and the
-    winners are identical at any worker count.
+    child (see :class:`_Children`) that writes its blocks' winners to the
+    shared mapping that is returned.  A block computes its own replicate
+    numbers, so if any worker fails, or a child cannot be forked, the
+    caller races every block again and raises what a single worker
+    raises.  Working memory beside the result is O(workers x block)
+    whatever labels times replicates is, and the winners are identical at
+    any worker count.
     """
     _check_n_replicates(n_replicates)
     n = len(labels)
@@ -809,12 +864,12 @@ def replicate_winners(
                               if spec.orientation is Orientation.MAX
                               else (np.less, np.minimum, np.inf))
     blocks = range(0, n_replicates, _RACE_BLOCK)
-    n_workers = min(_usable_cpus(), len(blocks), n * n_replicates // _FORK_DRAWS)
-    if n_workers > 1 and hasattr(os, "fork"):  # an anonymous mapping the children share
+    n_workers = _workers(len(blocks), n * n_replicates // _FORK_DRAWS)
+    if n_workers > 1:  # an anonymous mapping the children share
         winners = np.frombuffer(mmap.mmap(-1, n_replicates * np.dtype(np.intp).itemsize),
                                 dtype=np.intp)
     else:
-        n_workers, winners = 1, np.empty(n_replicates, dtype=np.intp)
+        winners = np.empty(n_replicates, dtype=np.intp)
     block = min(_RACE_BLOCK, n_replicates)
 
     def scratch():  # a worker's states, prefixes, shifts, keys, bests, leads, jumps, leaders

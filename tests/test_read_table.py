@@ -16,6 +16,8 @@ from keyrace import cli, sampler
 from keyrace.cli import CliParseError, read_table
 from keyrace.sampler import CodedTable
 
+from children import assert_no_children as _assert_no_children
+
 
 class _BadByte(Exception):
     def __init__(self, byte):
@@ -110,11 +112,6 @@ def _outcome(read, path, inject_keys):
         return None if values is None else np.asarray(values, dtype=np.float64).tobytes()
 
     return "accepted", group_ids, labels, bits(strengths), bits(keys)
-
-
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):  # every forked reader has been reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 @contextmanager
@@ -349,6 +346,23 @@ def test_forked_readers_are_reaped_when_the_parent_is_interrupted(tmp_path, fork
         read_table(str(path), workers=3)
     assert forks[0] == 2
     _assert_no_children()
+
+
+@pytest.mark.parametrize("case", list(_PIECE_FILES))
+def test_a_failed_fork_reads_that_piece_here(tmp_path, failing_fork, capsys, case):
+    """A fork that raises gives the oracle's table, and `sample` the one-process output."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(_PIECE_FILES[case])
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8):
+        outcome = _outcome(functools.partial(read_table, workers=3), str(path), False)
+        runs = []
+        for threads in ("3", "1"):
+            code = cli.main(["sample", "--threads", threads, str(path)])
+            runs.append((code, *capsys.readouterr()))
+    _assert_no_children()
+    assert outcome == _outcome(oracle_read_table, str(path), False)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if outcome[0] == "accepted" else 2)
 
 
 def test_without_fork_the_file_is_read_in_one_process(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
 """Derived randomness, key assignment, and the associative winner reduction."""
 
+import contextlib
+import errno
 import itertools
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -52,6 +56,7 @@ from keyrace.sampler import (
     sample_replicates,
 )
 from keyrace.validation import WORKED_EXAMPLE_ROWS, WORKED_EXAMPLE_WINNERS
+from children import assert_no_children as _assert_no_children
 from row_fold import fold_rows
 
 
@@ -653,11 +658,6 @@ def test_race_of_more_labels_than_a_byte_holds_matches_key_matrix():
     assert max(rank[labels[w]] for w in got.tolist()) >= 256
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):  # every forked worker has been reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _tiny_race_outcome(workers, spec, strengths):
     """Winners or (error type, message) of a 5-block race at a patched worker count,
     every worker but the caller forked."""
@@ -765,12 +765,96 @@ def test_forked_workers_are_reaped_when_the_callers_block_raises(forks, error):
     _assert_no_children()
 
 
+def test_a_failed_fork_makes_the_caller_race_every_block(failing_fork):
+    np.testing.assert_array_equal(_small_race_in_blocks(), _key_matrix_winners(*_SMALL_RACE, "g"))
+    _assert_no_children()
+
+
 def test_without_fork_the_race_runs_in_one_process(monkeypatch):
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
     got = _small_race_in_blocks()
     assert got.flags.owndata  # an array of its own, not a mapping shared with children
     np.testing.assert_array_equal(got, _key_matrix_winners(*_SMALL_RACE, "g"))
+
+
+def test_children_are_joined_in_fork_order():
+    """The earliest fork is joined first, though the later ones finish before it."""
+    with sampler._Children() as children:
+        for k in range(3):
+            children.fork(lambda k=k: time.sleep(0.2 * (2 - k)) or k * k)
+        assert [children.join() for _ in range(3)] == [0, 1, 4]
+    _assert_no_children()
+
+
+def test_a_child_result_larger_than_its_pipe_arrives_whole():
+    """A result of four 64 KiB pipe buffers: the child blocks until the pipe is read, so
+    it is read before the child is reaped."""
+    result = bytes(range(256)) * 1024
+
+    def stalled(*_):
+        raise TimeoutError("the child was reaped before its pipe was read")
+
+    handler = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(20)
+    try:
+        with sampler._Children() as children:
+            children.fork(lambda: result)
+            assert children.join() == result
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [KeyError, SystemExit])
+def test_a_child_that_raises_gives_none(error):
+    def fails():
+        raise error("child")
+
+    with sampler._Children() as children:
+        children.fork(fails)
+        children.fork(lambda: "next")
+        assert children.join() is None
+        assert children.join() == "next"
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_child_that_cannot_be_forked_gives_none(monkeypatch, call):
+    """A pipe or fork that raises OSError leaves no descriptor open and no child."""
+    opened, pipe = [], os.pipe
+
+    def recorded_pipe():
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    def fails():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, call, fails)
+    with sampler._Children() as children:
+        children.fork(lambda: "forked")
+        assert children.join() is None
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_leaving_the_children_kills_and_reaps_every_live_one(raises):
+    started = time.monotonic()
+    with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+        with sampler._Children() as children:
+            for _ in range(2):
+                children.fork(lambda: time.sleep(60))
+            if raises:
+                raise KeyError("caller")
+    assert time.monotonic() - started < 30
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("n_labels, n_replicates, n_forks", [
@@ -807,7 +891,9 @@ def test_replicate_winners_memory_is_bounded_by_the_block():
         finally:
             tracemalloc.stop()
 
-    assert peak(_race_replicates_per_worker(4)) <= 2 * peak(_race_replicates_per_worker(1))
+    # one process for both calls, so tracemalloc sees the winners and scratch of each
+    with mock.patch.object(sampler, "_usable_cpus", lambda: 1):
+        assert peak(_race_replicates_per_worker(4)) <= 2 * peak(_race_replicates_per_worker(1))
 
 
 @pytest.mark.parametrize("family", list(Family))
