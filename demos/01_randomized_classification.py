@@ -13,7 +13,7 @@ locally, and one associative reduction finds every winner.
 
 import numpy as np
 
-from keyrace import Family, ModelSpec, Row, SeedContext, sample
+from keyrace import Family, ModelSpec, Row, SeedContext, replicate_winners, sample
 
 TABLE = [
     ("#1", "YELLOW", -1.0),
@@ -47,17 +47,15 @@ draws = [
 ]
 print(" ", " ".join(draws))
 
-# Long-run frequencies vs the softmax of user #1's strengths.
+# Long-run frequencies vs the softmax of user #1's strengths.  replicate_winners
+# races user #1's row of every SeedContext(1, r), r < n, in one call: the winner
+# of replicate r is the one sample would draw from that context.
 n = 20_000
-counts: dict[str, int] = {}
-for r in range(n):
-    label = sample(
-        [row for row in rows if row.group_id == "#1"], spec, SeedContext(1, r)
-    )["#1"].label
-    counts[label] = counts.get(label, 0) + 1
-
 strengths = {q: s for g, q, s in TABLE if g == "#1"}
+winners = replicate_winners(spec, list(strengths), list(strengths.values()), 1, n, "#1")
+counts = dict(zip(strengths, np.bincount(winners, minlength=len(strengths)).tolist()))
+
 z = sum(np.exp(s) for s in strengths.values())
 print(f"\nuser #1 frequencies over {n} replicates vs exp(strength)/Z:")
 for q in sorted(strengths, key=strengths.get, reverse=True):
-    print(f"  {q:7s} observed {counts.get(q, 0) / n:.4f}   expected {np.exp(strengths[q]) / z:.4f}")
+    print(f"  {q:7s} observed {counts[q] / n:.4f}   expected {np.exp(strengths[q]) / z:.4f}")

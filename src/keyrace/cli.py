@@ -157,16 +157,6 @@ def _stream_lines(stream) -> Iterator[bytes]:
         yield from chunk.splitlines()
 
 
-def _plain(block: bytes) -> bool:
-    """Whether csv.reader reads each line of the block as its comma-split fields.
-
-    That needs no ``"`` and no ``\\r``.  NUL is left to csv.reader too,
-    which rejects it before Python 3.11, so a file with NUL is accepted or
-    rejected as csv.reader does on the running interpreter.
-    """
-    return not (b'"' in block or b"\r" in block or b"\0" in block)
-
-
 def _needs_quotes(text: str) -> bool:
     return any(c in text for c in ',"\r\n')
 
@@ -230,36 +220,32 @@ class _CsvReader:
         with sampler._Children() as pieces:
             for start, end in zip(starts, starts[1:] + [None]):
                 pieces.fork(functools.partial(_read_piece, fh.name, start, end, self.inject_keys))
-            blocks = _blocks(fh, starts[0] if starts else None)
-            first = next(blocks, b"")
-            end = first.find(b"\n") + 1 or len(first)
-            if _plain(first[:end]):
-                self.read_csv([first[:end]])  # the header: one line, so one record
-                first = first[end:]
-            # the header is read unless it is in the first block, which is then not plain
-            if not self.read_blocks(itertools.chain([first] if first else [], blocks), fh, pieces):
+            rest = fh.readline()  # the header
+            if b'"' not in rest:  # no quoted field runs on past the line: it is whole records
+                self.read_csv([rest])
+                rest = self.split_blocks(_blocks(fh, starts[0] if starts else None))
+            if rest is None:  # the first range split: take the pieces, in file order
                 for start in starts:
                     piece = pieces.join()
                     if piece is None:  # read that piece, and the rest of the file, here
                         pieces.stop()
                         fh.seek(start)
-                        self.read_blocks(_blocks(fh), fh, pieces)
+                        rest = self.split_blocks(_blocks(fh))
                         break
                     self.take_piece(piece)
+        if rest is not None:  # the pieces are stopped: csv reads on from there
+            self.read_csv(itertools.chain([rest], _blocks(fh)))
         if not self.header_seen:
             raise CliParseError("empty file: expected header ID,QUAL,Strength", 1)
         return self.table(np.concatenate(self.strengths),
                           np.concatenate(self.keys) if self.inject_keys else None)
 
-    def read_blocks(self, blocks: Iterator[bytes], fh, pieces: sampler._Children) -> bool:
-        """Split each block; from the first that does not split, the pieces are stopped and
-        :mod:`csv` reads the rest of the file, and True is returned."""
+    def split_blocks(self, blocks: Iterable[bytes]) -> bytes | None:
+        """Split each block; the first that does not split is returned untaken, else None."""
         for block in blocks:
-            if not (_plain(block) and self.read_split(block)):
-                pieces.stop()
-                self.read_csv(itertools.chain([block], blocks, _blocks(fh)))
-                return True
-        return False
+            if not self.read_split(block):
+                return block
+        return None
 
     def read_csv(self, blocks: Iterable[bytes]) -> None:
         """Read the rest of the file with :mod:`csv`."""
@@ -276,10 +262,16 @@ class _CsvReader:
                 return
 
     def read_split(self, block: bytes) -> bool:
-        """Take a plain block whose lines all have the same fields, by splitting it.
+        """Take a block by splitting it, if csv.reader reads each of its lines as its
+        comma-split fields and the lines all have the same fields.
 
+        The first needs no ``"`` and no ``\\r``.  NUL is left to csv.reader
+        too, which rejects it before Python 3.11, so a file with NUL is
+        accepted or rejected as csv.reader does on the running interpreter.
         Any other block is left untaken, and False returned, for csv to read.
         """
+        if b'"' in block or b"\r" in block or b"\0" in block:
+            return False
         try:
             text = block.decode("utf-8")
         except UnicodeDecodeError:
@@ -408,9 +400,7 @@ def _read_piece(path: str, start: int, end: int | None, inject_keys: bool) -> _C
     reader = _CsvReader(inject_keys)
     with open(path, "rb") as fh:  # its own offset, not the parent's
         fh.seek(start)
-        if all(_plain(block) and reader.read_split(block) for block in _blocks(fh, end)):
-            return reader
-    return None
+        return reader if reader.split_blocks(_blocks(fh, end)) is None else None
 
 
 def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedTable:
@@ -418,11 +408,12 @@ def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedT
 
     The file is read in blocks of whole lines and each block is coded as
     it is read, so no row's strings are kept.  The header line is read by
-    :mod:`csv`.  A block with no ``"``, ``\\r`` or NUL whose lines all
-    have the same number of fields, enough of them and none too long, is
-    split on commas and newlines; from
-    the first other block, :mod:`csv` reads the rest of the file, so quoted
-    fields may hold commas, quotes and newlines.  Either way the records
+    :mod:`csv`, with the rest of the file if it holds a ``"``, as a quoted
+    field may run on past it.  A block with no ``"``, ``\\r`` or NUL whose
+    lines all have the same number of fields, enough of them and none too
+    long, is split on commas and newlines; from the first other block,
+    :mod:`csv` reads the rest of the file, so quoted fields may hold
+    commas, quotes and newlines.  Either way the records
     are those csv.reader reads, and a rejected file gets the same message:
     exit 2 names the line of the first error in file order, invalid UTF-8
     and fields over ``csv.field_size_limit()`` included.

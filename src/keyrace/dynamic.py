@@ -162,8 +162,8 @@ class DynamicTable:
         s = _check_strengths(self.spec, strength, lambda _: (group_id, label))
         digests = self._digest(group_id), self._digest(label)
         version = self._versions.get((group_id, label), -1) + 1
-        self._versions[(group_id, label)] = version
         u = _uniform(self.ctx.seed, self.ctx.replicate, version, *digests)
+        self._versions[(group_id, label)] = version
         kr = KeyedRow(Row(group_id, label, strength), u, *_row_keys(self.spec, s, u))
         group = self._rows.setdefault(group_id, {})
         best = self._best.get(group_id)

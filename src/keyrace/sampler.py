@@ -8,15 +8,16 @@ is schedule-independent: the winner maps of any partition of the rows,
 merged with :func:`merge_winner_maps`, are byte-identical to the whole
 table's.
 
-Every entry point holds its rows as one :class:`CodedTable`: exact
-integer group and label codes plus the distinct ids, built with no
-``(group_id, label)`` pair twice, since the pair is what a row's uniform
-is hashed from, and with no non-finite injected key.  The CLI codes the
-rows while reading and races its table
-with :func:`_race_columns`; the library entry points code theirs with
-:meth:`CodedTable.from_ids`.  A call is prepared once and raced once per
-replicate.  Preparing checks the strengths and digests each distinct id
-once, in numpy.  The rows are then sorted once, stably, by group.  Only
+Every entry point, the merges included, holds its rows as one
+:class:`CodedTable`: exact integer group and label codes plus the
+distinct ids, built with no ``(group_id, label)`` pair twice, since the
+pair is what a row's uniform is hashed from, with ``str`` ids only and
+with no non-finite injected key.  The CLI codes the rows while reading
+and races its table with :func:`_race_columns`; the library entry points
+and the merges code theirs with :meth:`CodedTable.from_ids`.  A call is
+prepared once and raced once per replicate.  Preparing checks the
+strengths and digests each distinct id once, in numpy.  The rows are
+then sorted once, stably, by group.  Only
 the uniforms, keys and the reduction depend on the replicate: each
 replicate takes every group's maximum with one segmented reduction and
 compares labels only in groups whose best keys tie exactly.  Its result
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import mmap
+import operator
 import os
 import pickle
 import warnings
@@ -100,13 +102,11 @@ _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 _UNIT = 2.0**-53
 # Replicates per block of replicate_winners.  A block costs each label about
-# 20 short numpy calls, so the larger the block, the fewer calls.  Warm medians
-# of a 1M x 16 canonical call at 1 and 2 worker threads on a 2-vCPU Xeon: 2^12
-# 0.281 / 0.472 s, 2^14 0.188 / 0.162 s, 2^15 0.173 / 0.111 s; with worker
-# processes, 2^14 timed within noise of 2^15 and 2^13 slower.  2^16 timed within
-# noise of 2^15, but it raised a fresh process's peak RSS by ~7% over 2^14
-# (2^15: ~1%).  The label loop makes no array: every step writes to per-worker
-# buffers, so a block causes no page faults.
+# 20 short numpy calls, so the larger the block, the fewer calls.  On a 2-vCPU
+# Xeon, with worker processes, 2^14 timed within noise of 2^15 and 2^13 slower;
+# 2^16 timed within noise of 2^15, but it raised a fresh process's peak RSS by
+# ~7% over 2^14 (2^15: ~1%).  The label loop makes no array: every step writes
+# to per-worker buffers, so a block causes no page faults.
 _RACE_BLOCK = 1 << 15
 # Labels x replicates per worker of replicate_winners, below which a forked
 # worker costs more than it saves.  Racing 2^20 draws in two processes rather
@@ -210,9 +210,11 @@ def _absorb(seed, replicate, version, group_digest, label_digests, out=None):
     """Final hash states of one absorption chain, one per label digest.
 
     The chain absorbs seed, replicate, version, group digest and label
-    digest, in that order.  Each part is a Python int or a uint64 array,
-    and arrays broadcast.  The label-independent prefix is absorbed once
-    and shared by every entry of ``label_digests``.  With ``out``, three
+    digest, in that order.  Each part is an integer, a Python or numpy one
+    whose bits are absorbed mod 2^64, or a uint64 array, and arrays
+    broadcast; any other part, a float included, raises ``TypeError``.
+    The label-independent prefix is absorbed once and shared by every
+    entry of ``label_digests``.  With ``out``, three
     uint64 arrays of the states' shape, no array is allocated: the prefix
     is kept in ``out[0]``, each label's state is written to ``out[1]``, so
     a yielded state lasts until the next is asked for, and the mix shifts
@@ -222,7 +224,7 @@ def _absorb(seed, replicate, version, group_digest, label_digests, out=None):
 
     def absorb(h, part, into):
         if not isinstance(part, np.ndarray):
-            part = int(part) & _MASK
+            part = operator.index(part) & _MASK
         if isinstance(h, np.ndarray) or isinstance(part, np.ndarray):
             # the xor is a new array or ``into``, so the in-place mix never writes to part
             return _mix64_array(np.bitwise_xor(h, part, out=into), shifted)
@@ -414,7 +416,12 @@ def derive_uniform(ctx: SeedContext, group_id: str, label: str, version: int = 0
 def replicate_uniforms(
     seed: int, group_id: str, label: str, n_replicates: int, version: int = 0
 ) -> np.ndarray:
-    """Uniforms of one row across replicates 0..n-1 (vectorized)."""
+    """Uniforms of one row across replicates 0..n-1 (vectorized).
+
+    ``n_replicates`` is an integer, 0 or more: a negative one raises
+    ``ValueError`` and any other value, a float included, ``TypeError``.
+    """
+    _check_n_replicates(n_replicates)
     reps = np.arange(n_replicates, dtype=np.uint64)
     return _uniform(seed, reps, version, _string_digest(group_id), _string_digest(label))
 
@@ -480,7 +487,7 @@ def _winners(order_keys: np.ndarray, label_codes: np.ndarray, starts: np.ndarray
 
 
 def _check_n_replicates(n_replicates: int) -> None:
-    if n_replicates < 0:
+    if operator.index(n_replicates) < 0:
         raise ValueError(f"n_replicates must be >= 0, got {n_replicates}")
 
 
@@ -550,28 +557,27 @@ def _fold(candidates: list[tuple], orientation: Orientation) -> dict[str, GroupW
     """Per-group winners of ``(group_id, label, key, row_count, order_key)`` candidates,
     reduced by :func:`_winners` as a table's rows are, counts added.
 
-    A NaN order key raises :class:`FamilyDomainError` (±inf are ordinary extremes), a
-    repeated ``(group_id, label)`` ``ValueError`` as :class:`CodedTable` does; of several
-    faults, the first candidate's is raised, its NaN first.
+    The candidates are held as one :class:`CodedTable`, with zero strengths as a merge
+    races none, so they are refused as a table's rows are: a repeated ``(group_id,
+    label)`` raises ``ValueError``, then an id that is not a ``str`` ``TypeError``.  Then
+    the first NaN order key raises :class:`FamilyDomainError` (±inf are ordinary
+    extremes).  ``orientation`` is an :class:`Orientation` or its value, ``"max"`` or
+    ``"min"``; any other raises ``ValueError``.
     """
+    orientation = Orientation(orientation)
     group_ids, labels, keys, row_counts, order_keys = zip(*candidates) if candidates else [()] * 5
-    group_codes, group_names = _factorize(group_ids)
-    label_codes, label_names = _factorize(labels)
+    table = CodedTable.from_ids(group_ids, labels, np.zeros(len(labels)))
     adj = np.asarray(order_keys, dtype=np.float64)
     nan = np.flatnonzero(np.isnan(adj))
-    # a (group_id, label) pair can repeat only where a label does
-    dup = None if len(label_names) == len(labels) else first_duplicate(
-        group_codes, label_codes, len(label_names))
-    if nan.size and (dup is None or nan[0] <= dup):
+    if nan.size:
         raise FamilyDomainError("order key must not be NaN (group_id={!r}, label={!r})"
-                                .format(group_ids[nan[0]], labels[nan[0]]))
-    if dup is not None:
-        raise _duplicate_row(group_ids[dup], labels[dup])
-    order, _, starts = _segments(group_codes, len(group_names))
-    win = order[_winners(adj[order], label_codes[order], starts, label_names, orientation)]
+                                .format(*table.row(nan[0])))
+    order, _, starts = _segments(table.group_codes, len(table.group_names))
+    win = order[_winners(adj[order], table.label_codes[order], starts, table.label_names,
+                         orientation)]
     counts = np.add.reduceat(np.asarray(row_counts, dtype=np.int64)[order], starts)
     return {gid: GroupWinner(gid, labels[i], keys[i], count, order_keys[i])
-            for gid, i, count in zip(group_names, win.tolist(), counts.tolist())}
+            for gid, i, count in zip(table.group_names, win.tolist(), counts.tolist())}
 
 
 def assign_keys(
@@ -607,9 +613,12 @@ def reduce_winners(
 
     The best order_key wins, the smallest label on exact ties, and counts
     are added, so the result is independent of input order and of any
-    partitioning into sub-reductions.  A NaN order key raises
-    :class:`FamilyDomainError` naming its ``(group_id, label)``, and a
-    repeated ``(group_id, label)`` raises ``ValueError`` naming it.
+    partitioning into sub-reductions.  The rows are refused as
+    :func:`sample` refuses them: a repeated ``(group_id, label)`` raises
+    ``ValueError`` naming it, then an id that is not a ``str``
+    ``TypeError``; then a NaN order key raises :class:`FamilyDomainError`
+    naming its ``(group_id, label)``.  ``orientation`` may be given by its
+    value, ``"max"`` or ``"min"``.
     """
     return _fold([(kr.row.group_id, kr.row.label, kr.key, 1, kr.order_key) for kr in keyed],
                  orientation)
@@ -620,8 +629,9 @@ def merge_winner_maps(
 ) -> dict[str, GroupWinner]:
     """Merge partial winner maps from disjoint row partitions.
 
-    Two maps whose winners of one group share a label hold one row twice,
-    so they raise ``ValueError`` naming it, as :func:`reduce_winners` does.
+    Each winner is one candidate row, refused as :func:`reduce_winners`
+    refuses a row: two maps whose winners of one group share a label hold
+    one row twice, so they raise ``ValueError`` naming it.
     """
     return _fold([(w.group_id, w.label, w.key, w.row_count, w.order_key)
                   for partial in maps for w in partial.values()], orientation)
@@ -776,39 +786,6 @@ class _Children:
                 os.waitpid(pid, 0)
 
 
-def _deal(work, items: Sequence, scratch, n_workers: int) -> None:
-    """Call ``work(item, buffers)`` for every item, dealt round-robin to ``n_workers`` processes.
-
-    Each worker makes its own ``buffers = scratch()`` and passes them to
-    every item it runs.  The calling process runs items 0, n, 2n, ... and
-    each other worker is a :class:`_Children` child, so ``work`` must
-    leave its results in memory shared with the caller.  A worker fails at
-    its first exception or warning, both errors while the workers run.  If
-    any fails, the caller runs every item again, in order, so what it
-    raises or warns is what a single worker raises or warns.
-    """
-    if n_workers > 1:
-        with warnings.catch_warnings(), _Children() as children:
-            warnings.simplefilter("error")
-            for k in range(1, n_workers):
-                children.fork(functools.partial(_run, work, items[k::n_workers], scratch))
-            try:
-                ran = _run(work, items[::n_workers], scratch)
-            except Exception:  # raised again, as one worker raises it, by the run below
-                ran = False
-            if ran and all(children.join() for _ in range(1, n_workers)):
-                return
-    _run(work, items, scratch)
-
-
-def _run(work, items: Sequence, scratch) -> bool:
-    """Call ``work(item, buffers)`` for each item with one ``buffers = scratch()``; True."""
-    buffers = scratch()
-    for item in items:
-        work(item, buffers)
-    return True
-
-
 def replicate_winners(
     spec: ModelSpec,
     labels: Sequence[str],
@@ -837,14 +814,15 @@ def replicate_winners(
     process's affinity mask (restrict them with ``taskset``), at most one
     per block and one per 2^20 labels x replicates, below which a fork
     costs more than it saves.  The calling process is one worker and,
-    where the platform has ``os.fork``, each other worker is a forked
-    child (see :class:`_Children`) that writes its blocks' winners to the
-    shared mapping that is returned.  A block computes its own replicate
-    numbers, so if any worker fails, or a child cannot be forked, the
-    caller races every block again and raises what a single worker
-    raises.  Working memory beside the result is O(workers x block)
-    whatever labels times replicates is, and the winners are identical at
-    any worker count.
+    where the platform has ``os.fork``, each other worker is a
+    :class:`_Children` child that writes its blocks' winners to the shared
+    mapping that is returned.  While the workers run, warnings are errors,
+    so a worker fails at its first exception or warning.  A block computes
+    its own replicate numbers, so if any worker fails, or a child cannot be
+    forked, the caller races every block again and raises or warns what a
+    single worker raises or warns.  Working memory beside the result is
+    O(workers x block) whatever labels times replicates is, and the
+    winners are identical at any worker count.
     """
     _check_n_replicates(n_replicates)
     n = len(labels)
@@ -872,30 +850,50 @@ def replicate_winners(
         winners = np.empty(n_replicates, dtype=np.intp)
     block = min(_RACE_BLOCK, n_replicates)
 
-    def scratch():  # a worker's states, prefixes, shifts, keys, bests, leads, jumps, leaders
-        return (*np.empty((3, block), np.uint64), *np.empty((2, block)), np.empty(block, bool),
-                *np.empty((2, block), position))
+    def race(starts: Sequence[int]) -> bool:
+        """Race the blocks that begin at ``starts`` in one worker's buffers; True, as a
+        child's result of None marks it failed."""
+        # states, prefixes, shifts, keys, bests, leads, jumps, leaders
+        buffers = (*np.empty((3, block), np.uint64), *np.empty((2, block)),
+                   np.empty(block, bool), *np.empty((2, block), position))
+        for start in starts:
+            size = min(block, n_replicates - start)
+            state, prefix, shifted, u, best, lead, jump, leader = (a[:size] for a in buffers)
+            state.fill(1)  # the replicate numbers start, start + 1, ..., made in place
+            state[0] = start
+            np.add.accumulate(state, out=state)
+            chain = _absorb(seed, state, 0, group_digest, label_digests,
+                            out=(prefix, state, shifted))
+            best.fill(worst)
+            leader.fill(0)
+            for j, h in enumerate(chain):
+                keys = _order_keys(spec, s[j], _to_unit(h, out=u), u)  # into u, as h is
+                np.copyto(jump, better(keys, best, out=lead))
+                np.multiply(jump, j, out=jump)
+                np.maximum(leader, jump, out=leader)
+                extreme(best, keys, out=best)
+            win = winners[start : start + size]
+            np.copyto(win, leader)
+            # positions to label indices, in place: take reads each index before it
+            # writes its slot in any mode but "raise", which copies; none is out of range
+            np.take(order, win, out=win, mode="wrap")
+        return True
 
-    def race(start: int, buffers) -> None:
-        size = min(block, n_replicates - start)
-        state, prefix, shifted, u, best, lead, jump, leader = (a[:size] for a in buffers)
-        state.fill(1)  # the replicate numbers start, start + 1, ..., made in place
-        state[0] = start
-        np.add.accumulate(state, out=state)
-        chain = _absorb(seed, state, 0, group_digest, label_digests, out=(prefix, state, shifted))
-        best.fill(worst)
-        leader.fill(0)
-        for j, h in enumerate(chain):
-            keys = _order_keys(spec, s[j], _to_unit(h, out=u), u)  # into u, as h is
-            np.copyto(jump, better(keys, best, out=lead))
-            np.multiply(jump, j, out=jump)
-            np.maximum(leader, jump, out=leader)
-            extreme(best, keys, out=best)
-        win = winners[start : start + size]
-        np.copyto(win, leader)
-        # positions to label indices, in place: take reads each index before it
-        # writes its slot in any mode but "raise", which copies; none is out of range
-        np.take(order, win, out=win, mode="wrap")
-
-    _deal(race, blocks, scratch, n_workers)
+    if n_workers > 1:
+        # the caller races blocks 0, n, 2n, ... and each other worker is a child; a worker
+        # fails at its first exception or warning, both errors while the workers run
+        with warnings.catch_warnings(), _Children() as children:
+            warnings.simplefilter("error")
+            for k in range(1, n_workers):
+                children.fork(functools.partial(race, blocks[k::n_workers]))
+            try:
+                race(blocks[::n_workers])
+            except Exception:  # raised again, as one worker raises it, by the race below
+                pass
+            else:
+                if all(children.join() for _ in range(1, n_workers)):
+                    return winners
+    # one worker, or one failed: the caller races every block, and raises or warns as
+    # one worker does
+    race(blocks)
     return winners

@@ -213,7 +213,8 @@ class TestReduceWinners:
             assert reduce_winners([keyed[i] for i in perm], Orientation.MAX) == expected
 
     @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps"])
-    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("orientation", [*Orientation, "max", "min"],
+                             ids=["max", "min", "str-max", "str-min"])
     def test_merge_is_a_total_order(self, merge, orientation):
         # NaN compares false both ways, so it would win or lose by input
         # order; it is refused, while +-inf rank as ordinary extremes
@@ -227,7 +228,7 @@ class TestReduceWinners:
             return merge_winner_maps(maps, orientation)
 
         ranked = [keyed("c", float("inf")), keyed("a", 1.0), keyed("b", float("-inf"))]
-        best = "c" if orientation is Orientation.MAX else "b"
+        best = "c" if Orientation(orientation) is Orientation.MAX else "b"
         for perm in itertools.permutations(ranked + [keyed("d", float("nan"))]):
             with pytest.raises(FamilyDomainError, match=r"NaN \(group_id='g', label='d'\)"):
                 merged(list(perm))
@@ -237,6 +238,47 @@ class TestReduceWinners:
                 merged(list(perm))
         for perm in itertools.permutations(ranked):
             assert merged(list(perm))["g"].label == best
+
+
+    @pytest.mark.parametrize("orientation", ["bogus", None])
+    def test_merge_refuses_an_unknown_orientation(self, orientation):
+        # "max" == Orientation.MAX, as Orientation is a str enum; any other value
+        # used to race as MIN without a word
+        rows = [KeyedRow(Row("g", "a", 1.0), 0.5, 1.0), KeyedRow(Row("g", "b", 1.0), 0.5, 2.0)]
+        with pytest.raises(ValueError, match="is not a valid Orientation"):
+            reduce_winners(rows, orientation)
+        with pytest.raises(ValueError, match="is not a valid Orientation"):
+            merge_winner_maps([reduce_winners(rows, Orientation.MAX)], orientation)
+
+    @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps"])
+    @pytest.mark.parametrize("bad", ["group_id", "label"])
+    def test_merges_refuse_a_non_str_id_as_sample_does(self, merge, bad):
+        row = Row(1, "a", 1.0) if bad == "group_id" else Row("g", 1, 1.0)
+        message = "group ids and labels must be str, got int 1"
+        with pytest.raises(TypeError, match=message):
+            sample([row], ModelSpec(Family.GUMBEL1), SeedContext(0))
+        with pytest.raises(TypeError, match=message):
+            if merge == "reduce_winners":
+                reduce_winners([KeyedRow(row, 0.5, 1.0)], Orientation.MAX)
+            else:
+                merge_winner_maps([{row.group_id: GroupWinner(row.group_id, row.label, 1.0, 1)}],
+                                  Orientation.MAX)
+
+    @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps"])
+    def test_merges_name_a_repeat_before_a_nan(self, merge):
+        # as a table does: sample_arrays raises the repeat of injected keys [nan, 1.0]
+        ranked = [KeyedRow(Row("g", label, 1.0), 0.5, key)
+                  for label, key in [("a", float("nan")), ("a", 1.0), ("b", 2.0)]]
+        for perm in itertools.permutations(ranked):
+            with pytest.raises(ValueError, match=r"duplicate row \(group_id='g', label='a'\)") \
+                    as refused:
+                if merge == "reduce_winners":
+                    reduce_winners(perm, Orientation.MAX)
+                else:
+                    merge_winner_maps([{kr.row.group_id: GroupWinner(kr.row.group_id,
+                                                                    kr.row.label, kr.key, 1)}
+                                       for kr in perm], Orientation.MAX)
+            assert not isinstance(refused.value, FamilyDomainError)
 
 
 def _random_rows(rng, n, n_groups, n_labels):
@@ -487,7 +529,8 @@ class TestInputContracts:
         assert len(capsys.readouterr().out.splitlines()) == 3 * 2
 
     @pytest.mark.parametrize("n", [-1, -3])
-    @pytest.mark.parametrize("entry", ["sample_replicates", "sample_codes", "replicate_winners"])
+    @pytest.mark.parametrize("entry", ["sample_replicates", "sample_codes", "replicate_winners",
+                                       "replicate_uniforms"])
     def test_negative_replicate_count_rejected(self, entry, n):
         spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
         calls = {
@@ -496,10 +539,45 @@ class TestInputContracts:
             "sample_codes": lambda: sample_codes(CodedTable.from_ids(["g"], ["a"], [1.0]),
                                                  spec, ctx, n),
             "replicate_winners": lambda: replicate_winners(spec, ["a", "b"], [1.0, 2.0], 0, n),
+            "replicate_uniforms": lambda: replicate_uniforms(0, "g", "a", n),
         }
         # raised by the call itself, before any replicate is drawn
         with pytest.raises(ValueError, match=f"n_replicates must be >= 0, got {n}"):
             calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["replicate_uniforms", "replicate_winners"])
+    def test_a_float_replicate_count_rejected(self, entry):
+        # replicate_uniforms used to take 2.5 as 3 replicates
+        spec = ModelSpec(Family.GUMBEL1)
+        calls = {
+            "replicate_uniforms": lambda: replicate_uniforms(0, "g", "a", 2.5),
+            "replicate_winners": lambda: replicate_winners(spec, ["a", "b"], [1.0, 2.0], 0, 2.5),
+        }
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["derive_uniform", "sample_arrays", "replicate_winners",
+                                       "upsert"])
+    def test_a_float_seed_rejected(self, entry):
+        # a float seed used to be truncated: 2.7 drew exactly seed 2's uniforms
+        spec = ModelSpec(Family.GUMBEL1)
+        table = DynamicTable(spec, SeedContext(2.7))
+        calls = {
+            "derive_uniform": lambda: derive_uniform(SeedContext(1.5), "g", "a"),
+            "sample_arrays": lambda: sample_arrays(["g"], ["a"], [1.0], spec, SeedContext(2.7)),
+            "replicate_winners": lambda: replicate_winners(spec, ["a", "b"], [1.0, 2.0], 1.9, 3),
+            "upsert": lambda: table.upsert("g", "a", 1.0),
+        }
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            calls[entry]()
+        assert len(table) == 0 and table.winners() == {}  # the failed upsert stored no row
+
+    def test_a_numpy_integer_seed_keeps_its_bits(self):
+        for seed, same in [(np.int64(7), 7), (np.uint64(2**64 - 1), -1), (np.int32(-5), -5)]:
+            assert (derive_uniform(SeedContext(seed, np.uint8(3)), "g", "a")
+                    == derive_uniform(SeedContext(same, 3), "g", "a"))
+            np.testing.assert_array_equal(replicate_uniforms(seed, "g", "a", np.int16(4)),
+                                          replicate_uniforms(same, "g", "a", 4))
 
     def test_zero_replicates_yield_nothing(self):
         spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
@@ -746,6 +824,21 @@ def test_forked_workers_are_reaped_when_the_race_returns(forks):
     assert forks[0] == 2
     _assert_no_children()
     assert got.dtype == np.intp and got.flags.writeable
+    np.testing.assert_array_equal(got, _key_matrix_winners(*_SMALL_RACE, "g"))
+
+
+def test_forked_workers_race_each_block_once(forks):
+    """With every child's share raced, the caller races only its own blocks."""
+    real, caller, calls = sampler._order_keys, os.getpid(), [0]
+
+    def counted(*args):
+        calls[0] += os.getpid() == caller
+        return real(*args)
+
+    with mock.patch.object(sampler, "_order_keys", counted):
+        got = _small_race_in_blocks()
+    assert forks[0] == 2
+    assert calls[0] == 5 * len(range(0, 101, 3))  # 5 labels x blocks 0, 3, 6, ... of 101
     np.testing.assert_array_equal(got, _key_matrix_winners(*_SMALL_RACE, "g"))
 
 
