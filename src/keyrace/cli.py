@@ -30,8 +30,9 @@ bench     run the battery's random upsert/delete stream on a dynamic
 ``sample`` imports only what it runs: this module, the sampler, the
 family table and numpy; each other command imports its own modules when
 it runs.  It reads its CSV in blocks of whole lines, each turned straight
-into integer group and label codes, one dictionary pass per column, and
-:func:`read_table` returns the rows as one
+into integer group and label codes, one dictionary pass per column
+(:func:`~keyrace.sampler.code_ids`), and a Strength array parsed with no
+list of floats; :func:`read_table` returns the rows as one
 :class:`~keyrace.sampler.CodedTable`, the type the sampler races.
 Building it rejects a repeated (ID, QUAL), which the reader then names
 with its line, as it names a non-finite KEY before the table is built.
@@ -57,7 +58,12 @@ same for any N; the race itself is one pass.
 
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
 4 warnings on the update stream.  A reader that closes stdout early, as
-``| head`` does, ends the command quietly with exit 0.
+``| head`` does, ends the command quietly with exit 0.  The ``keyrace``
+command and ``python -m keyrace`` run :func:`run`, which freezes the
+garbage collector's objects once :func:`main` returns, so interpreter
+exit does not walk the ~21k objects it tracks by then, numpy's among
+them; :func:`main` itself, run in process by tests and callers, never
+does.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ import argparse
 import bisect
 import csv
 import functools
+import gc
 import io
 import itertools
 import os
@@ -171,19 +178,22 @@ def _csv_fields(names: list[str]) -> list[str]:
     return list(map(_csv_field, names)) if _needs_quotes("".join(names)) else names
 
 
-def _floats(fields: list[str]) -> tuple[list[float], int | None]:
+def _floats(fields: list[str]) -> tuple[np.ndarray, int | None]:
     """``float`` of the fields up to the first that is not a number, and its index.
 
     That field's value is a NaN placeholder, so a column cut after it has
-    one value per field.
+    one value per field.  A column that parses goes straight into its
+    array; only one that does not is parsed again, to find that field.
     """
-    values: list[float] = []
     try:
-        values.extend(map(float, fields))
-    except ValueError:
-        values.append(np.nan)
-        return values, len(values) - 1
-    return values, None
+        return np.fromiter(map(float, fields), np.float64, count=len(fields)), None
+    except ValueError:  # parse again, as far as the field that raised
+        values: list[float] = []
+        try:
+            values.extend(map(float, fields))
+        except ValueError:  # extend keeps the values before that field
+            values.append(np.nan)
+        return np.array(values), len(values) - 1
 
 
 class _CsvReader:
@@ -337,10 +347,10 @@ class _CsvReader:
                 bad, message = int(nonfinite[0]), f"non-finite {_KEY_COLUMN} value"
             if bad is not None and (bad_strength is None or bad < bad_strength):
                 n, error = bad + 1, CliParseError(message, self.line(self.rows + bad))
-            self.keys.append(np.asarray(keys[:n], dtype=np.float64))
+            self.keys.append(keys[:n])
         self.group_codes.append(code_ids(columns[0][:n], self.groups))
         self.label_codes.append(code_ids(columns[1][:n], self.labels))
-        self.strengths.append(np.asarray(strengths[:n], dtype=np.float64))
+        self.strengths.append(strengths[:n])
         self.rows += n
         if error is not None:
             self.fail(error)
@@ -629,5 +639,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
 
+def run() -> NoReturn:
+    """The ``keyrace`` command: :func:`main` on ``sys.argv``, then exit with its code.
+
+    The objects made by then are frozen first, so the collection at
+    interpreter exit skips them; exit is otherwise as ``sys.exit`` makes
+    it: atexit handlers run and stdio is flushed.  An exception out of
+    :func:`main`, argparse's ``SystemExit`` included, exits unfrozen.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

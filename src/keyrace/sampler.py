@@ -49,6 +49,7 @@ the partitioning.
 from __future__ import annotations
 
 import functools
+import itertools
 import mmap
 import operator
 import os
@@ -247,12 +248,24 @@ def code_ids(strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
     """Exact integer codes of ``strings`` under a first-seen ``index``.
 
     Strings not yet in ``index`` are appended to it in first-seen order,
-    so one index can code a column that arrives in pieces.  One pass: a
-    string's code is its index entry, made on its first sight.
+    so one index can code a column that arrives in pieces.  One pass, with
+    no bytecode run per string: ``dict.setdefault`` enters a new string as
+    ``len(index)`` plus its position in ``strings``.  When the strings are
+    neither all known nor all new, those provisional codes have gaps, and
+    numpy renumbers them densely, in first-seen order, in the codes and
+    then the index.
     """
-    setdefault = index.setdefault
-    return np.fromiter([setdefault(s, len(index)) for s in strings], dtype=np.intp,
-                       count=len(strings))
+    n = len(index)
+    codes = np.fromiter(map(index.setdefault, strings, itertools.count(n)), dtype=np.intp,
+                        count=len(strings))
+    fresh = len(index) - n
+    if fresh and fresh < codes.size:
+        # a new string's provisional code is n + its first position, so the codes'
+        # sorted order is first-seen order
+        new = codes >= n
+        codes[new] = n + np.unique(codes[new], return_inverse=True)[1]
+        index.update(zip(list(itertools.islice(index, n, None)), range(n, n + fresh)))
+    return codes
 
 
 def _factorize(strings: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -285,11 +298,17 @@ class SeedContext:
     Equal (seed, replicate) pairs reproduce every uniform exactly;
     distinct replicates give statistically independent copies of the
     whole table, which is how Monte Carlo experiments draw repetitions
-    without re-seeding.
+    without re-seeding.  Both are integers, Python or numpy; any other
+    value, a float included, raises ``TypeError`` when the context is
+    built, so a call that draws no uniform refuses it too.
     """
 
     seed: int = 0
     replicate: int = 0
+
+    def __post_init__(self) -> None:
+        operator.index(self.seed)
+        operator.index(self.replicate)
 
 
 @dataclass(frozen=True)
@@ -331,10 +350,9 @@ class CodedTable:
         dup = first_duplicate(self.group_codes, self.label_codes, len(self.label_names))
         if dup is not None:
             raise _duplicate_row(*self.row(dup))
-        not_str = [s for names in (self.group_names, self.label_names) for s in names
-                   if not isinstance(s, str)]
-        if not_str:
-            raise _str_type_error(not_str[0])
+        for names in (self.group_names, self.label_names):
+            if not all(map(isinstance, names, itertools.repeat(str))):
+                raise _str_type_error(next(s for s in names if not isinstance(s, str)))
         if self.keys is not None:
             bad = np.flatnonzero(~np.isfinite(self.keys))
             if bad.size:
@@ -418,9 +436,11 @@ def replicate_uniforms(
 ) -> np.ndarray:
     """Uniforms of one row across replicates 0..n-1 (vectorized).
 
+    ``seed`` is an integer, else ``TypeError`` is raised first.
     ``n_replicates`` is an integer, 0 or more: a negative one raises
     ``ValueError`` and any other value, a float included, ``TypeError``.
     """
+    operator.index(seed)
     _check_n_replicates(n_replicates)
     reps = np.arange(n_replicates, dtype=np.uint64)
     return _uniform(seed, reps, version, _string_digest(group_id), _string_digest(label))
@@ -802,8 +822,9 @@ def replicate_winners(
     as every table is: a repeated label or a ``strengths`` that is not
     1-D or of another length raises ``ValueError``, a label that is not a
     ``str`` raises ``TypeError`` and a bad strength
-    :class:`FamilyDomainError`.  A negative ``n_replicates`` raises
-    ``ValueError`` first.
+    :class:`FamilyDomainError`.  Before them, a ``seed`` that is not an
+    integer raises ``TypeError``, then a negative ``n_replicates``
+    ``ValueError``, even when no replicate is drawn.
 
     Replicates are raced in blocks of 2^15, each label's keys folded into
     the block's running best and its leads into a running maximum of the
@@ -824,6 +845,7 @@ def replicate_winners(
     O(workers x block) whatever labels times replicates is, and the
     winners are identical at any worker count.
     """
+    operator.index(seed)
     _check_n_replicates(n_replicates)
     n = len(labels)
     if n == 0:

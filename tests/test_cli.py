@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -662,3 +663,50 @@ def test_sample_in_pieces_to_a_closed_pipe(tmp_path):
         runs.append((proc.returncode, proc.stdout, proc.stderr))
     assert runs[0][0] == 0 and runs[0][1].count(b"\n") == 1 and runs[0][2] == b""
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("n_groups, small", [(20, True), (4000, False)],
+                         ids=["under-the-stdout-buffer", "over-the-pipe-buffer"])
+def test_python_m_writes_to_a_pipe_what_main_writes_to_a_file(tmp_path, n_groups, small):
+    """The process's exit flushes all of stdout, read here to EOF: less than stdout's
+    8 KiB buffer, which only the flush at exit writes, and more than a 64 KiB pipe."""
+    path = write_random_table(tmp_path / "t.csv", 10 * n_groups, n_groups, seed=3)
+    argv = ["sample", "--model", "gumbel1", "--with-key", "--replicates", "2", str(path)]
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "-o", str(out)]) == cli.EXIT_OK
+    expected = out.read_bytes()
+    assert (len(expected) < 8 << 10) if small else (len(expected) > 64 << 10)
+    proc = subprocess.run([sys.executable, "-m", "keyrace", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("body, argv, code", [
+    ("g1,a,1.0\ng1,b,x\n", [], cli.EXIT_PARSE),
+    ("g1,a,1.0\ng1,b,0.0\n", ["--model", "frechet2"], cli.EXIT_DOMAIN),
+], ids=["bad-strength", "domain-error"])
+def test_python_m_exits_with_mains_code_and_message(tmp_path, capsys, body, argv, code):
+    path = tmp_path / "t.csv"
+    path.write_text("ID,QUAL,Strength\n" + body, encoding="utf-8")
+    assert cli.main(["sample", *argv, str(path)]) == code
+    message = capsys.readouterr().err
+    assert message.startswith("error: ") and message.count("\n") == 1, message
+    proc = subprocess.run([sys.executable, "-m", "keyrace", "sample", *argv, str(path)],
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == (code, b"", message)
+
+
+def test_run_freezes_only_after_main_returns(worked_example_csv, monkeypatch, capsys):
+    """run exits with main's code after one freeze; argparse's exit skips the freeze."""
+    with mock.patch.object(cli.gc, "freeze") as freeze:
+        monkeypatch.setattr(sys, "argv", ["keyrace", "sample", "--bogus"])
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == 2 and freeze.call_count == 0
+        monkeypatch.setattr(sys, "argv", ["keyrace", "sample", "--inject-keys",
+                                          str(worked_example_csv)])
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert exited.value.code == cli.EXIT_OK and freeze.call_count == 1
+    assert capsys.readouterr().out == EXPECTED_WORKED_OUTPUT

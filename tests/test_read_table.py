@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import itertools
 import os
 import re
 from contextlib import contextmanager
@@ -306,6 +307,51 @@ def test_a_bad_field_leaves_every_batch_one_length(tmp_path, raw, inject, messag
         columns.append(reader.keys)
     lengths = [[len(batch) for batch in column] for column in columns]
     assert lengths == [lengths[0]] * len(columns), lengths
+
+
+@pytest.mark.parametrize("fields, values, bad", [
+    (["1", "-0.0", " 2 ", "1e999"], [1.0, -0.0, 2.0, np.inf], None),
+    ([], [], None),
+    (["x", "1", "2"], [np.nan], 0),
+    (["1", "", "2"], [1.0, np.nan], 1),
+    (["1", "2", "1,5"], [1.0, 2.0, np.nan], 2),
+])
+def test_floats_stop_at_the_first_field_that_is_not_a_number(fields, values, bad):
+    got, got_bad = cli._floats(fields)
+    assert got.dtype == np.float64 and got_bad == bad
+    np.testing.assert_array_equal(got, values)  # the NaN placeholder equals nan here
+
+
+_FLOAT_ROWS = 9
+
+
+@pytest.mark.parametrize("column, at", itertools.product(["Strength", "KEY"], [0, 4, 8]))
+@pytest.mark.parametrize("path_taken", ["split", "csv"])
+def test_a_bad_number_is_named_wherever_it_falls_in_its_column(tmp_path, column, at,
+                                                              path_taken):
+    """A bad Strength or KEY as the first, a middle or the last field of the column a
+    block (split) or a batch (csv) holds gives the line it gave as a list of floats."""
+    header = "ID,QUAL,Strength,KEY" if path_taken == "split" else '"ID",QUAL,Strength,KEY'
+    rows = [f"g{i % 2},q{i},{i + 1},{i / 2}" for i in range(_FLOAT_ROWS)]
+    g, q, strength, key = rows[at].split(",")
+    rows[at] = ",".join([g, q, "x1" if column == "Strength" else strength,
+                         "y2" if column == "KEY" else key])
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    read_split = cli._CsvReader.read_split
+
+    def split(reader, block):
+        assert path_taken == "split" and read_split(reader, block)  # the block split
+        return True
+
+    # one block or one batch holds every row, so the column is the whole file's
+    with mock.patch.object(cli, "_BLOCK_BYTES", 1 << 16), \
+            mock.patch.object(cli, "_CSV_BATCH", _FLOAT_ROWS + 1), \
+            mock.patch.object(cli._CsvReader, "read_split", split):
+        with pytest.raises(CliParseError) as err:
+            read_table(str(path), inject_keys=True)
+    value = "'x1'" if column == "Strength" else "'y2'"
+    assert str(err.value) == f"line {at + 2}: bad {column} value {value}"
 
 
 _ROWS_8 = b"g1,a,1\ng1,b,2\ng1,c,2\ng1,d,1\ng2,a,1\ng2,b,1\ng2,c,3\ng2,d,1\n"

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -561,16 +562,38 @@ class TestInputContracts:
     def test_a_float_seed_rejected(self, entry):
         # a float seed used to be truncated: 2.7 drew exactly seed 2's uniforms
         spec = ModelSpec(Family.GUMBEL1)
-        table = DynamicTable(spec, SeedContext(2.7))
         calls = {
             "derive_uniform": lambda: derive_uniform(SeedContext(1.5), "g", "a"),
             "sample_arrays": lambda: sample_arrays(["g"], ["a"], [1.0], spec, SeedContext(2.7)),
             "replicate_winners": lambda: replicate_winners(spec, ["a", "b"], [1.0, 2.0], 1.9, 3),
-            "upsert": lambda: table.upsert("g", "a", 1.0),
+            "upsert": lambda: DynamicTable(spec, SeedContext(2.7)).upsert("g", "a", 1.0),
         }
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             calls[entry]()
-        assert len(table) == 0 and table.winners() == {}  # the failed upsert stored no row
+
+    @pytest.mark.parametrize("entry", ["SeedContext.replicate", "replicate_winners",
+                                       "replicate_uniforms", "sample_replicates",
+                                       "DynamicTable"])
+    def test_a_float_seed_rejected_where_no_uniform_is_drawn(self, entry):
+        # each of these used to accept the float, as it drew no uniform to refuse it
+        spec = ModelSpec(Family.GUMBEL1)
+        calls = {
+            "SeedContext.replicate": lambda: SeedContext(0, 1.5),
+            "replicate_winners": lambda: replicate_winners(spec, ["a", "b"], [1.0, 2.0], 1.5, 0),
+            "replicate_uniforms": lambda: replicate_uniforms(1.5, "g", "a", 0),
+            "sample_replicates": lambda: list(sample_replicates(["g"], ["a"], [1.0], spec,
+                                                                SeedContext(1.5), 0)),
+            "DynamicTable": lambda: DynamicTable(spec, SeedContext(1.5)),
+        }
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            calls[entry]()
+
+    def test_a_failed_upsert_stores_no_row(self):
+        # a context built around SeedContext's check: its seed fails where the uniform is drawn
+        table = DynamicTable(ModelSpec(Family.GUMBEL1), SimpleNamespace(seed=2.7, replicate=0))
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            table.upsert("g", "a", 1.0)
+        assert len(table) == 0 and table.winners() == {}
 
     def test_a_numpy_integer_seed_keeps_its_bits(self):
         for seed, same in [(np.int64(7), 7), (np.uint64(2**64 - 1), -1), (np.int32(-5), -5)]:
@@ -1151,6 +1174,25 @@ def _code_ids_three_pass(strings, index):
     fresh = [s for s in dict.fromkeys(strings) if s not in index]
     index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
     return np.fromiter(map(index.__getitem__, strings), dtype=np.intp, count=len(strings))
+
+
+@pytest.mark.parametrize("known, pieces", [
+    (["a", "b", "c"], [["c", "a", "c", "b"]]),  # no new name
+    ([], [["x", "y", "z"]]),  # every name new: the provisional codes are already dense
+    (["k"], [["x", "y", "z"]]),  # every name new, after known ones
+    ([], [["x", "x", "y", "x", "z", "y"]]),  # new names repeated within one call
+    (["k"], [["x", "k", "y", "x"], ["k", "z", "y", "w", "z"], ["w", "x"]]),  # across calls
+    ([], [[], ["a"], []]),  # empty calls
+], ids=["none-new", "all-new", "all-new-after-known", "new-repeated", "new-after-known",
+        "empty"])
+def test_code_ids_paths_match_three_pass(known, pieces):
+    index = {s: i for i, s in enumerate(known)}
+    reference = dict(index)
+    for piece in pieces:
+        got = code_ids(piece, index)
+        assert got.dtype == np.intp
+        assert got.tolist() == _code_ids_three_pass(piece, reference).tolist()
+        assert list(index.items()) == list(reference.items())
 
 
 _FEW_IDS = st.text(alphabet="ab\0é", max_size=2)  # few distinct ids, so they repeat
