@@ -56,14 +56,17 @@ in file order, so the table, the output and every error message are the
 same for any N; the race itself is one pass.
 ``--quick`` belongs to ``validate``.  Every count option takes an int >= 0.
 
-Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 domain error,
-4 warnings on the update stream.  A reader that closes stdout early, as
-``| head`` does, ends the command quietly with exit 0.  The ``keyrace``
-command and ``python -m keyrace`` run :func:`run`, which freezes the
-garbage collector's objects once :func:`main` returns, so interpreter
-exit does not walk the ~21k objects it tracks by then, numpy's among
-them; :func:`main` itself, run in process by tests and callers, never
-does.
+Exit codes: 0 ok, 1 validation failure, 2 a file that cannot be read or
+written (``update``'s input file and ``sample -o`` included) or a bad
+row, 3 domain error, 4 warnings on the update stream.  :func:`main`
+builds every command's ``ModelSpec`` and alone turns an error into its
+exit code and ``error:`` line.  A reader that closes stdout early, as
+``| head`` does, ends the command quietly with exit 0.  The
+``keyrace`` command and ``python -m keyrace`` run :func:`run`, which
+freezes the garbage collector's objects once :func:`main` returns, so
+interpreter exit does not walk the ~21k objects it tracks by then,
+numpy's among them; :func:`main` itself, run in process by tests and
+callers, never does.
 """
 
 from __future__ import annotations
@@ -114,11 +117,6 @@ class CliParseError(Exception):
 class _InvalidUtf8(Exception):
     def __init__(self, byte: int):
         super().__init__(f"invalid UTF-8 byte 0x{byte:02x}")
-
-
-def _model_from_args(args) -> ModelSpec:
-    offset = args.offset  # None selects the family default
-    return ModelSpec(Family(args.model), scale_c=args.scale, offset_d=offset)
 
 
 def _count(text: str) -> int:
@@ -441,14 +439,8 @@ def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedT
         return _CsvReader(inject_keys).read(fh, workers)
 
 
-def cmd_sample(args) -> int:
-    spec = _model_from_args(args)
-    try:
-        table = read_table(args.input, inject_keys=args.inject_keys, workers=args.threads)
-    except (OSError, CliParseError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-
+def cmd_sample(args, spec: ModelSpec) -> int:
+    table = read_table(args.input, inject_keys=args.inject_keys, workers=args.threads)
     # read_table has rejected repeated rows, naming their lines; a bad
     # strength raises here, before any output
     races = sampler._race_columns(table, spec, SeedContext(seed=args.seed), args.replicates)
@@ -476,10 +468,9 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_update(args) -> int:
+def cmd_update(args, spec: ModelSpec) -> int:
     from .dynamic import DynamicTable, RowNotFoundError
 
-    spec = _model_from_args(args)
     table = DynamicTable(spec, SeedContext(seed=args.seed))
     warned = False
     stream = open(args.input, "rb") if args.input else sys.stdin.buffer
@@ -520,23 +511,14 @@ def cmd_update(args) -> int:
     return EXIT_STREAM if warned else EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, spec: ModelSpec) -> int:
     from . import validation
 
-    spec = _model_from_args(args)
     if args.quick:
         print("WARNING: reduced-power run (--quick); sample sizes are cut down")
     if args.input:
-        try:
-            table = read_table(args.input)
-        except (OSError, CliParseError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            results = validation.check_input_groups(table, spec, args.seed, args.quick)
-        except ValueError as err:  # a bad strength
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_DOMAIN
+        table = read_table(args.input)
+        results = validation.check_input_groups(table, spec, args.seed, args.quick)
     else:
         results = validation.run_battery(base_seed=args.seed, quick=args.quick)
     failures = 0
@@ -552,11 +534,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, spec: ModelSpec) -> int:
     from .dynamic import DynamicTable
     from .validation import _update_stream
 
-    table = DynamicTable(_model_from_args(args), SeedContext(seed=args.seed))
+    table = DynamicTable(spec, SeedContext(seed=args.seed))
     case_counts: dict[str, int] = {}
     case_cost: dict[str, int] = {}
     for report in _update_stream(table, np.random.default_rng(args.seed), args.updates):
@@ -629,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = ModelSpec(Family(args.model), scale_c=args.scale, offset_d=args.offset)
+        return args.func(args, spec)
     except FamilyDomainError as err:  # a bad --scale, --offset or strength
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -637,6 +620,10 @@ def main(argv: list[str] | None = None) -> int:
         # stdout's buffer is flushed again at exit, so send what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    # a file not read or written, or a bad row; below BrokenPipeError, itself an OSError
+    except (OSError, CliParseError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def run() -> NoReturn:

@@ -234,6 +234,7 @@ class _Law:
     rules: tuple  # the strength domain: the rules above, checked in this order
     to_alpha: Callable  # (spec, strength) -> weight
     from_alpha: Callable  # (spec, weight) -> strength
+    log_ratio: Callable  # (spec, strength, top) -> log(weight(strength) / weight(top))
     key: Callable
     order_key: Callable | None = None  # the ranking kernel; None: ``key`` itself
     orientation: Orientation = Orientation.MAX
@@ -248,6 +249,11 @@ class _Law:
 
 def _weight(spec, x):
     return x.astype(np.float64)
+
+
+def _log_weight_ratio(spec, x, top):
+    """``log(x / top)`` of positive ``x``, with no quotient to under- or overflow."""
+    return np.log(x) - np.log(top)
 
 
 def _pow(x, e):
@@ -287,12 +293,14 @@ def _expmin(s, c, u, out=None):  # -log(u) / s
 _LAWS = {
     Family.CANONICAL: _Law(
         strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
-        key=lambda s, c, u: u ** (1.0 / s), order_key=_canonical_order,
+        log_ratio=_log_weight_ratio, key=lambda s, c, u: u ** (1.0 / s),
+        order_key=_canonical_order,
     ),
     Family.GUMBEL1: _Law(
         strength_sign=0.0, rules=(_FINITE,),
         to_alpha=lambda spec, s: np.exp((s - spec.offset_d) / spec.scale_c),
         from_alpha=lambda spec, a: spec.scale_c * np.log(a) + spec.offset_d,
+        log_ratio=lambda spec, s, top: (s - top) / spec.scale_c,
         key=_gumbel1,
     ),
     Family.FRECHET2: _Law(
@@ -300,6 +308,7 @@ _LAWS = {
         rules=(_FINITE, _MASS, (lambda s: s > 0.0, FamilyDomainError, _SIGN_OF_D)),
         to_alpha=lambda spec, s: (s / spec.offset_d) ** (1.0 / spec.scale_c),
         from_alpha=lambda spec, a: spec.offset_d * a ** spec.scale_c,
+        log_ratio=lambda spec, s, top: _log_weight_ratio(spec, s, top) / spec.scale_c,
         key=_frechet2,
         offset_d=1.0,
         offset_rule=(lambda d: d > 0, "frechet2 records positive strengths: offset_d must be > 0"),
@@ -309,13 +318,15 @@ _LAWS = {
         rules=(_FINITE, _MASS, (lambda s: s < 0.0, FamilyDomainError, _SIGN_OF_D)),
         to_alpha=lambda spec, s: (s / spec.offset_d) ** (-1.0 / spec.scale_c),
         from_alpha=lambda spec, a: spec.offset_d * a ** (-spec.scale_c),
+        log_ratio=lambda spec, s, top: _log_weight_ratio(spec, -top, -s) / spec.scale_c,
         key=_negexp,
         offset_d=-1.0,
         offset_rule=(lambda d: d < 0, "negexp records negative strengths: offset_d must be < 0"),
     ),
     Family.EXPMIN: _Law(
         strength_sign=1.0, rules=(_FINITE, _WEIGHT), to_alpha=_weight, from_alpha=_weight,
-        key=_expmin, orientation=Orientation.MIN, scale_positive=False,
+        log_ratio=_log_weight_ratio, key=_expmin, orientation=Orientation.MIN,
+        scale_positive=False,
     ),
 }
 
@@ -380,6 +391,22 @@ def strength_to_alpha(spec: ModelSpec, strength):
     scalar = np.isscalar(strength)
     s = _check_strengths(spec, strength)
     return _maybe_scalar(_LAWS[spec.family].to_alpha(spec, s), scalar)
+
+
+def _win_probabilities(spec: ModelSpec, strengths) -> np.ndarray:
+    """Each strength's chance to win a race of them all: its weight over their sum.
+
+    A weight grows with its strength in every family, so each is taken as
+    ``exp`` of its log ratio to the largest, at most 0: weights past the
+    float range (gumbel1 strengths 800 and 1) still give probabilities.
+    A bad strength raises as in :func:`strength_to_alpha`.
+    """
+    s = _check_strengths(spec, strengths)
+    if not s.size:  # no outcomes, and no largest weight
+        return s
+    with np.errstate(over="ignore"):  # a log ratio below the float range is -inf
+        weights = np.exp(_LAWS[spec.family].log_ratio(spec, s, s.max()))
+    return weights / weights.sum()
 
 
 def alpha_to_strength(spec: ModelSpec, alpha):

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import ModelSpec, strength_to_alpha
+from .families import ModelSpec, _win_probabilities
 from .sampler import replicate_winners
 
 __all__ = [
@@ -220,8 +220,7 @@ def run_choice_experiment(
     strengths = np.asarray(strengths, dtype=np.float64)
     if labels is None:
         labels = [f"c{i:02d}" for i in range(strengths.size)]
-    alphas = np.asarray(strength_to_alpha(spec, strengths), dtype=np.float64)
-    probs = alphas / alphas.sum()
+    probs = _win_probabilities(spec, strengths)
     winners = replicate_winners(spec, list(labels), strengths, seed, replicates)
     counts = np.bincount(winners, minlength=strengths.size)
     return chi_square_gof(counts, probs)

@@ -34,6 +34,7 @@ from .families import (
     ModelSpec,
     Orientation,
     _check_strengths,
+    _win_probabilities,
     alpha_to_strength,
     key_canonical,
     key_expmin,
@@ -41,7 +42,6 @@ from .families import (
     key_gumbel1,
     key_negexp,
     log_key_canonical,
-    strength_to_alpha,
 )
 from .sampler import (
     CodedTable,
@@ -536,8 +536,7 @@ def check_input_groups(table: CodedTable, spec: ModelSpec, seed: int,
     results = []
     for gid, rows in sorted(runs.items()):
         strengths = table.strengths[rows]
-        alphas = strength_to_alpha(spec, strengths)
-        cells, probs = _cells(alphas / alphas.sum(), replicates)
+        cells, probs = _cells(_win_probabilities(spec, strengths), replicates)
         if probs.size == 1:
             results.append(CriterionResult(f"group-{gid}", True, "one cell: nothing to test"))
             continue

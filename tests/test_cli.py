@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -710,3 +711,67 @@ def test_run_freezes_only_after_main_returns(worked_example_csv, monkeypatch, ca
             cli.run()
         assert exited.value.code == cli.EXIT_OK and freeze.call_count == 1
     assert capsys.readouterr().out == EXPECTED_WORKED_OUTPUT
+
+
+def _open_error(path, mode: str) -> str:
+    """The ``error:`` line of the OSError that opening ``path`` raises."""
+    with pytest.raises(OSError) as raised:
+        open(path, mode)
+    return f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_update_input_not_opened_is_a_parse_error(tmp_path, capsys, where):
+    path = tmp_path / "nope.txt" if where == "missing" else tmp_path
+    assert cli.main(["update", str(path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", _open_error(path, "rb"))
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_sample_output_not_opened_is_a_parse_error(worked_example_csv, tmp_path, capsys,
+                                                   where):
+    out = tmp_path / "nope" / "out.txt" if where == "missing-directory" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["sample", "--inject-keys", str(worked_example_csv), "-o", str(out)]) == (
+        cli.EXIT_PARSE)
+    assert capsys.readouterr() == ("", _open_error(out, "w"))
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["sample"], ""),
+    (["validate", "--quick", "--input"],
+     "WARNING: reduced-power run (--quick); sample sizes are cut down\n"),
+], ids=["sample", "validate"])
+def test_missing_table_is_a_parse_error(tmp_path, capsys, argv, out):
+    path = tmp_path / "nope.csv"
+    assert cli.main([*argv, str(path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == (out, _open_error(path, "rb"))
+
+
+@pytest.mark.parametrize("argv", [["sample", "TABLE"], ["update", "TABLE"], ["validate"],
+                                  ["validate", "--input", "TABLE"], ["bench"]])
+def test_bad_scale_is_a_domain_error_in_every_command(worked_example_csv, capsys, argv):
+    argv = [str(worked_example_csv) if arg == "TABLE" else arg for arg in argv]
+    assert cli.main([*argv, "--model", "gumbel1", "--scale", "-1"]) == cli.EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: scale_c must be positive for gumbel1, got -1.0\n")
+
+
+@pytest.mark.parametrize("model, rows, criterion", [
+    ("gumbel1", "g,a,800\ng,b,1\n", "CRITERION group-g PASS p=NA"),
+    ("canonical", "g,a,1e308\ng,b,1e308\n", "CRITERION group-g PASS p=0.88866"),
+], ids=["gumbel1-800", "canonical-1e308"])
+def test_validate_input_takes_weights_past_the_float_range(tmp_path, capsys, model, rows,
+                                                           criterion):
+    """A table whose weights overflow float64 is one that ``sample`` races: ``validate``
+    tests it too, with no overflow or invalid value on the way."""
+    path = tmp_path / "t.csv"
+    path.write_text("ID,QUAL,Strength\n" + rows, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sample", "--model", model, str(path)]) == cli.EXIT_OK
+        assert cli.main(["validate", "--quick", "--model", model, "--input", str(path)]) == (
+            cli.EXIT_OK)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-2:] == [criterion, "1/1 criteria passed"]

@@ -6,6 +6,7 @@ Reference values marked "frozen" were computed independently with
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from keyrace.families import (
     ModelSpec,
     Orientation,
     _order_keys,
+    _win_probabilities,
     alpha_to_strength,
     key_canonical,
     key_expmin,
@@ -190,6 +192,35 @@ class TestStrengthToAlpha:
         alphas = np.exp(np.linspace(np.log(0.05), np.log(50.0), 23))
         back = strength_to_alpha(spec, alpha_to_strength(spec, alphas))
         np.testing.assert_allclose(back, alphas, rtol=1e-12)
+
+
+class TestWinProbabilities:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_weights_over_their_sum(self, family):
+        spec = ModelSpec(family, scale_c=0.6)
+        alphas = np.exp(np.linspace(np.log(0.05), np.log(50.0), 23))
+        strengths = alpha_to_strength(spec, alphas)
+        np.testing.assert_allclose(_win_probabilities(spec, strengths),
+                                   alphas / alphas.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("spec, strengths, probs", [
+        (ModelSpec(Family.GUMBEL1), [800.0, 1.0], [1.0, 0.0]),
+        (ModelSpec(Family.GUMBEL1), [-1e308, 1e308], [0.0, 1.0]),
+        (ModelSpec(Family.GUMBEL1, scale_c=1e-309), [2.0, 3.0], [0.0, 1.0]),
+        (ModelSpec(Family.CANONICAL), [1e308, 1e308], [0.5, 0.5]),
+        (ModelSpec(Family.EXPMIN), [5e-324, 1e308], [0.0, 1.0]),
+        (ModelSpec(Family.FRECHET2, scale_c=1e-300), [1.0, 2.0, 2.0], [0.0, 0.5, 0.5]),
+        (ModelSpec(Family.NEGEXP, scale_c=1e-300), [-1.0, -2.0], [1.0, 0.0]),
+    ], ids=["gumbel1-800", "gumbel1-range", "gumbel1-tiny-c", "canonical-1e308",
+            "expmin-range", "frechet2-tiny-c", "negexp-tiny-c"])
+    def test_weights_past_the_float_range(self, spec, strengths, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid value on the way
+            assert _win_probabilities(spec, strengths).tolist() == probs
+
+    def test_bad_strength_raises_as_strength_to_alpha_does(self):
+        with pytest.raises(FamilyDomainError, match="must be positive, got -1.0"):
+            _win_probabilities(ModelSpec(Family.CANONICAL), [1.0, -1.0])
 
 
 class TestModelSpec:

@@ -6,6 +6,7 @@ none of the kernels here is ever validated against itself.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestChoiceExperiment:
         a = run_choice_experiment(ModelSpec(Family.CANONICAL), [1, 2, 3], 5_000, seed=4)
         b = run_choice_experiment(ModelSpec(Family.CANONICAL), [1, 2, 3], 5_000, seed=4)
         assert a == b
+
+    def test_weights_past_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid value on the way
+            report = run_choice_experiment(ModelSpec(Family.CANONICAL), [1e308, 1e308],
+                                           replicates=5_000, seed=6)
+        assert report.df == 1 and not report.reject_at(1e-3)
+
+    def test_no_strengths_raise_as_the_race_does(self):
+        with pytest.raises(ValueError, match="need at least one label"):
+            run_choice_experiment(ModelSpec(Family.CANONICAL), [], 100, seed=5)
 
     def test_insufficient_replicates_raise(self):
         with pytest.raises(ValueError, match="expected count"):
