@@ -514,13 +514,13 @@ def cmd_update(args, spec: ModelSpec) -> int:
 def cmd_validate(args, spec: ModelSpec) -> int:
     from . import validation
 
-    if args.quick:
-        print("WARNING: reduced-power run (--quick); sample sizes are cut down")
     if args.input:
         table = read_table(args.input)
         results = validation.check_input_groups(table, spec, args.seed, args.quick)
     else:
         results = validation.run_battery(base_seed=args.seed, quick=args.quick)
+    if args.quick:  # only once every result is in, so a failed run prints nothing
+        print("WARNING: reduced-power run (--quick); sample sizes are cut down")
     failures = 0
     for res in results:
         p = f"{res.p_value:.6g}" if res.p_value is not None else "NA"

@@ -48,6 +48,7 @@ the partitioning.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import mmap
@@ -318,12 +319,14 @@ class CodedTable:
     Row i is ``(group_names[group_codes[i]], label_names[label_codes[i]],
     strengths[i])``, with distinct names, as :func:`code_ids` makes them.
     ``keys``, when given, are injected keys that stand in for generated
-    ones.  Building a table with a column that is not 1-D or of another
-    length, or with a code that indexes no name, raises ``ValueError``, as
-    does one that repeats a pair, naming the first repeat; then one with a
-    name that is not a ``str`` raises ``TypeError``, and one with a
-    non-finite injected key raises :class:`FamilyDomainError` naming its
-    ``(group_id, label)``, so a table once built is never checked again.
+    ones.  Building a table with a non-empty code column that is not of an
+    integer dtype, a column that is not 1-D or of another length, or a
+    code that indexes no name raises ``ValueError``, as does one that
+    repeats a pair, naming the first repeat; then one with a name that is
+    not a ``str`` raises ``TypeError``, one that repeats a name
+    ``ValueError`` naming it, and one with a non-finite injected key
+    :class:`FamilyDomainError` naming its ``(group_id, label)``, so a table
+    once built is never checked again.
     """
 
     group_codes: np.ndarray
@@ -337,6 +340,10 @@ class CodedTable:
         columns = {"group_codes": np.intp, "label_codes": np.intp, "strengths": np.float64}
         if self.keys is not None:
             columns["keys"] = np.float64
+        for name in ("group_codes", "label_codes"):
+            codes = np.asarray(getattr(self, name))
+            if codes.size and not np.issubdtype(codes.dtype, np.integer):
+                raise ValueError(f"a table's codes must be integers, got {codes.dtype}")
         for name, dtype in columns.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if any(getattr(self, name).ndim != 1 for name in columns):
@@ -353,6 +360,9 @@ class CodedTable:
         for names in (self.group_names, self.label_names):
             if not all(map(isinstance, names, itertools.repeat(str))):
                 raise _str_type_error(next(s for s in names if not isinstance(s, str)))
+            if len(set(names)) < len(names):
+                repeat = next(s for s, n in collections.Counter(names).items() if n > 1)
+                raise ValueError(f"a table's names must be distinct, {repeat!r} repeats")
         if self.keys is not None:
             bad = np.flatnonzero(~np.isfinite(self.keys))
             if bad.size:
@@ -651,10 +661,17 @@ def merge_winner_maps(
 
     Each winner is one candidate row, refused as :func:`reduce_winners`
     refuses a row: two maps whose winners of one group share a label hold
-    one row twice, so they raise ``ValueError`` naming it.
+    one row twice, so they raise ``ValueError`` naming it.  A map's key
+    that is not its winner's ``group_id`` raises ``ValueError`` naming it.
     """
-    return _fold([(w.group_id, w.label, w.key, w.row_count, w.order_key)
-                  for partial in maps for w in partial.values()], orientation)
+    candidates = []
+    for partial in maps:
+        for key, w in partial.items():
+            if key != w.group_id:
+                raise ValueError(f"winner map key {key!r} is not its winner's "
+                                 f"group_id {w.group_id!r}")
+            candidates.append((w.group_id, w.label, w.key, w.row_count, w.order_key))
+    return _fold(candidates, orientation)
 
 
 def sample(

@@ -9,14 +9,22 @@ its strengths checked first as the sampler checks them.  The CLI
 suite asserts on the same functions, so there is exactly one
 implementation of every check.
 
-Statistical criteria run at significance 1e-3 with sample sizes chosen so
-that a correct implementation fails with negligible probability; where a
-criterion repeats over 20 seeds, a single rejection is tolerated (the
-expected false-positive count under the null is 0.02).  A user's table
-is tested at the same level as a whole: each of its groups at 1e-3 over
-the number of groups (Bonferroni), its least likely labels pooled into
-one cell until every cell expects at least 5 wins (Cochran's rule), and
-a group left with one cell passes with no p-value.
+Every statistical criterion gets its verdict from one of two helpers,
+with sample sizes chosen so that a correct implementation fails with
+negligible probability:
+
+- :func:`_verdict`: a test passes when it does not reject at
+  ``SIGNIFICANCE`` (1e-3), and a power twin, which must see a wrong law,
+  passes when its test does reject.  Each group of a user's table is
+  tested at ``SIGNIFICANCE`` divided by the number of groups
+  (Bonferroni), so the table as a whole is tested at ``SIGNIFICANCE``.
+- :func:`_repeated`: a criterion repeated over seeds allows one
+  rejection at ``SIGNIFICANCE`` (over 20 seeds, 0.02 are expected under
+  the null) and reports the smallest p-value.
+
+A group's least likely labels are pooled into one cell until every cell
+expects at least 5 wins (Cochran's rule), and a group left with one cell
+passes with no p-value.
 """
 
 from __future__ import annotations
@@ -171,8 +179,20 @@ class CriterionResult:
     p_value: float | None = None
 
 
-def model_for(family: Family) -> ModelSpec:
-    return ModelSpec(family, scale_c=1.0)
+def _verdict(name: str, report: stats.GofReport, detail: str, must_reject: bool = False,
+             level: float = SIGNIFICANCE) -> CriterionResult:
+    """The criterion that passes when ``report`` does not reject at ``level``, or, for a
+    power twin (``must_reject``), when it does; it carries the report's p-value."""
+    return CriterionResult(name, report.reject_at(level) == must_reject, detail,
+                           p_value=report.p_value)
+
+
+def _repeated(name: str, reports: list[stats.GofReport], what: str) -> CriterionResult:
+    """The criterion over seeded repetitions of one test: at most one of ``reports``
+    rejects at ``SIGNIFICANCE``.  It carries the smallest p-value."""
+    rejections = sum(report.reject_at(SIGNIFICANCE) for report in reports)
+    return CriterionResult(name, rejections <= 1, f"{rejections}/{len(reports)} {what}",
+                           p_value=min((report.p_value for report in reports), default=1.0))
 
 
 def worked_example_keyed_rows() -> list[KeyedRow]:
@@ -196,29 +216,16 @@ def check_choice_probabilities(
     weight vector; at most one chi-square rejection per configuration."""
     results = []
     for fam_index, family in enumerate(ALL_FAMILIES):
-        spec = model_for(family)
+        spec = ModelSpec(family)
         for weights in WEIGHT_VECTORS:
             strengths = alpha_to_strength(spec, np.asarray(weights))
-            rejections = 0
-            min_p = 1.0
-            for s in range(n_seeds):
-                # distinct seeds per family: identical seeds would re-race
-                # the same uniforms through monotone-equivalent keys
-                report = stats.run_choice_experiment(
-                    spec, strengths, replicates, seed=base_seed + 7919 * s + 104729 * fam_index + 1
-                )
-                min_p = min(min_p, report.p_value)
-                if report.reject_at(SIGNIFICANCE):
-                    rejections += 1
+            # distinct seeds per family: identical seeds would re-race
+            # the same uniforms through monotone-equivalent keys
+            reports = [stats.run_choice_experiment(
+                spec, strengths, replicates, seed=base_seed + 7919 * s + 104729 * fam_index + 1)
+                for s in range(n_seeds)]
             name = f"choice-{family.value}-" + "x".join(f"{w:g}" for w in weights)
-            results.append(
-                CriterionResult(
-                    name,
-                    rejections <= 1,
-                    f"{rejections}/{n_seeds} rejections at {SIGNIFICANCE:g}",
-                    p_value=min_p,
-                )
-            )
+            results.append(_repeated(name, reports, f"rejections at {SIGNIFICANCE:g}"))
     return results
 
 
@@ -229,23 +236,13 @@ def check_softmax_identity(
     softmax winner law (0.0900, 0.2447, 0.6652)."""
     softmax = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
     spec = ModelSpec(Family.GUMBEL1, scale_c=1.0)
-    rejections = 0
-    min_p = 1.0
+    reports = []
     for s in range(n_seeds):
         winners = replicate_winners(
             spec, ["a", "b", "c"], [0.0, 1.0, 2.0], base_seed + 104729 * s + 3, replicates
         )
-        counts = np.bincount(winners, minlength=3)
-        report = stats.chi_square_gof(counts, softmax)
-        min_p = min(min_p, report.p_value)
-        if report.reject_at(SIGNIFICANCE):
-            rejections += 1
-    return CriterionResult(
-        "softmax-identity",
-        rejections <= 1,
-        f"{rejections}/{n_seeds} rejections vs softmax(0,1,2)",
-        p_value=min_p,
-    )
+        reports.append(stats.chi_square_gof(np.bincount(winners, minlength=3), softmax))
+    return _repeated("softmax-identity", reports, "rejections vs softmax(0,1,2)")
 
 
 def check_max_stability(base_seed: int, n: int = 20_000) -> list[CriterionResult]:
@@ -260,18 +257,9 @@ def check_max_stability(base_seed: int, n: int = 20_000) -> list[CriterionResult
     pos = stats.ks_two_sample(merged, direct)
     neg = stats.ks_two_sample(key_canonical(1.0, u1), key_canonical(4.0, u4))
     return [
-        CriterionResult(
-            "max-stability",
-            not pos.reject_at(SIGNIFICANCE),
-            f"D={pos.statistic:.5f} for 1+2 vs 3",
-            p_value=pos.p_value,
-        ),
-        CriterionResult(
-            "max-stability-power",
-            neg.reject_at(SIGNIFICANCE),
-            f"D={neg.statistic:.5f} for 1 vs 4 (must reject)",
-            p_value=neg.p_value,
-        ),
+        _verdict("max-stability", pos, f"D={pos.statistic:.5f} for 1+2 vs 3"),
+        _verdict("max-stability-power", neg, f"D={neg.statistic:.5f} for 1 vs 4 (must reject)",
+                 must_reject=True),
     ]
 
 
@@ -282,14 +270,8 @@ def check_representation_law(base_seed: int, n: int = 10_000) -> list[CriterionR
         u = replicate_uniforms(base_seed, "rep", f"a{alpha:g}", n)
         keys = key_canonical(alpha, u)
         report = stats.ks_one_sample(keys, lambda t, a=alpha: np.clip(t, 0.0, 1.0) ** a)
-        results.append(
-            CriterionResult(
-                f"representation-alpha-{alpha:g}",
-                not report.reject_at(SIGNIFICANCE),
-                f"D={report.statistic:.5f} vs t^{alpha:g}",
-                p_value=report.p_value,
-            )
-        )
+        results.append(_verdict(f"representation-alpha-{alpha:g}", report,
+                                f"D={report.statistic:.5f} vs t^{alpha:g}"))
     return results
 
 
@@ -362,7 +344,7 @@ def check_dynamic_vs_scratch(
     step and the last."""
     results = []
     for fam_index, family in enumerate(families):
-        spec = model_for(family)
+        spec = ModelSpec(family)
         table = DynamicTable(spec, SeedContext(seed=base_seed))
         rng = np.random.default_rng(base_seed + 1009 * fam_index)
         mismatches = 0
@@ -390,33 +372,18 @@ def check_alias_vs_race(base_seed: int, n: int = 60_000) -> list[CriterionResult
     alias_counts = np.bincount(
         baselines.sample_alias_indices(table, rng.random(n), rng.random(n)), minlength=3
     )
-    spec = model_for(Family.CANONICAL)
+    spec = ModelSpec(Family.CANONICAL)
     race_counts = np.bincount(
         replicate_winners(spec, ["a", "b", "c"], list(weights), base_seed + 13, n),
         minlength=3,
     )
-    alias_rep = stats.chi_square_gof(alias_counts, probs)
-    race_rep = stats.chi_square_gof(race_counts, probs)
-    both_rep = stats.chi_square_two_sample(alias_counts, race_counts)
     return [
-        CriterionResult(
-            "alias-gof",
-            not alias_rep.reject_at(SIGNIFICANCE),
-            f"alias counts {alias_counts.tolist()}",
-            p_value=alias_rep.p_value,
-        ),
-        CriterionResult(
-            "race-gof",
-            not race_rep.reject_at(SIGNIFICANCE),
-            f"race counts {race_counts.tolist()}",
-            p_value=race_rep.p_value,
-        ),
-        CriterionResult(
-            "alias-vs-race",
-            not both_rep.reject_at(SIGNIFICANCE),
-            "two-sample chi-square between the samplers",
-            p_value=both_rep.p_value,
-        ),
+        _verdict("alias-gof", stats.chi_square_gof(alias_counts, probs),
+                 f"alias counts {alias_counts.tolist()}"),
+        _verdict("race-gof", stats.chi_square_gof(race_counts, probs),
+                 f"race counts {race_counts.tolist()}"),
+        _verdict("alias-vs-race", stats.chi_square_two_sample(alias_counts, race_counts),
+                 "two-sample chi-square between the samplers"),
     ]
 
 
@@ -543,11 +510,8 @@ def check_input_groups(table: CodedTable, spec: ModelSpec, seed: int,
         labels = list(map(table.label_names.__getitem__, table.label_codes[rows].tolist()))
         winners = replicate_winners(spec, labels, strengths, seed, replicates, group_id=gid)
         report = stats.chi_square_gof(np.bincount(cells[winners], minlength=probs.size), probs)
-        results.append(CriterionResult(
-            f"group-{gid}",
-            not report.reject_at(level),
+        results.append(_verdict(
+            f"group-{gid}", report,
             f"chi-square {report.statistic:.5g} on {report.df} df over {replicates} races, "
-            f"per-group level {SIGNIFICANCE:g}/{len(runs)} = {level:.3g}",
-            p_value=report.p_value,
-        ))
+            f"per-group level {SIGNIFICANCE:g}/{len(runs)} = {level:.3g}", level=level))
     return results

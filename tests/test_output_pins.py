@@ -1,11 +1,13 @@
-"""The output spec, pinned: SHA-256 digests of what ``sample``, ``update`` and
-``replicate_winners`` give on inputs generated here from fixed seeds.
+"""The output spec, pinned: SHA-256 digests of what ``sample``, ``update``,
+``replicate_winners`` and the library race (``sample_arrays``, ``merge_winner_maps``
+and ``reduce_winners``) give on inputs generated here from fixed seeds.
 
 Each input's own digest is pinned too, so a changed generator is told apart
 from a changed output.  Key bytes move with numpy's CPU dispatch, so no pin
 holds a generated key: ``sample`` runs without ``--with-key`` (only the
-``--inject-keys`` table, whose keys are its input, writes them), and each
-``update`` line has its key field cut.  A change that moves an output on
+``--inject-keys`` table, whose keys are its input, writes them), each
+``update`` line has its key field cut, and the library race pins each group's
+winning label and row count only.  A change that moves an output on
 purpose edits its pin and says so in CHANGES.md.
 """
 
@@ -19,9 +21,19 @@ from unittest import mock
 
 import pytest
 
+import numpy as np
+
 from keyrace import cli, sampler
 from keyrace.families import Family, ModelSpec
-from keyrace.sampler import replicate_winners
+from keyrace.sampler import (
+    Row,
+    SeedContext,
+    assign_keys,
+    merge_winner_maps,
+    reduce_winners,
+    replicate_winners,
+    sample_arrays,
+)
 
 FAMILIES = [family.value for family in Family]
 _LABELS = [f"q{i:02d}" for i in range(16)] + ["ü label", "日本"]
@@ -136,6 +148,18 @@ def _winners(family: str) -> str:
     return _sha(winners.astype("<i8").tobytes())
 
 
+def _columns(table: bytes) -> tuple[list[str], list[str], np.ndarray]:
+    """A ``_table``'s rows as ``sample_arrays``' columns."""
+    rows = list(csv.reader(io.StringIO(table.decode("utf-8"))))[1:]
+    return [r[0] for r in rows], [r[1] for r in rows], np.array([float(r[2]) for r in rows])
+
+
+def _race(winners: dict) -> str:
+    """The digest of each group's winning label and row count, in group id order."""
+    return _sha("".join(f"{gid}\t{w.label}\t{w.row_count}\n"
+                        for gid, w in sorted(winners.items())))
+
+
 INPUTS = {
     "table-+1": "3e5418c7675d2d4fc5ba4c6e4e2c12eb5a40c66861d0c272f80b1854bc0205b2",
     "table--1": "15ca45e90890976ab3df14bc68267e5d687b69e466b715b45a1cffdbe7aa4798",
@@ -185,6 +209,16 @@ WINNERS = {
 }
 
 
+# sample_arrays, a merge of its slices and reduce_winners of assign_keys race the same keys
+LIBRARY = {
+    "canonical": "b1d092f92e9d5651553d37b596112ef112c9a383a3a832954b36ce7c14d7e7be",
+    "gumbel1": "265e1431ca545b232f29bc9626e810df32e9eec3e3cb5bf62e1ed60db4a4b889",
+    "frechet2": "b1d092f92e9d5651553d37b596112ef112c9a383a3a832954b36ce7c14d7e7be",
+    "negexp": "78d2b7cf14207cc7cca0622e3135d8d5114b9b667f4f76c604d9b5f1fdd9db87",
+    "expmin": "b1d092f92e9d5651553d37b596112ef112c9a383a3a832954b36ce7c14d7e7be",
+}
+
+
 def _write(path, data: bytes, pin: str):
     assert _sha(data) == INPUTS[pin], f"input {pin} changed"
     path.write_bytes(data)
@@ -216,3 +250,21 @@ def test_update(tmp_path, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_replicate_winners(family):
     assert _winners(family) == WINNERS[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_library_race(family):
+    table = _table(family)
+    assert _sha(table) == INPUTS[f"table-{_sign(family):+g}"], "input changed"
+    groups, labels, strengths = _columns(table)
+    spec, ctx = ModelSpec(family), SeedContext(7, 2)
+    whole = sample_arrays(groups, labels, strengths, spec, ctx)
+    assert _race(whole) == LIBRARY[family]
+    # three slices, the cuts inside groups, merge to the whole table's winners
+    cuts = [0, 1000, 2000, len(groups)]
+    assert groups[999] == groups[1000] and groups[1999] == groups[2000]
+    merged = merge_winner_maps([sample_arrays(groups[a:b], labels[a:b], strengths[a:b], spec, ctx)
+                                for a, b in zip(cuts, cuts[1:])], spec.orientation)
+    assert merged == whole
+    keyed = assign_keys([Row(*row) for row in zip(groups, labels, strengths.tolist())], spec, ctx)
+    assert _race(reduce_winners(keyed, spec.orientation)) == LIBRARY[family]

@@ -628,6 +628,30 @@ class TestInputContracts:
             CodedTable(np.array(group_codes), ["g", "h"], np.array(label_codes), ["a", "b"],
                        np.ones(2))
 
+    @pytest.mark.parametrize("group_names, label_codes, label_names, repeat", [
+        (["g", "g"], [0, 0], ["a"], "g"),  # rows 0 and 1 are both ('g', 'a')
+        (["g", "h"], [0, 1], ["a", "a"], "a"),  # rows 0 and 1 hash to one uniform each
+    ], ids=["group", "label"])
+    def test_repeated_name_rejected(self, group_names, label_codes, label_names, repeat):
+        # a repeated name gives one (group_id, label) two codes, so no pair repeats
+        with pytest.raises(ValueError, match=f"names must be distinct, '{repeat}' repeats"):
+            CodedTable([0, 1], group_names, label_codes, label_names, [1.0, 5.0])
+
+    @pytest.mark.parametrize("group_codes, label_codes", [
+        ([0.5], [0]), ([0], [0.0]), (np.array([1.0]), np.array([0])),
+    ])
+    def test_non_integer_codes_rejected(self, group_codes, label_codes):
+        # 0.5 used to be truncated to the code 0
+        with pytest.raises(ValueError, match="codes must be integers, got float64"):
+            CodedTable(group_codes, ["g", "h"], label_codes, ["a"], [1.0])
+        # an empty column holds no code, whatever its dtype
+        assert CodedTable([], [], [], [], []).group_codes.dtype == np.intp
+
+    def test_merge_refuses_a_key_that_is_not_its_winners_group_id(self):
+        winner = GroupWinner("g", "a", 1.0, 1)
+        with pytest.raises(ValueError, match="key 'x' is not its winner's group_id 'g'"):
+            merge_winner_maps([{"g": GroupWinner("g", "b", 2.0, 1)}, {"x": winner}], "max")
+
     @pytest.mark.parametrize("entry", [sample, assign_keys])
     def test_duplicate_row_rejected_by_row_entry_points(self, entry):
         rows = [Row(g, l, 1.0) for g, l in zip(_DUP_GROUPS, _DUP_LABELS)]
