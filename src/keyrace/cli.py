@@ -45,8 +45,8 @@ replicate with one join over precomputed ``[r,]ID,`` prefixes and the
 winning labels, formatting keys only under ``--with-key``.  An id or
 label holding a comma, quote, CR or LF is written quoted, as csv.writer
 writes it, by ``sample`` and ``update`` alike; ``sample`` looks for such a
-name in one scan of all the names joined, and quotes name by name only if
-it finds one.
+name in one scan of the group ids joined, once, and of each replicate's
+winning labels joined, and quotes name by name only where a scan finds one.
 ``--replicates n`` (``sample``; n >= 0) prepares the table once and
 races it n times.  ``sample --threads N`` reads a file of two or more
 blocks in up to N pieces at once, at most one per usable CPU: the first
@@ -377,8 +377,9 @@ class _CsvReader:
         group_codes = np.concatenate(self.group_codes)  # every record batch adds one
         label_codes = np.concatenate(self.label_codes)
         try:
+            # the names are the index dicts' keys, decoded from UTF-8: distinct text
             return CodedTable(group_codes, list(self.groups), label_codes, list(self.labels),
-                              strengths, keys)
+                              strengths, keys, _distinct_names=True, _text_names=True)
         except ValueError:  # a repeated (ID, QUAL)? find it again, to name its line
             dup = sampler.first_duplicate(group_codes, label_codes, len(self.labels))
             if dup is None:
@@ -448,7 +449,7 @@ def cmd_sample(args, spec: ModelSpec) -> int:
     # segment and segment g is group g; rank the ids once for every replicate
     names = table.group_names
     ranked = sorted(range(len(names)), key=names.__getitem__)
-    group_fields, label_fields = _csv_fields(names), _csv_fields(table.label_names)
+    group_fields = _csv_fields(names)
     gid_prefixes = [group_fields[g] + "," for g in ranked]
     by_id = np.array(ranked, dtype=np.intp)
 
@@ -457,7 +458,8 @@ def cmd_sample(args, spec: ModelSpec) -> int:
         for replicate, winners in enumerate(races):
             prefixes = ([f"{replicate},{p}" for p in gid_prefixes] if args.replicates > 1
                         else gid_prefixes)
-            labels = map(label_fields.__getitem__, winners.label_codes[by_id].tolist())
+            labels = _csv_fields(list(map(table.label_names.__getitem__,
+                                          winners.label_codes[by_id].tolist())))
             lines = (map("{}{},{!r}".format, prefixes, labels, winners.keys[by_id].tolist())
                      if args.with_key else map(add, prefixes, labels))
             if ranked:

@@ -11,9 +11,10 @@ table's.
 Every entry point, the merges included, holds its rows as one
 :class:`CodedTable`: exact integer group and label codes plus the
 distinct ids, built with no ``(group_id, label)`` pair twice, since the
-pair is what a row's uniform is hashed from, with ``str`` ids only and
-with no non-finite injected key.  The CLI codes the rows while reading
-and races its table with :func:`_race_columns`; the library entry points
+pair is what a row's uniform is hashed from, with ``str`` ids only, each
+one UTF-8 encodes, and with no non-finite injected key.  The CLI codes
+the rows while reading, as distinct decoded text that is not checked
+again, and races its table with :func:`_race_columns`; the library entry points
 and the merges code theirs with :meth:`CodedTable.from_ids`.  A call is
 prepared once and raced once per replicate.  Preparing checks the
 strengths and digests each distinct id once, in numpy.  The rows are
@@ -48,6 +49,7 @@ the partitioning.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -56,7 +58,7 @@ import operator
 import os
 import pickle
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -147,51 +149,87 @@ def _str_type_error(s) -> TypeError:
     return TypeError(f"group ids and labels must be str, got {type(s).__name__} {s!r}")
 
 
+def _utf8_error(s: str) -> ValueError:
+    return ValueError(f"group ids and labels must encode as UTF-8, got {s!r}")
+
+
+def _check_text(names: Sequence) -> None:
+    """Raise for the first name that is not a ``str`` (``TypeError``), else for the first
+    that UTF-8 cannot encode, as a lone surrogate (``ValueError``); both name it."""
+    try:
+        text = "".join(names)
+    except TypeError:
+        raise _str_type_error(next(s for s in names if not isinstance(s, str))) from None
+    if text.isascii():  # a flag the str keeps: no scan
+        return
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:  # name the id that holds the first bad character
+        ends = list(itertools.accumulate(map(len, names)))
+        raise _utf8_error(names[bisect.bisect_right(ends, err.start)]) from None
+
+
 def _string_digest(s: str) -> int:
     """64-bit digest of a string: length then 8-byte chunks, mixed stepwise.
 
-    The scalar reference; :func:`_string_digests` is its vectorized twin.
+    The scalar reference; :func:`_digests_at` is its vectorized twin.
     """
     if not isinstance(s, str):
         raise _str_type_error(s)
-    data = s.encode("utf-8")
+    try:
+        data = s.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _utf8_error(s) from None
     h = _mix64(_GOLDEN ^ len(data))
     for i in range(0, len(data), 8):
         h = _mix64(h ^ int.from_bytes(data[i : i + 8], "little"))
     return h
 
 
+def _digests_at(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``_string_digest`` of the strings encoded at ``data[starts[i]:][:lengths[i]]``,
+    as a uint64 array; ``data`` runs on for at least 7 bytes past each string.
+
+    Word j of a string is loaded straight from ``data``, through a view of
+    little-endian words that starts at every byte.  While every string has
+    a whole word j, all are mixed at once; then word j is mixed only into
+    the strings that reach it, a last word masked to the string's own bytes.
+    """
+    words = np.ndarray(len(data) - 7, dtype="<u8", buffer=data, strides=(1,))
+    out = _mix64_array(np.uint64(_GOLDEN) ^ lengths.astype(np.uint64))
+    if not lengths.size:
+        return out
+    j = int(lengths.min()) >> 3  # words every string has whole
+    for k in range(j):
+        _mix64_array(np.bitwise_xor(out, words[starts + 8 * k], out=out))
+    live = np.flatnonzero(lengths > 8 * j)
+    while live.size:
+        left = lengths[live] - 8 * j
+        # a last word of fewer than 8 bytes keeps its low ones: shift out the others
+        short = (8 - np.minimum(left, 8)).astype(np.uint64) << np.uint64(3)
+        out[live] = _mix64_array(out[live] ^ (words[starts[live] + 8 * j] << short >> short))
+        live, j = live[left > 8], j + 1
+    return out
+
+
 def _string_digests(strings: Sequence[str]) -> np.ndarray:
     """``[_string_digest(s) for s in strings]`` as a uint64 array, in numpy.
 
-    Strings are grouped by their 8-byte word count rounded up to a power
-    of two, so a buffer row is at most twice its string (plus one word)
-    and one long id does not widen every row.  Each class is a NUL-padded
-    ``S{8w}`` buffer viewed as little-endian words; word j is absorbed
-    only into rows whose true byte length reaches it.  Lengths come from
-    the encoded bytes, never from numpy, which strips trailing NULs.
-    Every string must be a ``str``, as :class:`CodedTable` checks.
+    The strings are joined, with 8 NULs after the last, and encoded once,
+    and :func:`_digests_at` digests them in that one buffer.  Their byte
+    lengths are their lengths in characters unless the buffer is longer
+    than the text, when some string is not ASCII; only then is each
+    encoded on its own for its length.  Every string must be a ``str``
+    that UTF-8 encodes, as :class:`CodedTable` checks.
     """
-    data = list(map(str.encode, strings))
-    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-    out = _mix64_array(np.uint64(_GOLDEN) ^ lengths.astype(np.uint64))
-    n_words = (lengths + 7) >> 3
-    # class e holds the ids of 2**(e-1) < n <= 2**e words, e = bit_length(n - 1);
-    # empty ids have no words and no class
-    cls = np.where(n_words > 0, np.frexp(n_words - 1)[1], -1)
-    for e in np.flatnonzero(np.bincount(cls[cls >= 0])).tolist():
-        w = 1 << e
-        rows = np.flatnonzero(cls == e)
-        rows = rows[np.argsort(-n_words[rows], kind="stable")]  # longest first
-        words = np.array([data[i] for i in rows.tolist()], dtype=f"S{8 * w}")
-        words = words.view("<u8").reshape(len(rows), w)
-        live = n_words[rows]
-        h = out[rows]
-        for j in range(w):
-            k = np.count_nonzero(live > j)  # rows are longest first: a prefix
-            h[:k] = _mix64_array(h[:k] ^ words[:k, j])
-        out[rows] = h
-    return out
+    text = "".join([*strings, "\0" * 8])
+    data = text.encode("utf-8")
+    if len(data) == len(text):
+        lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    else:
+        lengths = np.fromiter(map(len, map(str.encode, strings)), dtype=np.int64,
+                              count=len(strings))
+    return _digests_at(data, np.cumsum(lengths) - lengths, lengths)
 
 
 def _to_unit(h, out=None):
@@ -323,10 +361,13 @@ class CodedTable:
     integer dtype, a column that is not 1-D or of another length, or a
     code that indexes no name raises ``ValueError``, as does one that
     repeats a pair, naming the first repeat; then one with a name that is
-    not a ``str`` raises ``TypeError``, one that repeats a name
-    ``ValueError`` naming it, and one with a non-finite injected key
-    :class:`FamilyDomainError` naming its ``(group_id, label)``, so a table
-    once built is never checked again.
+    not a ``str`` raises ``TypeError``, one with a name that UTF-8 cannot
+    encode (a lone surrogate) or that repeats a name ``ValueError`` naming
+    it, and one with a non-finite injected key :class:`FamilyDomainError`
+    naming its ``(group_id, label)``, so a table once built is never
+    checked again.  A caller whose names are a dict's keys passes
+    ``_distinct_names=True``, and one whose names are also text decoded from
+    UTF-8 ``_text_names=True``, and those names are not checked again.
     """
 
     group_codes: np.ndarray
@@ -335,8 +376,11 @@ class CodedTable:
     label_names: list[str]
     strengths: np.ndarray
     keys: np.ndarray | None = None
+    _: KW_ONLY
+    _distinct_names: InitVar[bool] = False
+    _text_names: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _distinct_names: bool, _text_names: bool) -> None:
         columns = {"group_codes": np.intp, "label_codes": np.intp, "strengths": np.float64}
         if self.keys is not None:
             columns["keys"] = np.float64
@@ -358,9 +402,9 @@ class CodedTable:
         if dup is not None:
             raise _duplicate_row(*self.row(dup))
         for names in (self.group_names, self.label_names):
-            if not all(map(isinstance, names, itertools.repeat(str))):
-                raise _str_type_error(next(s for s in names if not isinstance(s, str)))
-            if len(set(names)) < len(names):
+            if not _text_names:
+                _check_text(names)
+            if not _distinct_names and len(set(names)) < len(names):
                 repeat = next(s for s, n in collections.Counter(names).items() if n > 1)
                 raise ValueError(f"a table's names must be distinct, {repeat!r} repeats")
         if self.keys is not None:
@@ -375,7 +419,8 @@ class CodedTable:
     def from_ids(cls, group_ids: Sequence[str], labels: Sequence[str], strengths,
                  keys=None) -> CodedTable:
         """The table of parallel row arrays, coded in first-seen order."""
-        return cls(*_factorize(group_ids), *_factorize(labels), strengths, keys)
+        return cls(*_factorize(group_ids), *_factorize(labels), strengths, keys,
+                   _distinct_names=True)
 
     def row(self, i: int) -> tuple[str, str]:
         """Row i's ``(group_id, label)``."""
@@ -543,12 +588,16 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
     order, group_codes, starts = _segments(table.group_codes, len(table.group_names))
     label_codes, strengths = table.label_codes[order], table.strengths[order]
     injected_keys = None if table.keys is None else table.keys[order]
+    if injected_keys is None:  # each row's group and label digests, for every replicate
+        row_digests = digests[0][group_codes], digests[1][label_codes]
     segment_groups = group_codes[starts]
     row_counts = np.bincount(group_codes, minlength=len(table.group_names))[segment_groups]
-    for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
+    replicates = range(ctx.replicate, ctx.replicate + n_replicates)
+    for replicate in replicates:
         if injected_keys is None:
-            uniforms = _uniform(ctx.seed, replicate, 0, digests[0][group_codes],
-                                digests[1][label_codes])
+            uniforms = _uniform(ctx.seed, replicate, 0, *row_digests)
+            if replicate == replicates[-1]:  # freed before the keys, so they raise no peak
+                row_digests = None
             order_keys = _order_keys(spec, strengths, uniforms)
         else:
             order_keys = injected_keys

@@ -77,6 +77,18 @@ def _ties_table() -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _long_table() -> bytes:
+    """3000 rows of up to 500 groups, each row's label distinct and 40 to 74 UTF-8 bytes long,
+    some of them multi-byte, so that every label digest mixes several words."""
+    rng = random.Random(30)
+    lines = ["ID,QUAL,Strength"]
+    for i in range(3000):
+        tail = rng.choice(["-variant", "-ü-ü-ü", "-日本語", "-x" * rng.randint(3, 20)])
+        label = f"candidate-{i:07d}-{rng.getrandbits(64):016x}{tail}"
+        lines.append(f"doc-{int(500 * rng.random() ** 2):04d},{label},{_strength(rng, 1.0)}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _stream(family: str) -> bytes:
     """3000 ``update`` lines: upserts and deletes of quoted and plain names, deletes of
     rows not there, and malformed, non-UTF-8, bad-number, wrong-domain and blank lines."""
@@ -164,6 +176,7 @@ INPUTS = {
     "table-+1": "3e5418c7675d2d4fc5ba4c6e4e2c12eb5a40c66861d0c272f80b1854bc0205b2",
     "table--1": "15ca45e90890976ab3df14bc68267e5d687b69e466b715b45a1cffdbe7aa4798",
     "ties": "63c0caf30d4eff8f3183dd6dc4364735e48d4a7690776c84c154a5c6c0114925",
+    "long": "2d2998cf80f80516f68401b5a5a13cb73bc4ff670923de6139e097bc112fc072",
     "stream-canonical": "e73942d226b9ea8deefa07b850c16873283d39543f9f13887452fe463d5bf9f3",
     "stream-gumbel1": "3e558bda624fd09d99e3e7a564595e2587ec5b500ba49faaf5846e38600692fa",
     "stream-frechet2": "e73942d226b9ea8deefa07b850c16873283d39543f9f13887452fe463d5bf9f3",
@@ -185,6 +198,8 @@ SAMPLE = {
     "expmin-r3": "41d3766a168bc17bbdc5f7dc114f8c2234cc84b516cbea45c9b90454eced9ffb",
     "canonical-ties": "46be8d05ab53aee51352bed5a3d65294336995507379040565f5ce8be88982d2",
     "expmin-ties": "ac76d797ab682890e1c5aec4caa166fba91ba6ff5d042aac2e3467d7c31e54ff",
+    "canonical-long-r1": "b524a3b4d72da9086884cad5bfecd321af2e580f17d14edf688984cef927bcb3",
+    "canonical-long-r3": "bac1004640daa8eda6b1795aab578a6590ccc3744807619e6c0ce20e5e45b63e",
 }
 
 UPDATE = {
@@ -239,6 +254,14 @@ def test_sample_injected_ties(tmp_path, family):
     path = _write(tmp_path / "t.csv", _ties_table(), "ties")
     digest = _sample(path, family, 1, 1, "--inject-keys", "--with-key")
     assert digest == SAMPLE[f"{family}-ties"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("replicates", [1, 3])
+def test_sample_long_labels(tmp_path, replicates, threads):
+    path = _write(tmp_path / "t.csv", _long_table(), "long")
+    digest = _sample(path, "canonical", replicates, threads)
+    assert digest == SAMPLE[f"canonical-long-r{replicates}"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -254,16 +255,20 @@ class TestReduceWinners:
     @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps"])
     @pytest.mark.parametrize("bad", ["group_id", "label"])
     def test_merges_refuse_a_non_str_id_as_sample_does(self, merge, bad):
-        row = Row(1, "a", 1.0) if bad == "group_id" else Row("g", 1, 1.0)
-        message = "group ids and labels must be str, got int 1"
-        with pytest.raises(TypeError, match=message):
-            sample([row], ModelSpec(Family.GUMBEL1), SeedContext(0))
-        with pytest.raises(TypeError, match=message):
-            if merge == "reduce_winners":
-                reduce_winners([KeyedRow(row, 0.5, 1.0)], Orientation.MAX)
-            else:
-                merge_winner_maps([{row.group_id: GroupWinner(row.group_id, row.label, 1.0, 1)}],
-                                  Orientation.MAX)
+        # and an id UTF-8 cannot encode (a lone surrogate), though a merge digests none
+        for value, error, message in [
+            (1, TypeError, "group ids and labels must be str, got int 1"),
+            ("g\ud800", ValueError, re.escape("must encode as UTF-8, got 'g\\ud800'")),
+        ]:
+            row = Row(value, "a", 1.0) if bad == "group_id" else Row("g", value, 1.0)
+            with pytest.raises(error, match=message):
+                sample([row], ModelSpec(Family.GUMBEL1), SeedContext(0))
+            with pytest.raises(error, match=message):
+                if merge == "reduce_winners":
+                    reduce_winners([KeyedRow(row, 0.5, 1.0)], Orientation.MAX)
+                else:
+                    merge_winner_maps([{row.group_id: GroupWinner(row.group_id, row.label, 1.0,
+                                                                  1)}], Orientation.MAX)
 
     @pytest.mark.parametrize("merge", ["reduce_winners", "merge_winner_maps"])
     def test_merges_name_a_repeat_before_a_nan(self, merge):
@@ -430,9 +435,11 @@ class TestInputContracts:
         with pytest.raises(FamilyDomainError, match=r"\(group_id='g', label='a'\)"):
             CodedTable.from_ids(["g"], ["a"], [1.0], keys=[float("nan")])
 
-    @pytest.mark.parametrize("bad_id", [7, b"g"])
+    # a lone surrogate is a str that UTF-8 cannot encode, so no digest can be taken
+    @pytest.mark.parametrize("bad_id", [7, b"g", "g\ud800"])
     @pytest.mark.parametrize("entry", ["sample", "sample_arrays", "derive_uniform", "upsert",
-                                       "injected_keys"])
+                                       "injected_keys", "replicate_winners",
+                                       "replicate_uniforms"])
     def test_non_str_ids_rejected(self, entry, bad_id):
         spec, ctx = ModelSpec(Family.GUMBEL1), SeedContext(0)
         calls = {
@@ -443,9 +450,23 @@ class TestInputContracts:
                                                    ctx, injected_keys=[1.0, 2.0]),
             "derive_uniform": lambda: derive_uniform(ctx, "g", bad_id),
             "upsert": lambda: DynamicTable(spec, ctx).upsert(bad_id, "a", 1.0),
+            "replicate_winners": lambda: replicate_winners(spec, ["a", bad_id], [1.0, 2.0], 0, 4),
+            "replicate_uniforms": lambda: replicate_uniforms(0, "g", bad_id, 4),
         }
-        with pytest.raises(TypeError, match=f"must be str, got {type(bad_id).__name__}"):
+        if isinstance(bad_id, str):
+            error, message = ValueError, re.escape(f"must encode as UTF-8, got {bad_id!r}")
+        else:
+            error, message = TypeError, f"must be str, got {type(bad_id).__name__}"
+        with pytest.raises(error, match=message):
             calls[entry]()
+
+    @pytest.mark.parametrize("group_names, label_names", [
+        (["g", "h\ud800"], ["a", "b"]), (["g", "h"], ["b", "a\udfff"]),
+    ], ids=["group", "label"])
+    def test_name_utf8_cannot_encode_rejected(self, group_names, label_names):
+        bad = next(s for s in group_names + label_names if not s.isascii())
+        with pytest.raises(ValueError, match=re.escape(f"must encode as UTF-8, got {bad!r}")):
+            CodedTable([0, 1], group_names, [0, 1], label_names, [1.0, 2.0])
 
     @pytest.mark.parametrize("replicates", [1, 2])
     @pytest.mark.parametrize("keys", [None, np.arange(5.0)])
@@ -1112,7 +1133,7 @@ def test_in_place_mix_leaves_callers_arrays_alone():
         np.testing.assert_array_equal(a, b)
 
 
-# strings of 0-200 UTF-8 bytes span several power-of-two word classes in one call
+# strings of 0-200 UTF-8 bytes span many word counts in one call
 _LONG_IDS = st.one_of(
     st.text(max_size=200).map(lambda t: t.encode("utf-8")[:200].decode("utf-8", "ignore")),
     st.integers(0, 25).map(lambda n: "\0" * n),
@@ -1123,6 +1144,13 @@ _LONG_IDS = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.one_of(_IDS, _LONG_IDS), max_size=40))
 @example(["", "\0", "\0" * 8, "\0" * 9, "x" * 9, "é" * 100, "a\0\0", "日本語" * 22])
+# names of one length: every word below the last is mixed into all of them at once
+@example([f"candidate-{i:07d}-{i * 0x9E3779B97F4A7C15 % 2**64:016x}-variant" for i in range(5)])
+@example(["0123456789abcdef", "fedcba9876543210", "\0" * 16])
+# ASCII and multi-byte names together: byte lengths are taken name by name
+@example(["plain", "ü label", "日本", "ascii-only-and-long", "é", "", "z" * 17])
+# names that end exactly on an 8-byte boundary
+@example(["12345678", "abcdefgh" * 2, "é" * 4, "日本ab", "x" * 24, "日本語" * 8])
 def test_vectorized_digest_matches_scalar(strings):
     assert _string_digests(strings).tolist() == [_string_digest(s) for s in strings]
 
