@@ -30,19 +30,25 @@ bench     run the battery's random upsert/delete stream on a dynamic
 ``sample`` imports only what it runs: this module, the sampler, the
 family table and numpy; each other command imports its own modules when
 it runs.  It reads its CSV in blocks of whole lines, each turned straight
-into integer group and label codes, one dictionary pass per column
-(:func:`~keyrace.sampler.code_ids`), and a Strength array parsed with no
+into integer group and label codes and a Strength array parsed with no
 list of floats; :func:`read_table` returns the rows as one
-:class:`~keyrace.sampler.CodedTable`, the type the sampler races.
-Building it rejects a repeated (ID, QUAL), which the reader then names
-with its line, as it names a non-finite KEY before the table is built.
+:class:`~keyrace.sampler.CodedTable`, the type the sampler races.  A name
+column starts in the distinct mode (:class:`_Names`): while every name
+read so far is new, a block's names are coded by position, checked by
+``set.update`` and a size count, and, in a block that is split, digested
+straight from the block's bytes, so the race does not digest them again.
+The first repeat ends the mode for that column, and one dictionary pass
+per block (:func:`~keyrace.sampler.code_ids`) codes it from then on.
+Building the table rejects a repeated (ID, QUAL), which the reader then
+names with its line, as it names a non-finite KEY before the table is built.
 Line numbers count CSV records, so a quoted line break advances none.
 The sampler sorts the rows into groups once per call, by
 a radix sort of group codes narrowed to 8 or 16 bits where they fit, and
 yields each replicate's winners as columns of label codes and keys, one
 entry per group.  ``sample`` ranks the group ids once and writes each
-replicate with one join over precomputed ``[r,]ID,`` prefixes and the
-winning labels, formatting keys only under ``--with-key``.  An id or
+replicate with one join over precomputed ``ID,`` prefixes and the
+winning labels, ``\\n`` and the replicate's ``r,`` between lines,
+formatting keys only under ``--with-key``.  An id or
 label holding a comma, quote, CR or LF is written quoted, as csv.writer
 writes it, by ``sample`` and ``update`` alike; ``sample`` looks for such a
 name in one scan of the group ids joined, once, and of each replicate's
@@ -57,8 +63,9 @@ same for any N; the race itself is one pass.
 ``--quick`` belongs to ``validate``.  Every count option takes an int >= 0.
 
 Exit codes: 0 ok, 1 validation failure, 2 a file that cannot be read or
-written (``update``'s input file and ``sample -o`` included) or a bad
-row, 3 domain error, 4 warnings on the update stream.  :func:`main`
+written (``update``'s input file and ``sample -o`` included; an ``-o``
+in a directory that does not exist fails before the table is read) or a
+bad row, 3 domain error, 4 warnings on the update stream.  :func:`main`
 builds every command's ``ModelSpec`` and alone turns an error into its
 exit code and ``error:`` line.  A reader that closes stdout early, as
 ``| head`` does, ends the command quietly with exit 0.  The
@@ -81,7 +88,7 @@ import itertools
 import os
 import sys
 from operator import add, itemgetter
-from typing import Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -194,6 +201,69 @@ def _floats(fields: list[str]) -> tuple[np.ndarray, int | None]:
         return np.array(values), len(values) - 1
 
 
+class _Names:
+    """One name column of the table: its distinct names in first-seen order, which code it.
+
+    The column starts in the distinct mode.  While every name read so far
+    is new, a batch of rows' names is coded by position (``np.arange``),
+    checked by ``set.update`` and a size count, and kept as a list, with
+    the names' digests if each batch brings them.  The first repeat,
+    in a batch or across batches, ends the mode: the index dict is built
+    from the names so far, and :func:`~keyrace.sampler.code_ids` codes
+    that batch and every later one.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []  # in the distinct mode
+        self.seen: set[str] | None = set()  # in the distinct mode, while reading
+        self.index: dict[str, int] | None = None  # built when the mode ends
+        self.digests: list[np.ndarray] | None = []  # None once a batch came without them
+
+    def __getstate__(self) -> dict:
+        """A forked piece's column goes to the parent without the set, which reading alone
+        uses."""
+        return {**self.__dict__, "seen": None}
+
+    def code(self, names: list[str],
+             digests: Callable[[], list[np.ndarray] | None] | None = None) -> np.ndarray:
+        """The codes of a batch of rows' names; ``digests()``, if given, is a list of
+        arrays that digest those names in order, asked for only while the mode holds."""
+        if self.index is None:
+            n = len(self.seen)
+            if self.all_new(names):
+                if names and self.digests is not None:
+                    more = digests and digests()
+                    self.digests = None if more is None else self.digests + more
+                self.names += names
+                return np.arange(n, n + len(names), dtype=np.intp)
+            self.index = dict(zip(self.names, itertools.count()))
+            self.names, self.seen, self.digests = [], None, None
+        return code_ids(names, self.index)
+
+    def all_new(self, names: list[str]) -> bool:
+        """Whether the names are distinct and none has been seen, adding them to the set."""
+        n = len(self.seen)
+        self.seen.update(names)
+        return len(self.seen) == n + len(names)
+
+    def distinct(self) -> list[str]:
+        """Every distinct name read so far, in first-seen order."""
+        return self.names if self.index is None else list(self.index)
+
+    def digested(self) -> np.ndarray | None:
+        """The digests of :meth:`distinct`, if every batch brought them."""
+        return np.concatenate(self.digests) if self.digests else None
+
+
+def _field_digests(block: bytes, ends: np.ndarray, commas: np.ndarray, j: int,
+                   n: int) -> list[np.ndarray]:
+    """The digests of field ``j`` (0 or 1) of a split block's first ``n`` lines, from its
+    bytes: line i ends at ``ends[i]`` and holds the commas ``commas[i]``."""
+    stops = commas[:n, j]
+    starts = commas[:n, 0] + 1 if j else np.concatenate(([0], ends[: n - 1] + 1))
+    return [sampler._digests_at(block + bytes(8), starts, stops - starts)]
+
+
 class _CsvReader:
     """Checks and codes the records of an input table as they are read.
 
@@ -210,8 +280,8 @@ class _CsvReader:
         self.header_seen = False
         self.rows = 0  # rows taken
         self.blank_rows: list[int] = []  # the rows taken before each blank record
-        self.groups: dict[str, int] = {}
-        self.labels: dict[str, int] = {}
+        self.groups = _Names()
+        self.labels = _Names()
         self.group_codes: list[np.ndarray] = []
         self.label_codes: list[np.ndarray] = []
         self.strengths: list[np.ndarray] = []
@@ -288,18 +358,21 @@ class _CsvReader:
         ends = np.flatnonzero(buf == 10)
         if not block.endswith(b"\n"):
             ends = np.append(ends, buf.size)  # the last line of the file has no newline
-        commas = np.diff(np.searchsorted(np.flatnonzero(buf == 44), ends), prepend=0)
-        width = int(commas[0]) + 1
+        commas = np.flatnonzero(buf == 44)
+        per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+        width = int(per_line[0]) + 1
         if not (
             width >= self.expected
-            and (commas == width - 1).all()
+            and (per_line == width - 1).all()
             # a line's length in bytes bounds its fields' lengths in characters
             and np.diff(ends, prepend=-1).max() <= csv.field_size_limit()
         ):
             return False
         # split on both separators at once and take the columns by stride
         fields = text.replace("\n", ",").split(",")
-        self.take_columns([fields[j : ends.size * width : width] for j in range(self.expected)])
+        self.take_columns([fields[j : ends.size * width : width] for j in range(self.expected)],
+                          digests=functools.partial(_field_digests, block, ends,
+                                                    commas.reshape(ends.size, width - 1)))
         return True
 
     def take_records(self, records: list[list[str]], message: str | None) -> None:
@@ -329,8 +402,10 @@ class _CsvReader:
             raise CliParseError(f"--inject-keys needs a 4th column named {_KEY_COLUMN}", 1)
         self.header_seen = True
 
-    def take_columns(self, columns: list[list[str]], error: CliParseError | None = None) -> None:
-        """Take the columns of the next rows, each with enough fields."""
+    def take_columns(self, columns: list[list[str]], error: CliParseError | None = None,
+                     digests: Callable[[int, int], list[np.ndarray]] | None = None) -> None:
+        """Take the columns of the next rows, each with enough fields; ``digests(j, n)``,
+        if given, digests the first ``n`` names of column ``j`` from the block's bytes."""
         n = len(columns[0])
         strengths, bad_strength = _floats(columns[2])
         if bad_strength is not None:
@@ -346,8 +421,9 @@ class _CsvReader:
             if bad is not None and (bad_strength is None or bad < bad_strength):
                 n, error = bad + 1, CliParseError(message, self.line(self.rows + bad))
             self.keys.append(keys[:n])
-        self.group_codes.append(code_ids(columns[0][:n], self.groups))
-        self.label_codes.append(code_ids(columns[1][:n], self.labels))
+        for j, (column, codes) in enumerate(((self.groups, self.group_codes),
+                                             (self.labels, self.label_codes))):
+            codes.append(column.code(columns[j][:n], digests and functools.partial(digests, j, n)))
         self.strengths.append(strengths[:n])
         self.rows += n
         if error is not None:
@@ -356,8 +432,9 @@ class _CsvReader:
     def take_piece(self, piece: _CsvReader) -> None:
         """Take the rows another reader split from the bytes that follow, its names
         coded into this reader's, so codes stay first-seen over the file."""
-        groups = code_ids(list(piece.groups), self.groups)  # the piece's codes to this reader's
-        labels = code_ids(list(piece.labels), self.labels)
+        # the piece's codes to this reader's: its names are one more batch, in the order coded
+        groups = self.groups.code(piece.groups.distinct(), lambda: piece.groups.digests)
+        labels = self.labels.code(piece.labels.distinct(), lambda: piece.labels.digests)
         self.group_codes += [groups[codes] for codes in piece.group_codes]
         self.label_codes += [labels[codes] for codes in piece.label_codes]
         self.strengths += piece.strengths
@@ -376,15 +453,18 @@ class _CsvReader:
         """
         group_codes = np.concatenate(self.group_codes)  # every record batch adds one
         label_codes = np.concatenate(self.label_codes)
+        group_names, label_names = self.groups.distinct(), self.labels.distinct()
         try:
-            # the names are the index dicts' keys, decoded from UTF-8: distinct text
-            return CodedTable(group_codes, list(self.groups), label_codes, list(self.labels),
-                              strengths, keys, _distinct_names=True, _text_names=True)
+            # the names are distinct text decoded from UTF-8, each digested from its own
+            # bytes where every block of its column was split in the distinct mode
+            return CodedTable(group_codes, group_names, label_codes, label_names, strengths, keys,
+                              _distinct_names=True, _text_names=True,
+                              _digests=(self.groups.digested(), self.labels.digested()))
         except ValueError:  # a repeated (ID, QUAL)? find it again, to name its line
-            dup = sampler.first_duplicate(group_codes, label_codes, len(self.labels))
+            dup = sampler.first_duplicate(group_codes, label_codes, len(label_names))
             if dup is None:
                 raise
-            gid, label = list(self.groups)[group_codes[dup]], list(self.labels)[label_codes[dup]]
+            gid, label = group_names[group_codes[dup]], label_names[label_codes[dup]]
             raise CliParseError(f"duplicate row ({gid},{label})", self.line(dup)) from None
 
 
@@ -440,7 +520,18 @@ def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedT
         return _CsvReader(inject_keys).read(fh, workers)
 
 
+def _check_output_directory(path: str) -> None:
+    """Raise the error opening ``path`` to write raises when its directory does not exist,
+    so ``sample -o`` fails before the table is read; nothing is created or truncated."""
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except FileNotFoundError as err:
+        raise FileNotFoundError(err.errno, err.strerror, path) from None
+
+
 def cmd_sample(args, spec: ModelSpec) -> int:
+    if args.output:
+        _check_output_directory(args.output)
     table = read_table(args.input, inject_keys=args.inject_keys, workers=args.threads)
     # read_table has rejected repeated rows, naming their lines; a bad
     # strength raises here, before any output
@@ -456,14 +547,13 @@ def cmd_sample(args, spec: ModelSpec) -> int:
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for replicate, winners in enumerate(races):
-            prefixes = ([f"{replicate},{p}" for p in gid_prefixes] if args.replicates > 1
-                        else gid_prefixes)
+            head = f"{replicate}," if args.replicates > 1 else ""  # each line's first field
             labels = _csv_fields(list(map(table.label_names.__getitem__,
                                           winners.label_codes[by_id].tolist())))
-            lines = (map("{}{},{!r}".format, prefixes, labels, winners.keys[by_id].tolist())
-                     if args.with_key else map(add, prefixes, labels))
+            lines = (map("{}{},{!r}".format, gid_prefixes, labels, winners.keys[by_id].tolist())
+                     if args.with_key else map(add, gid_prefixes, labels))
             if ranked:
-                out.write("\n".join(lines) + "\n")
+                out.write(head + f"\n{head}".join(lines) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

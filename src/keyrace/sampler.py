@@ -58,7 +58,7 @@ import operator
 import os
 import pickle
 import warnings
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -368,6 +368,9 @@ class CodedTable:
     checked again.  A caller whose names are a dict's keys passes
     ``_distinct_names=True``, and one whose names are also text decoded from
     UTF-8 ``_text_names=True``, and those names are not checked again.
+    ``_digests``, the group and label names' :func:`_string_digests` or
+    None for each, is the CSV reader's alone: it digests names from the
+    bytes it read them from, and :func:`_prepare` takes those as they are.
     """
 
     group_codes: np.ndarray
@@ -379,6 +382,8 @@ class CodedTable:
     _: KW_ONLY
     _distinct_names: InitVar[bool] = False
     _text_names: InitVar[bool] = False
+    _digests: tuple[np.ndarray | None, np.ndarray | None] = field(
+        default=(None, None), repr=False, compare=False)
 
     def __post_init__(self, _distinct_names: bool, _text_names: bool) -> None:
         columns = {"group_codes": np.intp, "label_codes": np.intp, "strengths": np.float64}
@@ -513,7 +518,8 @@ def _beats(
 
 
 def _prepare(table: CodedTable, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """Domain check of a table, then the digests of its distinct group ids and labels.
+    """Domain check of a table, then the digests of its distinct group ids and labels,
+    each column's taken from the table where it carries them.
 
     Injected keys stand in for the strengths, and the table checked them
     when it was built, so no digests are taken: None is returned.
@@ -521,7 +527,9 @@ def _prepare(table: CodedTable, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray
     if table.keys is not None:
         return None
     _check_strengths(spec, table.strengths, table.row)
-    return _string_digests(table.group_names), _string_digests(table.label_names)
+    return tuple(_string_digests(names) if digests is None else digests
+                 for names, digests in zip((table.group_names, table.label_names),
+                                           table._digests))
 
 
 def _segments(group_codes: np.ndarray, n_groups: int) -> tuple[np.ndarray, ...]:

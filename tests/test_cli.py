@@ -745,6 +745,23 @@ def test_sample_output_not_opened_is_a_parse_error(worked_example_csv, tmp_path,
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
+def test_sample_output_directory_is_checked_before_the_table_is_read(worked_example_csv,
+                                                                    tmp_path, capsys,
+                                                                    monkeypatch):
+    """An ``-o`` whose directory does not exist exits 2 with the error opening it gives,
+    before the table is read, and creates or truncates no file."""
+    out = tmp_path / "nope" / "out.txt"
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the table was read")
+
+    monkeypatch.setattr(cli, "read_table", unread)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["sample", str(worked_example_csv), "-o", str(out)]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", _open_error(out, "w"))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("argv", [["sample"], ["validate", "--quick", "--input"]],
                          ids=["sample", "validate"])
 def test_missing_table_is_a_parse_error(tmp_path, capsys, argv):

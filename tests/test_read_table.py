@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from keyrace import cli, sampler
 from keyrace.cli import CliParseError, read_table
-from keyrace.sampler import CodedTable
+from keyrace.sampler import CodedTable, _string_digests
 
 from children import assert_no_children as _assert_no_children
 
@@ -254,6 +254,85 @@ def test_pieces_read_as_the_csv_reader_loop(tmp_path_factory, file):
     path = tmp_path_factory.mktemp("t") / "t.csv"
     path.write_bytes(raw)
     _assert_reads_as_oracle(str(path), inject, block, batch, limit, workers)
+
+
+# 1, 2 and 3 UTF-8 bytes a character, so names end anywhere in an 8-byte word
+_FILLERS = ["a", "é", "日", "x y", "1234567"]
+
+
+@st.composite
+def _mode_files(draw):
+    """Rows whose group and label columns each hold only new names up to a row and then
+    repeat some, with extra columns or a KEY, maybe one quoted, CR or uneven row; the
+    block size and workers to read them with; and whether every block splits."""
+    inject, extra, n = draw(st.booleans()), draw(st.integers(0, 2)), draw(st.integers(1, 60))
+
+    def column(tag):
+        repeats_from, names = draw(st.integers(0, n)), []
+        for i in range(n):
+            if i >= repeats_from and names and draw(st.booleans()):
+                names.append(draw(st.sampled_from(names)))
+            else:  # the text after the last "#" makes the name new
+                names.append(draw(st.sampled_from(_FILLERS)) * draw(st.integers(0, 9))
+                             + f"#{tag}{i}")
+        return names
+
+    rows = list(dict.fromkeys(zip(column("g"), column("l"))))  # each (ID, QUAL) once
+    if draw(st.integers(0, 9)) == 0:  # or a repeated row
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    tail = ",1" + ",0.5" * inject + ",x" * extra
+    lines = [f"{g},{q}{tail}\n" for g, q in rows]
+    fault = draw(st.sampled_from([None, None, "quote", "cr", "uneven"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    g, q = rows[at]
+    lines[at] = {None: lines[at], "quote": f'"{g}",{q}{tail}\n', "cr": f"{g},{q}{tail}\r\n",
+                 "uneven": f"{g},{q}{tail},more\n"}[fault]
+    data = ("ID,QUAL,Strength" + ",KEY" * inject + ",x" * extra + "\n"
+            + "".join(lines)).encode("utf-8")
+    block = draw(st.integers(1, len(data)))
+    return data, inject, block, draw(st.sampled_from([1, 2, 3])), fault is None
+
+
+_REPEATS = b"ID,QUAL,Strength\ng1,a,1\ng2,b,1\ng1,c,1\ng3,a,2\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mode_files())
+@example((_REPEATS, False, 8, 1, True))  # each line a block: repeats across blocks
+@example((_REPEATS, False, 64, 1, True))  # one block: repeats inside it
+@example((b"ID,QUAL,Strength\ng1,a,1\ng2,b,1\ng3,c,1\ng1,d,1\n", False, 8, 3,
+          True))  # a repeat across pieces
+@example((b'ID,QUAL,Strength\ng1,a,1\n"g2",b,1\ng3,c,1\n', False, 1, 1,
+          False))  # a block csv reads, after one split
+# names of 8, 5, 13 and 7 UTF-8 bytes
+@example(("ID,QUAL,Strength\n1234567#,é#é,1\n日日#日日,x y#x y,1\n".encode("utf-8"),
+          False, 1, 1, True))
+def test_distinct_columns_are_coded_and_digested_as_the_oracle(tmp_path_factory, file):
+    """The table's codes and names are the oracle's rows coded first-seen, and a column
+    that carries digests carries each name's own: at any block size and worker count,
+    a repeat inside a block, at its edge or across pieces, and a block csv reads."""
+    raw, inject, block, workers, splits = file
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    path.write_bytes(raw)
+    with mock.patch.object(cli, "_BLOCK_BYTES", block), \
+            mock.patch.object(sampler, "_usable_cpus", lambda: workers):
+        outcome = _outcome(functools.partial(read_table, workers=workers), str(path), inject)
+        assert outcome == _outcome(oracle_read_table, str(path), inject)
+        if outcome[0] == "accepted":
+            table = read_table(str(path), inject, workers=workers)
+    _assert_no_children()
+    if outcome[0] == "rejected":
+        return
+    ids, labels, *_ = oracle_read_table(str(path), inject)
+    for codes, names, digests, column in zip((table.group_codes, table.label_codes),
+                                             (table.group_names, table.label_names),
+                                             table._digests, (ids, labels)):
+        want_codes, want_names = sampler._factorize(column)
+        assert codes.tolist() == want_codes.tolist() and names == want_names
+        if splits and len(set(column)) == len(column):  # a distinct column of split blocks
+            assert digests is not None
+        if digests is not None:
+            assert digests.tolist() == _string_digests(names).tolist()
 
 
 _CSV_READER = csv.reader
