@@ -230,7 +230,8 @@ class _Names:
         arrays that digest those names in order, asked for only while the mode holds."""
         if self.index is None:
             n = len(self.seen)
-            if self.all_new(names):
+            self.seen.update(names)
+            if len(self.seen) == n + len(names):  # each name distinct and new
                 if names and self.digests is not None:
                     more = digests and digests()
                     self.digests = None if more is None else self.digests + more
@@ -239,12 +240,6 @@ class _Names:
             self.index = dict(zip(self.names, itertools.count()))
             self.names, self.seen, self.digests = [], None, None
         return code_ids(names, self.index)
-
-    def all_new(self, names: list[str]) -> bool:
-        """Whether the names are distinct and none has been seen, adding them to the set."""
-        n = len(self.seen)
-        self.seen.update(names)
-        return len(self.seen) == n + len(names)
 
     def distinct(self) -> list[str]:
         """Every distinct name read so far, in first-seen order."""
@@ -525,8 +520,8 @@ def _check_output_directory(path: str) -> None:
     so ``sample -o`` fails before the table is read; nothing is created or truncated."""
     try:
         os.stat(os.path.dirname(path) or ".")
-    except FileNotFoundError as err:
-        raise FileNotFoundError(err.errno, err.strerror, path) from None
+    except (FileNotFoundError, NotADirectoryError) as err:
+        raise type(err)(err.errno, err.strerror, path) from None
 
 
 def cmd_sample(args, spec: ModelSpec) -> int:

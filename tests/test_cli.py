@@ -745,12 +745,17 @@ def test_sample_output_not_opened_is_a_parse_error(worked_example_csv, tmp_path,
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "under-a-file"])
 def test_sample_output_directory_is_checked_before_the_table_is_read(worked_example_csv,
                                                                     tmp_path, capsys,
-                                                                    monkeypatch):
+                                                                    monkeypatch, where):
     """An ``-o`` whose directory does not exist exits 2 with the error opening it gives,
-    before the table is read, and creates or truncates no file."""
-    out = tmp_path / "nope" / "out.txt"
+    naming the whole path, before the table is read, and creates or truncates no file."""
+    if where == "missing-directory":
+        out = tmp_path / "nope" / "out.txt"
+    else:  # a path component is a file
+        (tmp_path / "file").write_text("kept")
+        out = tmp_path / "file" / "nope" / "out.txt"
 
     def unread(*args, **kwargs):
         raise AssertionError("the table was read")
