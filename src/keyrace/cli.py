@@ -24,8 +24,6 @@ validate  run the correctness battery, or with ``--input`` one chi-square
           Every result is computed before the first is printed, so a bad
           strength (named as ``sample`` names it) exits 3 with no
           ``CRITERION`` line
-bench     run the battery's random upsert/delete stream on a dynamic
-          table and count its updates and comparisons by case
 
 ``sample`` imports only what it runs: this module, the sampler, the
 family table and numpy; each other command imports its own modules when
@@ -64,16 +62,16 @@ same for any N; the race itself is one pass.
 
 Exit codes: 0 ok, 1 validation failure, 2 a file that cannot be read or
 written (``update``'s input file and ``sample -o`` included; an ``-o``
-in a directory that does not exist fails before the table is read) or a
-bad row, 3 domain error, 4 warnings on the update stream.  :func:`main`
-builds every command's ``ModelSpec`` and alone turns an error into its
-exit code and ``error:`` line.  A reader that closes stdout early, as
-``| head`` does, ends the command quietly with exit 0.  The
-``keyrace`` command and ``python -m keyrace`` run :func:`run`, which
-freezes the garbage collector's objects once :func:`main` returns, so
-interpreter exit does not walk the ~21k objects it tracks by then,
-numpy's among them; :func:`main` itself, run in process by tests and
-callers, never does.
+in a directory that does not exist, or that is a directory, fails before
+the table is read) or a bad row, 3 domain error, 4 warnings on the
+update stream.  :func:`main` builds every command's ``ModelSpec`` and
+alone turns an error into its exit code and ``error:`` line.  A reader
+that closes stdout early, as ``| head`` does, ends the command quietly
+with exit 0.  The ``keyrace`` command and ``python -m keyrace`` run
+:func:`run`, which freezes the garbage collector's objects once
+:func:`main` returns, so interpreter exit does not walk the ~21k objects
+it tracks by then, numpy's among them; :func:`main` itself, run in
+process by tests and callers, never does.
 """
 
 from __future__ import annotations
@@ -81,6 +79,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import csv
+import errno
 import functools
 import gc
 import io
@@ -516,12 +515,15 @@ def read_table(path: str, inject_keys: bool = False, workers: int = 1) -> CodedT
 
 
 def _check_output_directory(path: str) -> None:
-    """Raise the error opening ``path`` to write raises when its directory does not exist,
-    so ``sample -o`` fails before the table is read; nothing is created or truncated."""
+    """Raise the error opening ``path`` to write raises when its directory does not exist
+    or it is a directory, so ``sample -o`` fails before the table is read; nothing is
+    created or truncated."""
     try:
         os.stat(os.path.dirname(path) or ".")
     except (FileNotFoundError, NotADirectoryError) as err:
         raise type(err)(err.errno, err.strerror, path) from None
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def cmd_sample(args, spec: ModelSpec) -> int:
@@ -621,23 +623,6 @@ def cmd_validate(args, spec: ModelSpec) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
-def cmd_bench(args, spec: ModelSpec) -> int:
-    from .dynamic import DynamicTable
-    from .validation import _update_stream
-
-    table = DynamicTable(spec, SeedContext(seed=args.seed))
-    case_counts: dict[str, int] = {}
-    case_cost: dict[str, int] = {}
-    for report in _update_stream(table, np.random.default_rng(args.seed), args.updates):
-        case_counts[report.case.value] = case_counts.get(report.case.value, 0) + 1
-        case_cost[report.case.value] = case_cost.get(report.case.value, 0) + report.comparisons
-    print(f"dynamic-updates {args.updates} ops")
-    for case in sorted(case_counts):
-        count = case_counts[case]
-        print(f"  {case:18s} count={count:7d} mean-comparisons={case_cost[case] / count:7.2f}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="keyrace",
@@ -687,11 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", default=None, help="optional CSV; chi-square each group's winners"
     )
     p_validate.set_defaults(func=cmd_validate)
-
-    p_bench = sub.add_parser("bench", help="dynamic-update costs split by case")
-    add_common(p_bench)
-    p_bench.add_argument("--updates", type=_count, default=10_000)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

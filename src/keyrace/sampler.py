@@ -590,22 +590,20 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
 
     ``digests`` are :func:`_prepare`'s.  The rows are sorted once, stably,
     by group code.  Each replicate keys the rows in that order and takes
-    each group's winner with :func:`_winners`.  A group named in
-    ``table.group_names`` with no row has no segment, so no winner.
+    each group's winner with :func:`_winners`, its rows' digests gathered
+    and its per-row arrays freed within it, so no replicate peaks above the
+    first.  A group named in ``table.group_names`` with no row has no
+    segment, so no winner.
     """
     order, group_codes, starts = _segments(table.group_codes, len(table.group_names))
     label_codes, strengths = table.label_codes[order], table.strengths[order]
     injected_keys = None if table.keys is None else table.keys[order]
-    if injected_keys is None:  # each row's group and label digests, for every replicate
-        row_digests = digests[0][group_codes], digests[1][label_codes]
     segment_groups = group_codes[starts]
     row_counts = np.bincount(group_codes, minlength=len(table.group_names))[segment_groups]
-    replicates = range(ctx.replicate, ctx.replicate + n_replicates)
-    for replicate in replicates:
+    for replicate in range(ctx.replicate, ctx.replicate + n_replicates):
         if injected_keys is None:
-            uniforms = _uniform(ctx.seed, replicate, 0, *row_digests)
-            if replicate == replicates[-1]:  # freed before the keys, so they raise no peak
-                row_digests = None
+            uniforms = _uniform(ctx.seed, replicate, 0, digests[0][group_codes],
+                                digests[1][label_codes])
             order_keys = _order_keys(spec, strengths, uniforms)
         else:
             order_keys = injected_keys
@@ -616,6 +614,7 @@ def _races(table: CodedTable, digests: tuple[np.ndarray, np.ndarray] | None, spe
             if injected_keys is not None
             else _keys(spec, strengths[win], uniforms[win], win_order_keys)[0]
         )
+        uniforms = order_keys = None
         yield _RaceColumns(segment_groups, label_codes[win], keys, win_order_keys, row_counts)
 
 

@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -115,8 +116,7 @@ class TestSample:
         assert f"argument --replicates: must be >= 0, got {count}" in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("argv", [["sample", "--threads", "-3", "t.csv"],
-                                      ["bench", "--updates", "-5"]])
+    @pytest.mark.parametrize("argv", [["sample", "--threads", "-3", "t.csv"]])
     def test_negative_counts_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exited:
             cli.main(argv)
@@ -129,8 +129,7 @@ class TestSample:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("argv", [["update", "--threads", "2"], ["sample", "--quick"],
-                                      ["validate", "--replicates", "2"],
-                                      ["bench", "--threads", "2"], ["bench", "--rows", "10"]])
+                                      ["validate", "--replicates", "2"]])
     def test_flags_of_other_subcommands_rejected(self, argv, worked_example_csv):
         result = run_cli(*argv, *([str(worked_example_csv)] if argv[0] == "sample" else []),
                          stdin="")
@@ -544,36 +543,6 @@ class TestValidate:
         assert capsys.readouterr().out == ""
 
 
-class TestBench:
-    def test_small_bench_completes(self):
-        result = run_cli("bench", "--updates", "1000", "--model", "gumbel1")
-        assert result.returncode == 0, result.stderr
-        assert "dynamic-updates" in result.stdout
-        assert "loses-to-winner" in result.stdout
-
-    def test_case_counts_are_the_battery_stream_tallied(self, capsys):
-        from keyrace.dynamic import DynamicTable
-        from keyrace.validation import _update_stream
-
-        assert cli.main(["bench", "--updates", "3000", "--model", "frechet2", "--seed", "5"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "dynamic-updates 3000 ops"
-        got = {}
-        for line in lines[1:]:
-            case, count, mean = re.fullmatch(
-                r"  (\S+) +count= *(\d+) mean-comparisons= *(\S+)", line).groups()
-            got[case] = (int(count), float(mean))
-
-        table = DynamicTable(ModelSpec(Family.FRECHET2), SeedContext(seed=5))
-        reports = list(_update_stream(table, np.random.default_rng(5), 3000))
-        expected = {}
-        for case in {r.case.value for r in reports}:
-            costs = [r.comparisons for r in reports if r.case.value == case]
-            expected[case] = (len(costs), float(f"{sum(costs) / len(costs):.2f}"))
-        assert got == expected
-        assert sum(count for count, _ in got.values()) == 3000
-
-
 def test_worked_example_fixture_roundtrip(tmp_path):
     # the fixture writer and the CLI reader agree on the format
     from keyrace.cli import read_table
@@ -610,6 +579,17 @@ def test_readme_command_lines_parse():
                 build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README line does not parse: {text!r}")
+
+
+def test_documented_subcommands_are_the_parsers():
+    """The ``cli`` docstring's Subcommands list and README's command block name exactly
+    the subcommands that :func:`build_parser` has."""
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    listed = cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\n\n", 1)[0]
+    in_docstring = {line.split()[0] for line in listed.splitlines() if not line.startswith(" ")}
+    in_readme = {line.split()[1] for line in _readme_command_lines()}
+    assert sorted(in_docstring) == sorted(in_readme) == sorted(subparsers.choices)
 
 
 def test_readme_python_block_runs(capsys):
@@ -745,17 +725,20 @@ def test_sample_output_not_opened_is_a_parse_error(worked_example_csv, tmp_path,
     assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "under-a-file"])
+@pytest.mark.parametrize("where", ["missing-directory", "under-a-file", "a-directory"])
 def test_sample_output_directory_is_checked_before_the_table_is_read(worked_example_csv,
                                                                     tmp_path, capsys,
                                                                     monkeypatch, where):
-    """An ``-o`` whose directory does not exist exits 2 with the error opening it gives,
-    naming the whole path, before the table is read, and creates or truncates no file."""
+    """An ``-o`` whose directory does not exist, or that is a directory, exits 2 with the
+    error opening it gives, naming the whole path, before the table is read, and creates
+    or truncates no file."""
     if where == "missing-directory":
         out = tmp_path / "nope" / "out.txt"
-    else:  # a path component is a file
+    elif where == "under-a-file":  # a path component is a file
         (tmp_path / "file").write_text("kept")
         out = tmp_path / "file" / "nope" / "out.txt"
+    else:
+        out = tmp_path
 
     def unread(*args, **kwargs):
         raise AssertionError("the table was read")
@@ -776,7 +759,7 @@ def test_missing_table_is_a_parse_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["sample", "TABLE"], ["update", "TABLE"], ["validate"],
-                                  ["validate", "--input", "TABLE"], ["bench"]])
+                                  ["validate", "--input", "TABLE"]])
 def test_bad_scale_is_a_domain_error_in_every_command(worked_example_csv, capsys, argv):
     argv = [str(worked_example_csv) if arg == "TABLE" else arg for arg in argv]
     assert cli.main([*argv, "--model", "gumbel1", "--scale", "-1"]) == cli.EXIT_DOMAIN

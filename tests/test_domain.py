@@ -214,10 +214,3 @@ def test_key_paths_keep_their_operand_shapes(spec, strength):
     np.testing.assert_array_equal(_bits([w.key for w in winners.values()]), _bits(keys[won]))
     np.testing.assert_array_equal(_bits([w.order_key for w in winners.values()]),
                                   _bits(order_keys[won]))
-
-
-@pytest.mark.parametrize("argv", [["bench", "--scale", "nan"], ["bench", "--model", "negexp",
-                                                                "--offset", "1.0"]])
-def test_bench_model_domain_error_exits_3(capsys, argv):
-    assert cli.main(argv + ["--updates", "1"]) == 3
-    assert capsys.readouterr().err.startswith("error: ")

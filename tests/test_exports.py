@@ -70,7 +70,7 @@ def test_no_unused_imports(path):
     assert sorted(imported - used - exported - kept) == []
 
 
-# modules that only update, validate and bench use
+# modules that only update and validate use
 _NOT_ON_THE_SAMPLE_PATH = {"keyrace.validation", "keyrace.dynamic", "keyrace.stats",
                            "keyrace.baselines"}
 

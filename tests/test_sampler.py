@@ -1040,6 +1040,25 @@ def _race_replicates_per_worker(n_blocks):
     return n_blocks * sampler._usable_cpus() * sampler._RACE_BLOCK
 
 
+def test_later_replicates_of_a_table_peak_no_higher_than_one():
+    """Each replicate of a table's race frees its per-row arrays before the next is raced,
+    so three replicates peak where one does."""
+    rows = 1 << 16
+    table = CodedTable.from_ids([f"g{i % 64}" for i in range(rows)],
+                                [f"l{i}" for i in range(rows)], np.ones(rows))
+
+    def peak(n_replicates):
+        tracemalloc.start()
+        try:
+            for _ in sample_codes(table, ModelSpec(Family.GUMBEL1), SeedContext(1), n_replicates):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= peak(1) + 4 * rows  # half of one float64 row column
+
+
 def test_replicate_winners_memory_is_bounded_by_the_block():
     spec = ModelSpec(Family.CANONICAL)
     labels, strengths = [f"l{i:02d}" for i in range(16)], np.linspace(0.5, 2.0, 16)
